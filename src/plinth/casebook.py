@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Mapping
 
 from . import linalg
 from .derivation import Derivation
@@ -95,7 +94,6 @@ def example1_conductor_check(f: Polynomial, degree_bound: int = 6) -> Verificati
         for i in range(len(h_monomials))
     ]
     x_index = f.ambient.index("x")
-    y_index = f.ambient.index("y")
 
     def unit(m: Monomial) -> list[Fraction]:
         return [Fraction(1 if mm == m else 0) for mm in h_monomials]
@@ -119,7 +117,6 @@ def example1_conductor_check(f: Polynomial, degree_bound: int = 6) -> Verificati
         },
     )
     checker.note(f"h-space dimension {len(claimed)} of {len(h_monomials)} at the bound")
-    _ = y_index
     return checker.report()
 
 
@@ -195,12 +192,6 @@ class QuadricRing:
 
     def is_normal(self, f: Polynomial) -> bool:
         return f.max_exponent("y") <= 1
-
-    def mul(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return self.reduce(f * g)
-
-    def add(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        return f + g
 
 
 def divide_out(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -10,62 +10,41 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from fractions import Fraction
 
 from . import casebook, separating, sl2
-from .report import VerificationReport, reports_to_json
+from .polyring import PolyError
+from .report import Checker, VerificationReport, reports_to_json
 from .roberts import Y0_RELATION, Y1_GENERATORS, roberts_action
-from .sagbi import GeneratorSet, verify_sagbi
+from .sagbi import verify_sagbi
 
 DEFAULT_SEED = 1729
 
 
-def _timed(check_id: str, anchor: str, params: dict, fn) -> VerificationReport:
-    start = time.perf_counter()
-    ok, details = fn()
-    ms = (time.perf_counter() - start) * 1000.0
-    return VerificationReport(
-        check_id,
-        anchor,
-        "pass" if ok else "fail",
-        params,
-        details if details else ("all sub-checks passed" if ok else "failed"),
-        ms,
-    )
-
-
 def run_roberts_invariants() -> list[VerificationReport]:
     ra = roberts_action()
-
-    def check():
-        lines = []
-        ok = True
-        for name, f in (
-            ("u12", ra.u12),
-            ("u13", ra.u13),
-            ("u23", ra.u23),
-            ("b1_1", ra.beta(1, 1)),
-            ("b2_1", ra.beta(2, 1)),
-            ("b3_1", ra.beta(3, 1)),
-        ):
-            invariant = ra.D.is_invariant(f)
-            ok = ok and invariant
-            lines.append(f"D({name}) = 0: {invariant}; {name} = {f}")
-        y0 = ra.y0_relation_check()
-        ok = ok and y0
-        lines.append(f"{Y0_RELATION} -> 0 under substitution: {y0}")
-        return ok, lines
-
-    return [
-        _timed(
-            "roberts.invariants",
-            "the six generating invariants are flow-constant and satisfy "
-            "the hypersurface relation",
-            {},
-            check,
-        )
-    ]
+    checker = Checker(
+        "roberts.invariants",
+        "the six generating invariants are flow-constant and satisfy "
+        "the hypersurface relation",
+    )
+    for name, f in (
+        ("u12", ra.u12),
+        ("u13", ra.u13),
+        ("u23", ra.u23),
+        ("b1_1", ra.beta(1, 1)),
+        ("b2_1", ra.beta(2, 1)),
+        ("b3_1", ra.beta(3, 1)),
+    ):
+        invariant = ra.D.is_invariant(f)
+        line = f"D({name}) = 0: {invariant}; {name} = {f}"
+        checker.require(invariant, line)
+        checker.note(line)
+    y0 = ra.y0_relation_check()
+    line = f"{Y0_RELATION} -> 0 under substitution: {y0}"
+    checker.require(y0, line)
+    checker.note(line)
+    return [checker.report()]
 
 
 def run_roberts_beta(n: int) -> list[VerificationReport]:
@@ -103,7 +82,7 @@ def run_roberts_sagbi(n: int, bound: int) -> list[VerificationReport]:
 
 def run_roberts_an(n: int) -> list[VerificationReport]:
     ra = roberts_action()
-    return [ra.an_lemma_checks(k) for k in range(max(n, 0) + 1)]
+    return [ra.an_lemma_checks(k) for k in range(n + 1)]
 
 
 def run_roberts_radical() -> list[VerificationReport]:
@@ -112,64 +91,51 @@ def run_roberts_radical() -> list[VerificationReport]:
 
 def run_roberts_fixed() -> list[VerificationReport]:
     ra = roberts_action()
-
-    def check():
-        collapsed = ra.fixed_point_collapse(4)
-        extended, flow = ra.D.flow_images()
-        sub = {
-            name: (
-                extended.zero()
-                if name.startswith("x")
-                else extended.variable(name)
-            )
-            for name in extended.names
-        }
-        fixed = all(
-            flow[name].substitute(sub, extended)
-            == extended.variable(name).substitute(sub, extended)
-            for name in ra.ring.names
+    checker = Checker(
+        "roberts.fixed",
+        "the fixed-point locus x = 0 collapses to one image point",
+        {"N": 4},
+    )
+    collapsed = ra.fixed_point_collapse(4)
+    extended, flow = ra.D.flow_images()
+    sub = {
+        name: (
+            extended.zero()
+            if name.startswith("x")
+            else extended.variable(name)
         )
-        return collapsed and fixed, [
-            f"all S_4 generators constant on x = 0: {collapsed}",
-            f"flow fixes every point with x = 0: {fixed}",
-        ]
+        for name in extended.names
+    }
+    fixed = all(
+        flow[name].substitute(sub, extended)
+        == extended.variable(name).substitute(sub, extended)
+        for name in ra.ring.names
+    )
+    for ok, line in (
+        (collapsed, f"all S_4 generators constant on x = 0: {collapsed}"),
+        (fixed, f"flow fixes every point with x = 0: {fixed}"),
+    ):
+        checker.require(ok, line)
+        checker.note(line)
+    return [checker.report()]
 
+
+def run_sl2(rep: str, degree: int, samples: int, seed: int) -> list[VerificationReport]:
+    parsed = sl2.RepSum.parse(rep)
+    checker = Checker(
+        f"sl2.quadratic.{parsed}",
+        "one quadratic invariant per even weight, full support",
+        {"rep": rep},
+    )
+    for n in sorted(set(parsed.degrees)):
+        fks = sl2.quadratic_invariants(n)
+        checker.note(f"V[{n}]: {len(fks)} quadratic invariants")
+        checker.note(f"V[{n}] zero-weight reflection: {sl2.sigma_on_V0(n).value}")
     return [
-        _timed(
-            "roberts.fixed",
-            "the fixed-point locus x = 0 collapses to one image point",
-            {"N": 4},
-            check,
-        )
+        checker.report(),
+        sl2.positive_weight_vanishing_check(parsed, degree, seed=seed),
+        sl2.component_containment_check(parsed, degree, samples=samples, seed=seed),
     ]
-
-
-def run_sl2(rep_spec: str, degree: int, samples: int, seed: int) -> list[VerificationReport]:
-    rep = sl2.RepSum.parse(rep_spec)
-    reports = []
-
-    def quad_check():
-        lines = []
-        for n in sorted(set(rep.degrees)):
-            fks = sl2.quadratic_invariants(n)
-            lines.append(f"V[{n}]: {len(fks)} quadratic invariants")
-            sig = sl2.sigma_on_V0(n)
-            lines.append(f"V[{n}] zero-weight reflection: {sig.value}")
-        return True, lines
-
-    reports.append(
-        _timed(
-            f"sl2.quadratic.{rep}",
-            "one quadratic invariant per even weight, full support",
-            {"rep": rep_spec},
-            quad_check,
-        )
-    )
-    reports.append(sl2.positive_weight_vanishing_check(rep, degree, seed=seed))
-    reports.append(
-        sl2.component_containment_check(rep, degree, samples=samples, seed=seed)
-    )
-    return reports
 
 
 def run_separating(trials: int, seed: int) -> list[VerificationReport]:
@@ -213,36 +179,28 @@ def run_example1() -> list[VerificationReport]:
     ]
 
 
-def run_kernel(ring_spec: str, degree_text: str) -> list[VerificationReport]:
-    degree = tuple(int(x) for x in degree_text.split(","))
-    if ring_spec == "roberts":
-        ra = roberts_action()
+def run_kernel(ring: str, degree: tuple[int, ...]) -> list[VerificationReport]:
+    checker = Checker(
+        f"kernel.{ring}",
+        "graded kernel basis computed by exact elimination",
+        {"ring": ring, "degree": list(degree)},
+    )
+    if ring == "roberts":
         if len(degree) != 3:
-            raise SystemExit("roberts kernel needs a 3-component degree")
-        basis = ra.graded_invariants(degree)
-    elif ring_spec.startswith("sl2:"):
-        rep = sl2.RepSum.parse(ring_spec[4:])
-        if len(degree) != 2:
-            raise SystemExit("sl2 kernel needs degree,weight")
-        D = sl2.build_raising_derivation(rep)
-        ws = rep.weight_system()
-        basis = D.graded_kernel(ws, rep.piece(degree[0], degree[1])).basis
+            raise argparse.ArgumentTypeError(
+                "roberts kernel needs a 3-component degree"
+            )
+        basis = roberts_action().graded_invariants(degree)
     else:
-        raise SystemExit(f"unknown ring {ring_spec!r}")
+        if len(degree) != 2:
+            raise argparse.ArgumentTypeError("sl2 kernel needs degree,weight")
+        rep = sl2.RepSum.parse(ring[4:])
+        D = sl2.build_raising_derivation(rep)
+        basis = D.graded_kernel(rep.weight_system(), rep.piece(*degree)).basis
     for p in basis:
         print(p)
-
-    def check():
-        return True, [f"dimension {len(basis)} at degree {degree}"]
-
-    return [
-        _timed(
-            f"kernel.{ring_spec}",
-            "graded kernel basis computed by exact elimination",
-            {"ring": ring_spec, "degree": list(degree)},
-            check,
-        )
-    ]
+    checker.note(f"dimension {len(basis)} at degree {degree}")
+    return [checker.report()]
 
 
 def run_all(seed: int) -> list[VerificationReport]:
@@ -258,8 +216,49 @@ def run_all(seed: int) -> list[VerificationReport]:
     reports += run_separating(300, seed)
     reports += run_danielewski()
     reports += run_example1()
-    reports += run_kernel("roberts", "3,2,2")
+    reports += run_kernel("roberts", (3, 2, 2))
     return reports
+
+
+def _int_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+def _rep(text: str) -> str:
+    """argparse type: a representation like 'V[4]+V[2]', kept as typed."""
+    try:
+        sl2.RepSum.parse(text)
+    except PolyError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
+def _ring(text: str) -> str:
+    """argparse type: 'roberts' or 'sl2:<representation>'."""
+    if text.startswith("sl2:"):
+        _rep(text[4:])
+    elif text != "roberts":
+        raise argparse.ArgumentTypeError(f"unknown ring {text!r}")
+    return text
+
+
+def _degree(text: str) -> tuple[int, ...]:
+    """argparse type: comma-separated integers."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,70 +269,54 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="also write reports as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("roberts-invariants", parents=[common])
-    p = sub.add_parser("roberts-beta", parents=[common])
-    p.add_argument("--n", type=int, default=3)
-    sub.add_parser("roberts-y1", parents=[common])
-    p = sub.add_parser("roberts-sagbi", parents=[common])
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--bound", type=int, default=8)
-    p = sub.add_parser("roberts-an", parents=[common])
-    p.add_argument("--n", type=int, default=2)
-    sub.add_parser("roberts-radical", parents=[common])
-    sub.add_parser("roberts-fixed", parents=[common])
-    p = sub.add_parser("sl2", parents=[common])
-    p.add_argument("--rep", default="V[4]+V[2]")
+    natural, positive = _int_at_least(0), _int_at_least(1)
+
+    def command(name: str, run) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common])
+        p.set_defaults(run=run, usage_error=p.error)
+        return p
+
+    command("roberts-invariants", run_roberts_invariants)
+    p = command("roberts-beta", run_roberts_beta)
+    p.add_argument("--n", type=natural, default=3)
+    command("roberts-y1", run_roberts_y1)
+    p = command("roberts-sagbi", run_roberts_sagbi)
+    p.add_argument("--n", type=natural, default=2)
+    p.add_argument("--bound", type=natural, default=8)
+    command("roberts-an", run_roberts_an).add_argument("--n", type=natural, default=2)
+    command("roberts-radical", run_roberts_radical)
+    command("roberts-fixed", run_roberts_fixed)
+    p = command("sl2", run_sl2)
+    p.add_argument("--rep", type=_rep, default="V[4]+V[2]")
     p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=positive, default=200)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p = sub.add_parser("separating", parents=[common])
-    p.add_argument("--trials", type=int, default=500)
+    p = command("separating", run_separating)
+    p.add_argument("--trials", type=positive, default=500)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sub.add_parser("danielewski", parents=[common])
-    sub.add_parser("example1", parents=[common])
-    p = sub.add_parser("kernel", parents=[common])
-    p.add_argument("--ring", default="roberts")
-    p.add_argument("--degree", required=True)
-    p = sub.add_parser("all", parents=[common])
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    command("danielewski", run_danielewski)
+    command("example1", run_example1)
+    p = command("kernel", run_kernel)
+    p.add_argument("--ring", type=_ring, default="roberts")
+    p.add_argument("--degree", type=_degree, required=True)
+    command("all", run_all).add_argument("--seed", type=int, default=DEFAULT_SEED)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "roberts-invariants":
-        reports = run_roberts_invariants()
-    elif args.command == "roberts-beta":
-        reports = run_roberts_beta(args.n)
-    elif args.command == "roberts-y1":
-        reports = run_roberts_y1()
-    elif args.command == "roberts-sagbi":
-        reports = run_roberts_sagbi(args.n, args.bound)
-    elif args.command == "roberts-an":
-        reports = run_roberts_an(args.n)
-    elif args.command == "roberts-radical":
-        reports = run_roberts_radical()
-    elif args.command == "roberts-fixed":
-        reports = run_roberts_fixed()
-    elif args.command == "sl2":
-        reports = run_sl2(args.rep, args.degree, args.samples, args.seed)
-    elif args.command == "separating":
-        reports = run_separating(args.trials, args.seed)
-    elif args.command == "danielewski":
-        reports = run_danielewski()
-    elif args.command == "example1":
-        reports = run_example1()
-    elif args.command == "kernel":
-        reports = run_kernel(args.ring, args.degree)
-    elif args.command == "all":
-        reports = run_all(args.seed)
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown subcommand {args.command!r}")
+    args = vars(parser.parse_args(argv))
+    del args["command"]
+    run, usage_error = args.pop("run"), args.pop("usage_error")
+    json_path = args.pop("json")
+    try:
+        reports = run(**args)
+    except argparse.ArgumentTypeError as exc:
+        usage_error(str(exc))
     for r in reports:
         print(r.text_line())
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    if json_path:
+        with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(reports_to_json(reports))
     return 0 if all(r.ok for r in reports) else 1
 

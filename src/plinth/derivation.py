@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .polyring import (
-    ANY_DEGREE,
     INHOMOGENEOUS,
     Monomial,
     PolyError,
@@ -181,6 +180,7 @@ class Derivation:
     def _exp_series(
         self, f: Polynomial, s: Polynomial, extended: VariableSet
     ) -> Polynomial:
+        """sum_k s^k D^k(f) / k! over ``extended``; s may be a constant."""
         total = extended.zero()
         cur = f
         k = 0
@@ -204,19 +204,10 @@ class Derivation:
         self._require_certified()
         if f.ambient != self.ambient:
             raise VariableMismatchError("polynomial over a different variable set")
-        if s is None:
-            extended = self.ambient.extend((self._fresh_parameter(param),))
-            sv = extended.variable(extended.names[-1])
-            return self._exp_series(f, sv, extended)
-        value = Fraction(s)
-        total = self.ambient.zero()
-        cur = f
-        k = 0
-        while not cur.is_zero():
-            total = total + cur.scale(value**k / factorial(k))
-            cur = self.apply(cur)
-            k += 1
-        return total
+        if s is not None:
+            return self._exp_series(f, self.ambient.constant(s), self.ambient)
+        extended = self.ambient.extend((self._fresh_parameter(param),))
+        return self._exp_series(f, extended.variable(extended.names[-1]), extended)
 
     def flow_point(
         self, point: Mapping[str, Fraction | int], s

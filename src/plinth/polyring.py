@@ -134,15 +134,22 @@ class VariableSet:
 
 
 class Monomial:
-    """A sparse monomial: (variable index, exponent) pairs, no zero exponents."""
+    """A sparse monomial: (variable index, exponent) pairs, no zero exponents.
+
+    Each variable index appears at most once; a repeated index is rejected.
+    """
 
     __slots__ = ("pairs", "_hash")
 
     def __init__(self, pairs: Iterable[tuple[int, int]]):
         cleaned = tuple(sorted((i, e) for i, e in pairs if e != 0))
+        prev = None
         for i, e in cleaned:
             if e < 0:
                 raise PolyError(f"negative exponent on variable index {i}")
+            if i == prev:
+                raise PolyError(f"duplicate variable index {i}")
+            prev = i
         self.pairs = cleaned
         self._hash = hash(cleaned)
 
@@ -409,21 +416,6 @@ class Polynomial:
         return f"<poly {format_polynomial(self)}>"
 
 
-def arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    """Dispatch add/sub/mul by name; operands must share an ambient."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise PolyError(f"unknown operation {op!r}")
-
-
-def leading_term(f: Polynomial) -> tuple[Monomial, Fraction]:
-    return f.leading_term()
-
-
 class WeightSystem:
     """Integer multigrading: a weight vector of fixed rank per variable."""
 
@@ -529,16 +521,6 @@ class WeightSystem:
         key = self.ambient.monomial_key
         out.sort(key=key, reverse=True)
         return out
-
-
-def monomial_basis(
-    ws: WeightSystem, degree: Sequence[int], restrict: Sequence[str] | None = None
-) -> list[Monomial]:
-    return ws.monomial_basis(degree, restrict)
-
-
-def multidegree(f: Polynomial, ws: WeightSystem):
-    return ws.multidegree(f)
 
 
 # -- parsing and formatting ----------------------------------------------
@@ -653,10 +635,6 @@ def format_monomial(ambient: VariableSet, m: Monomial) -> str:
     return "*".join(parts)
 
 
-def _format_coef(c: Fraction) -> str:
-    return str(c)
-
-
 def format_polynomial(f: Polynomial) -> str:
     """Canonical text: descending term order, 1 elided, -1 as leading minus."""
     if f.is_zero():
@@ -666,11 +644,11 @@ def format_polynomial(f: Polynomial) -> str:
         neg = c < 0
         mag = -c if neg else c
         if m.is_one():
-            body = _format_coef(mag)
+            body = str(mag)
         elif mag == 1:
             body = format_monomial(f.ambient, m)
         else:
-            body = f"{_format_coef(mag)}*{format_monomial(f.ambient, m)}"
+            body = f"{mag}*{format_monomial(f.ambient, m)}"
         if k == 0:
             chunks.append(f"-{body}" if neg else body)
         else:

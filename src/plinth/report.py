@@ -14,7 +14,6 @@ from typing import Any
 
 PASS = "pass"
 FAIL = "fail"
-NOT_CERTIFIED = "not_certified"
 
 
 @dataclass
@@ -27,7 +26,7 @@ class VerificationReport:
     ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.status not in (PASS, FAIL, NOT_CERTIFIED):
+        if self.status not in (PASS, FAIL):
             raise ValueError(f"bad status {self.status!r}")
         if self.status == FAIL and not self.details:
             raise ValueError("failing report must carry details")
@@ -100,7 +99,3 @@ def reports_to_json(reports: list[VerificationReport]) -> str:
 
 def reports_from_json(text: str) -> list[VerificationReport]:
     return [VerificationReport.from_dict(d) for d in json.loads(text)]
-
-
-def all_pass(reports: list[VerificationReport]) -> bool:
-    return all(r.ok for r in reports)

@@ -242,9 +242,6 @@ class RobertsAction:
             self._gensets[N] = got
         return got
 
-    def a0_catalog(self) -> GeneratorSet:
-        return self.catalog(0)
-
     # -- graded kernels -----------------------------------------------------
 
     def graded_invariants(

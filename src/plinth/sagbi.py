@@ -15,7 +15,7 @@ variables inside the subalgebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -66,9 +66,6 @@ class GeneratorSet:
 
     def __contains__(self, name: str) -> bool:
         return name in self.polys
-
-    def leading_monomials(self) -> dict[str, Monomial]:
-        return {name: lt[0] for name, lt in self.lt.items()}
 
     def product(self, names: Sequence[str]) -> Polynomial:
         """Product of generators for a multiset of names (cached)."""

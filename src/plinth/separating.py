@@ -3,7 +3,8 @@
 A finite set of invariants separates a pair of rational points when some
 generator evaluates differently on them.  For pairs that no generator
 tells apart, the group element moving one point to the other is recovered
-exactly by solving the univariate flow equations over the rationals.
+exactly from the gcd of the univariate flow equations: a point that is not
+fixed has a trivial stabilizer, so the gcd has a single rational root.
 Sampling drivers check that "unseparated" means "same orbit" away from the
 plinth locus, and compare the verdicts of two generator sets.
 
@@ -79,7 +80,7 @@ def separates(
     return report
 
 
-# -- exact univariate root finding for the flow equations -------------------
+# -- exact solution of the univariate flow equations -----------------------
 
 
 def _univariate_coeffs(f: Polynomial, param: str) -> list[Fraction]:
@@ -102,8 +103,6 @@ def _univariate_coeffs(f: Polynomial, param: str) -> list[Fraction]:
 
 def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
     while len(a) >= len(b):
         factor = a[-1] / b[-1]
         shift = len(a) - len(b)
@@ -115,85 +114,13 @@ def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = [c for c in a]
-    b = [c for c in b]
+    """A gcd of two nonzero coefficient lists (not normalized)."""
     while b:
         a, b = b, _poly_mod(a, b)
-        while b and b[-1] == 0:
-            b.pop()
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
     return a
 
 
-def _derivative(a: list[Fraction]) -> list[Fraction]:
-    return [a[i] * i for i in range(1, len(a))]
-
-
-def _rational_roots(a: list[Fraction]) -> list[Fraction]:
-    """All rational roots of a nonzero univariate polynomial."""
-    while a and a[-1] == 0:
-        a.pop()
-    if len(a) <= 1:
-        return []
-    # make squarefree, then integer coefficients
-    g = _poly_gcd(a, _derivative(a))
-    if len(g) > 1:
-        sf: list[Fraction] = []
-        rem = list(a)
-        # divide a by g exactly
-        q: list[Fraction] = [Fraction(0)] * (len(a) - len(g) + 1)
-        while len(rem) >= len(g) and any(rem):
-            factor = rem[-1] / g[-1]
-            q[len(rem) - len(g)] = factor
-            shift = len(rem) - len(g)
-            for i, c in enumerate(g):
-                rem[i + shift] -= factor * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-        a = q
-    lcm = 1
-    for c in a:
-        lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
-    ints = [int(c * lcm) for c in a]
-    k = 0
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        k += 1
-    roots: set[Fraction] = set()
-    if k > 0:
-        roots.add(Fraction(0))
-    if len(ints) > 1:
-        a0, an = abs(ints[0]), abs(ints[-1])
-        for p in _divisors(a0):
-            for q in _divisors(an):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _eval_coeffs(ints, cand) == 0:
-                        roots.add(cand)
-    return sorted(roots)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
-def _eval_coeffs(coeffs: Sequence[int | Fraction], s: Fraction) -> Fraction:
+def _eval_coeffs(coeffs: Sequence[Fraction], s: Fraction) -> Fraction:
     total = Fraction(0)
     for c in reversed(coeffs):
         total = total * s + c
@@ -208,39 +135,44 @@ def solve_group_element(
     """The exact group parameter s with flow_s(v) = v', if one exists.
 
     Substitutes v into the symbolic coordinate flows, leaving univariate
-    polynomial equations in s, and intersects their rational roots.  A
-    fixed point paired with itself returns 0 (stabilizer convention);
-    an inconsistent system returns None.
+    polynomial equations in s, and solves their gcd: a point that is not
+    fixed has a trivial stabilizer, so the gcd is c*(s - s0)^k and s0 is
+    checked exactly against every equation.  A fixed point paired with
+    itself returns 0 (stabilizer convention); an inconsistent system
+    returns None.
     """
     extended, images = D.flow_images()
     param = extended.names[-1]
-    equations: list[list[Fraction]] = []
-    for name in D.ambient.names:
-        values = {n: Fraction(v[n]) for n in D.ambient.names}
-        values[param] = Fraction(0)
-        flow = images[name]
-        # substitute the point, keep the parameter symbolic
-        subs = {
-            n: extended.constant(values[n]) if n != param else extended.variable(param)
-            for n in extended.names
-        }
-        eq = flow.substitute(subs, extended) - extended.constant(
-            Fraction(v_prime[name])
+    # substitute the point, keep the parameter symbolic
+    subs = {n: extended.constant(Fraction(v[n])) for n in D.ambient.names}
+    subs[param] = extended.variable(param)
+    equations = [
+        _univariate_coeffs(
+            images[name].substitute(subs, extended)
+            - extended.constant(Fraction(v_prime[name])),
+            param,
         )
-        coeffs = _univariate_coeffs(eq, param)
-        equations.append(coeffs)
+        for name in D.ambient.names
+    ]
     nonzero = [e for e in equations if e]
     if not nonzero:
         return Fraction(0)  # every s works: v is a fixed point and v' = v
     if any(len(e) == 1 for e in nonzero):
         return None  # some coordinate can never match
-    candidates = _rational_roots(min(nonzero, key=len))
-    solutions = [
-        s for s in candidates if all(_eval_coeffs(e, s) == 0 for e in nonzero)
-    ]
-    if not solutions:
+    # v is not fixed, so its stabilizer is trivial: at most one s solves
+    # every equation, and the gcd is c*(s - s0)^k with s0 rational.
+    g = min(nonzero, key=len)
+    for e in nonzero:
+        if len(g) <= 2:
+            break
+        g = _poly_gcd(g, e)
+    k = len(g) - 1
+    if k == 0:
         return None
-    return solutions[0]
+    s0 = -g[k - 1] / (k * g[k])
+    if all(_eval_coeffs(e, s0) == 0 for e in nonzero):
+        return s0
+    return None
 
 
 # -- sampling drivers --------------------------------------------------------

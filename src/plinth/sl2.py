@@ -90,9 +90,10 @@ class RepSum:
         """Parse 'V[4]+V[2]' style representation strings."""
         degrees = []
         for chunk in spec.replace(" ", "").split("+"):
-            if not (chunk.startswith("V[") and chunk.endswith("]")):
+            digits = chunk[2:-1]
+            if not (chunk.startswith("V[") and chunk.endswith("]") and digits.isdecimal()):
                 raise PolyError(f"bad summand {chunk!r} in {spec!r}")
-            degrees.append(int(chunk[2:-1]))
+            degrees.append(int(digits))
         return cls(degrees)
 
     def __str__(self) -> str:

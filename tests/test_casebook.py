@@ -93,7 +93,7 @@ def test_quadric_normal_form_respects_products():
     for _ in range(60):
         f = random_poly(rng, Q.ambient, max_terms=4, max_exp=3)
         g = random_poly(rng, Q.ambient, max_terms=4, max_exp=3)
-        assert Q.mul(f, g) == Q.reduce(Q.reduce(f) * Q.reduce(g))
+        assert Q.reduce(f * g) == Q.reduce(Q.reduce(f) * Q.reduce(g))
 
 
 def test_divide_out_exact_multiples():

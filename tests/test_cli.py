@@ -102,3 +102,41 @@ def test_separating_subcommand(capsys):
     assert main(["separating", "--trials", "60", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["separating", "--trials", "0"],
+        ["sl2", "--samples", "0"],
+        ["roberts-beta", "--n", "-1"],
+        ["roberts-an", "--n", "-3"],
+        ["roberts-sagbi", "--n", "x"],
+        ["roberts-sagbi", "--bound", "-1"],
+        ["sl2", "--rep", "V[x]"],
+        ["sl2", "--rep", "V[-1]"],
+        ["kernel", "--ring", "bogus", "--degree", "1"],
+        ["kernel", "--ring", "sl2:W[2]", "--degree", "2,0"],
+        ["kernel", "--ring", "roberts", "--degree", "1,2"],
+        ["kernel", "--ring", "sl2:V[2]", "--degree", "2,0,1"],
+        ["kernel", "--degree", "1,a"],
+    ],
+)
+def test_usage_errors_exit_2_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith(f"plinth {argv[0]}: error:")
+
+
+def test_failing_fixed_report_lists_only_failed_lines(monkeypatch):
+    import plinth.cli as cli
+
+    monkeypatch.setattr(cli.roberts_action(), "fixed_point_collapse", lambda N: False)
+    [report] = cli.run_roberts_fixed()
+    assert not report.ok
+    assert report.details == ["all S_4 generators constant on x = 0: False"]

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -177,3 +178,86 @@ def test_report_determinism():
     assert a.status == b.status
     assert a.details == b.details
     assert a.params == b.params
+
+
+HUGE = 10**18 + 9
+
+
+@pytest.mark.parametrize("s", [Fraction(HUGE), Fraction(HUGE, 7)])
+def test_solve_group_element_huge_constant(s):
+    # the y1 equation is linear with constant term -s; no divisor search
+    v = make_point(NAMES, (1, 0, 0, 0, 0, 0, 0))
+    vp = dict(v, y1=s)
+    assert RA.D.flow_point(v, s) == vp
+    start = time.perf_counter()
+    assert solve_group_element(v, vp, RA.D) == s
+    assert time.perf_counter() - start < 1.0
+
+
+def _sympy_flows(D):
+    """The coordinate flows exp(s*D)(x) as sympy polynomials in (s, x...).
+
+    They are expanded from the variable images alone, so the oracle shares
+    no code with the symbolic flow or the gcd solve.
+    """
+    sympy = pytest.importorskip("sympy")
+    s = sympy.Symbol("s")
+    xs = [sympy.Symbol(n) for n in D.ambient.names]
+    symbols = dict(zip(D.ambient.names, xs))
+    images = [
+        sympy.sympify(str(D.images[n]).replace("^", "**"), locals=symbols)
+        for n in D.ambient.names
+    ]
+    flows = []
+    for x in xs:
+        flow, cur, k = 0, x, 0
+        while cur != 0:
+            flow += s**k * cur / sympy.factorial(k)
+            cur = sympy.expand(sum(sympy.diff(cur, y) * g for y, g in zip(xs, images)))
+            k += 1
+        flows.append(sympy.Poly(flow, *xs, s))
+    return xs, flows
+
+
+def _sympy_common_root(xs, flows, v, vp, names):
+    """Common rational root of the flow equations (0 if every s works)."""
+    import sympy
+
+    point = {x: sympy.Rational(str(v[n])) for x, n in zip(xs, names)}
+    roots = None
+    for flow, n in zip(flows, names):
+        eq = flow.eval(point) - sympy.Rational(str(vp[n]))
+        if eq.is_zero:
+            continue
+        found = set(eq.ground_roots()) if eq.degree() > 0 else set()
+        roots = found if roots is None else roots & found
+    if roots is None:
+        return Fraction(0)
+    assert len(roots) <= 1
+    return Fraction(str(roots.pop())) if roots else None
+
+
+@pytest.mark.parametrize("degrees", [[4], [4, 2]])
+def test_solve_group_element_matches_sympy(degrees):
+    rep = RepSum(degrees)
+    D = build_raising_derivation(rep)
+    names = rep.ambient.names
+    xs, flows = _sympy_flows(D)
+    rng = random.Random(2024 + len(degrees))
+    solved = 0
+    for trial in range(16):
+        v = {n: Fraction(rng.randint(-4, 4)) for n in names}
+        mode = trial % 4
+        if mode == 0:
+            vp = D.flow_point(v, Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
+        elif mode == 1:
+            vp = {n: Fraction(rng.randint(-4, 4)) for n in names}
+        elif mode == 2:
+            vp = D.flow_point(v, Fraction(rng.randint(-9, 9)))
+            vp[names[rng.randrange(len(names))]] += 1
+        else:
+            vp = dict(v)
+        got = solve_group_element(v, vp, D)
+        assert got == _sympy_common_root(xs, flows, v, vp, names), (v, vp)
+        solved += got is not None
+    assert solved >= 8
