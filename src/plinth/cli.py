@@ -9,7 +9,9 @@ is reproducible by default.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+import traceback
 from fractions import Fraction
 
 from . import casebook, separating, sl2
@@ -204,19 +206,33 @@ def run_kernel(ring: str, degree: tuple[int, ...]) -> list[VerificationReport]:
 
 
 def run_all(seed: int) -> list[VerificationReport]:
+    suites = (
+        ("roberts-invariants", run_roberts_invariants),
+        ("roberts-beta", lambda: run_roberts_beta(3)),
+        ("roberts-y1", run_roberts_y1),
+        ("roberts-sagbi", lambda: run_roberts_sagbi(2, 8)),
+        ("roberts-an", lambda: run_roberts_an(2)),
+        ("roberts-radical", run_roberts_radical),
+        ("roberts-fixed", run_roberts_fixed),
+        ("sl2", lambda: run_sl2("V[4]+V[2]", 3, 100, seed)),
+        ("separating", lambda: run_separating(300, seed)),
+        ("danielewski", run_danielewski),
+        ("example1", run_example1),
+        ("kernel", lambda: run_kernel("roberts", (3, 2, 2))),
+    )
     reports = []
-    reports += run_roberts_invariants()
-    reports += run_roberts_beta(3)
-    reports += run_roberts_y1()
-    reports += run_roberts_sagbi(2, 8)
-    reports += run_roberts_an(2)
-    reports += run_roberts_radical()
-    reports += run_roberts_fixed()
-    reports += run_sl2("V[4]+V[2]", 3, 100, seed)
-    reports += run_separating(300, seed)
-    reports += run_danielewski()
-    reports += run_example1()
-    reports += run_kernel("roberts", (3, 2, 2))
+    for name, run in suites:
+        checker = Checker(f"all.{name}", f"the {name} suite runs to completion")
+        try:
+            reports += run()
+        except Exception as exc:  # one failing suite must not stop the rest
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            checker.require(
+                False,
+                f"{name} raised {type(exc).__name__}: {exc} "
+                f"({os.path.basename(frame.filename)}:{frame.lineno} in {frame.name})",
+            )
+            reports.append(checker.report())
     return reports
 
 
@@ -288,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("roberts-fixed", run_roberts_fixed)
     p = command("sl2", run_sl2)
     p.add_argument("--rep", type=_rep, default="V[4]+V[2]")
-    p.add_argument("--degree", type=int, default=3)
+    p.add_argument("--degree", type=positive, default=3)
     p.add_argument("--samples", type=positive, default=200)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p = command("separating", run_separating)

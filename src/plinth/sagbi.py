@@ -2,11 +2,11 @@
 
 Given named generators of a subalgebra of a polynomial ring, the leading
 terms generate a monomial algebra.  Membership of a monomial in that
-algebra is decided by bounded exhaustive search; subduction repeatedly
-cancels the leading term of a polynomial by a product of generators and
-leaves a replayable certificate.  A generating set is verified to be a
-SAGBI basis (up to a degree bound) by subducting every tete-a-tete
-difference to zero.
+algebra is decided by one memoized search per generator set over
+exponents packed into integers; subduction repeatedly cancels the leading
+term of a polynomial by a product of generators and leaves a replayable
+certificate.  A generating set is verified to be a SAGBI basis (up to a
+degree bound) by subducting every tete-a-tete difference to zero.
 
 The same step machinery, with a variable prefix allowed in front of the
 generator product, decides membership in the ideal generated by chosen
@@ -58,7 +58,11 @@ class GeneratorSet:
         self._search_names = [
             name for name in self.names if not self.lt[name][0].is_one()
         ]
-        self._fact_cache: dict[Monomial, tuple[str, ...] | None] = {}
+        # memo of the least factorizations, keyed by packed monomial and
+        # first usable search index; see _best
+        self._memo: dict[int, int] = {}
+        self._slots = max(len(self._search_names), 1)
+        self._set_width(0)
         self._prod_cache: dict[tuple[str, ...], Polynomial] = {}
 
     def __len__(self) -> int:
@@ -89,51 +93,87 @@ class GeneratorSet:
     def factorization(self, m: Monomial) -> tuple[str, ...] | None:
         """Multiset of generator names whose leading monomials multiply to m.
 
-        Bounded exhaustive search, depth capped by the total degree of m.
-        Ties break toward the fewest factors, then the lexicographically
-        smallest name sequence, so certificates are deterministic.
+        Memoized search over packed exponents (see ``_best``), shared by
+        every query on this generator set.  Ties break toward the fewest
+        factors, then the lexicographically smallest name sequence, so
+        certificates are deterministic.
         """
-        got = self._fact_cache.get(m, "miss")
-        if got != "miss":
+        top = max((e for _, e in m.pairs), default=0)
+        if top >> (self._width - 1):
+            self._set_width(top)
+        width, slots, memo = self._width, self._slots, self._memo
+        rem = sum(e << (width * i) for i, e in m.pairs)
+        if self._best(rem, 0) < 0:
+            return None
+        names, start = [], 0
+        while rem:
+            start = memo[rem * slots + start] % slots
+            names.append(self._search_names[start])
+            rem -= self._packed_lts[start]
+        return tuple(names)
+
+    def _set_width(self, top: int) -> None:
+        """Pack exponents up to ``top`` and those of the leading monomials
+        into one field per variable, at least 8 bits wide.
+
+        The top bit of each field is a guard bit: for packed a and b,
+        b divides a exactly when ``(a + guard - b) & guard == guard``, and
+        then a - b is the packed quotient.  The memo keys hold packed
+        monomials, so a new width clears the memo.
+        """
+        lts = [self.lt[name][0].pairs for name in self._search_names]
+        top = max([top] + [e for pairs in lts for _, e in pairs])
+        width = 8
+        while top >> (width - 1):
+            width *= 2
+        self._width = width
+        self._guard = sum(1 << (width * i + width - 1) for i in range(len(self.ambient)))
+        self._packed_lts = [sum(e << (width * i) for i, e in pairs) for pairs in lts]
+        self._memo.clear()
+
+    def _best(self, rem: int, start: int) -> int:
+        """Least factorization of packed ``rem`` over search indices >= start.
+
+        Factorizations are ordered by (factor count, name tuple); names are
+        sorted, so within one count the smallest first index decides, and
+        the result is coded as count * slots + first index: 0 for the empty
+        factorization of 1, -1 when there is none.  Results are memoized
+        under ``rem * slots + start``.  The search keeps its own stack, so
+        a factorization with thousands of factors stays clear of Python's
+        recursion limit.
+        """
+        if not rem:
+            return 0
+        memo, slots = self._memo, self._slots
+        got = memo.get(rem * slots + start)
+        if got is not None:
             return got
-        result = self._factorize(m)
-        self._fact_cache[m] = result
-        return result
-
-    def _factorize(self, m: Monomial) -> tuple[str, ...] | None:
-        if m.is_one():
-            return ()
-        names = self._search_names
-        lts = [self.lt[name][0] for name in names]
-        degs = [lt.degree() for lt in lts]
-        if not names:
-            return None
-        min_deg = min(degs)
-        max_depth = m.degree() // min_deg
-
-        def dfs(rem: Monomial, start: int, depth_left: int) -> tuple[str, ...] | None:
-            if rem.is_one():
-                return () if depth_left == 0 else None
-            if depth_left == 0:
-                return None
-            rd = rem.degree()
-            # degree window prune
-            if rd > depth_left * max(degs[start:], default=0):
-                return None
-            if rd < depth_left * min(degs[start:], default=rd + 1):
-                return None
-            for k in range(start, len(names)):
-                if lts[k].divides(rem):
-                    sub = dfs(rem.divide(lts[k]), k, depth_left - 1)
-                    if sub is not None:
-                        return (names[k],) + sub
-            return None
-
-        for depth in range(1, max_depth + 1):
-            found = dfs(m, 0, depth)
-            if found is not None:
-                return found
-        return None
+        lts, guard, n = self._packed_lts, self._guard, len(self._packed_lts)
+        # frames: [packed monomial, memo key, next index to try, best code]
+        stack = [[rem, rem * slots + start, start, -1]]
+        while stack:
+            frame = stack[-1]
+            rem, key, k, best = frame
+            high = rem + guard
+            while k < n:
+                q = high - lts[k]
+                if q & guard == guard:
+                    q -= guard
+                    code = memo.get(q * slots + k) if q else 0
+                    if code is None:
+                        # solve the quotient first, then retry index k
+                        frame[2], frame[3] = k, best
+                        stack.append([q, q * slots + k, k, -1])
+                        break
+                    if code >= 0:
+                        code = (code // slots + 1) * slots + k
+                        if best < 0 or code < best:
+                            best = code
+                k += 1
+            else:
+                memo[key] = best
+                stack.pop()
+        return best
 
 
 def monomial_algebra_member(

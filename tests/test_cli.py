@@ -109,6 +109,8 @@ def test_separating_subcommand(capsys):
     [
         ["separating", "--trials", "0"],
         ["sl2", "--samples", "0"],
+        ["sl2", "--degree", "-1"],
+        ["sl2", "--degree", "0"],
         ["roberts-beta", "--n", "-1"],
         ["roberts-an", "--n", "-3"],
         ["roberts-sagbi", "--n", "x"],
@@ -140,3 +142,34 @@ def test_failing_fixed_report_lists_only_failed_lines(monkeypatch):
     [report] = cli.run_roberts_fixed()
     assert not report.ok
     assert report.details == ["all S_4 generators constant on x = 0: False"]
+
+
+def test_all_reports_a_raising_suite_and_keeps_going(monkeypatch, capsys, tmp_path):
+    import plinth.cli as cli
+    from plinth.report import VerificationReport
+
+    ran = []
+
+    def stub(*args):
+        ran.append(args)
+        return [VerificationReport(f"stub.{len(ran)}", "stub", "pass")]
+
+    def broken():
+        raise ZeroDivisionError("planted")
+
+    for name in dir(cli):
+        if name.startswith("run_") and name != "run_all":
+            monkeypatch.setattr(cli, name, stub)
+    monkeypatch.setattr(cli, "run_roberts_y1", broken)
+    path = tmp_path / "all.json"
+    assert main(["all", "--json", str(path)]) == 1
+    assert len(ran) == 11
+    reports = reports_from_json(path.read_text())
+    assert [r.ok for r in reports] == [True, True, False] + [True] * 9
+    failed = reports[2]
+    assert failed.check_id == "all.roberts-y1"
+    [detail] = failed.details
+    assert detail.startswith("roberts-y1 raised ZeroDivisionError: planted (")
+    assert "in broken)" in detail and "\n" not in detail
+    out = capsys.readouterr().out
+    assert out.count("[FAIL]") == 1 and "[FAIL] all.roberts-y1" in out

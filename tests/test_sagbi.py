@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from plinth.sagbi import (
     verify_sagbi,
     x_ideal_membership,
 )
+from util import deepening_factorization
 
 RA = roberts_action()
 R7 = RA.ring
@@ -62,6 +64,97 @@ def test_factorization_prefers_fewest_factors():
     assert G.factorization(mono(x1=2)) == ("b",)
     # x1^3 must be a*b (2 factors) not a*a*a
     assert G.factorization(mono(x1=3)) == ("a", "b")
+
+
+def fresh_copy(G):
+    """The same generators in a new set, with an empty search memo."""
+    return GeneratorSet(G.ambient, [(name, G.polys[name]) for name in G.names])
+
+
+def lt_products(G, bound):
+    """Every product of leading monomials of G up to total degree ``bound``."""
+    lts = [G.lt[name][0] for name in G.names if not G.lt[name][0].is_one()]
+    found = set()
+
+    def walk(start, acc, budget):
+        found.add(acc)
+        for k in range(start, len(lts)):
+            if lts[k].degree() <= budget:
+                walk(k, acc * lts[k], budget - lts[k].degree())
+
+    walk(0, Monomial(()), bound)
+    return found
+
+
+def test_factorization_matches_oracle_on_lt_products():
+    for n in range(3):
+        G = fresh_copy(RA.catalog(n))
+        products = sorted(lt_products(G, 7), key=lambda m: m.pairs)
+        assert len(products) > 50
+        for m in products:
+            assert G.factorization(m) == deepening_factorization(G, m), m
+
+
+def random_monomial(rng, indices, max_exp):
+    return Monomial(tuple((i, rng.randint(0, max_exp)) for i in indices))
+
+
+def test_factorization_matches_oracle_on_random_monomials():
+    tied = GeneratorSet(
+        R7,
+        [
+            # a and b share a leading monomial, and products of the rest
+            # reach many monomials with several least factorizations
+            ("a", R7.poly("x1")),
+            ("b", R7.poly("x1 + 1")),
+            ("c", R7.poly("x1*x2")),
+            ("d", R7.poly("x2")),
+            ("e", R7.poly("x1^2*x2 - x1")),
+            ("f", R7.poly("x1*x2^2")),
+            ("g", R7.poly("x2^2*x3^2")),
+            ("h", R7.poly("x3^3")),
+        ],
+    )
+    rng = random.Random(20260)
+    cases = ((fresh_copy(RA.catalog(1)), range(7), 2), (tied, range(3), 4))
+    for G, indices, max_exp in cases:
+        names = [name for name in G.names if not G.lt[name][0].is_one()]
+        solvable = unsolvable = 0
+        for _ in range(300):
+            if rng.random() < 0.5:
+                m = Monomial(())
+                for name in rng.choices(names, k=rng.randint(1, 6)):
+                    m = m * G.lt[name][0]
+            else:
+                m = random_monomial(rng, indices, max_exp)
+            want = deepening_factorization(G, m)
+            assert G.factorization(m) == want, m
+            if want is None:
+                unsolvable += 1
+            else:
+                solvable += 1
+        assert solvable > 100 and unsolvable > 20
+
+
+def test_factorization_deep_power_without_recursion():
+    G = fresh_copy(RA.catalog(0))
+    t0 = time.perf_counter()
+    got = G.factorization(mono(x1=5000))
+    assert time.perf_counter() - t0 < 1.0
+    assert got == ("b1_0",) * 5000
+
+
+def test_factorization_after_width_growth_matches_fresh_set():
+    # with 8-bit fields x2 packs to 2^8, as x1^256 does with 16-bit fields,
+    # so a memo kept across the width change would answer one from the other
+    warm = fresh_copy(RA.catalog(1))
+    small = [mono(x2=1), mono(x1=3, y2=1, z=2), mono(x1=2, x2=1, z=1), mono(y1=1)]
+    before = [warm.factorization(m) for m in small]
+    for big in (mono(x1=256), mono(x1=203, x2=4, y2=2, z=5)):
+        got = warm.factorization(big)
+        assert got is not None
+        assert got == fresh_copy(RA.catalog(1)).factorization(big)
+    assert [warm.factorization(m) for m in small] == before
 
 
 def test_subduct_generator_single_step():

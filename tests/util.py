@@ -1,8 +1,9 @@
 """Shared helpers and independent oracles for the test suite.
 
 The oracles here deliberately avoid the library's own code paths: naive
-textbook Gaussian elimination over Fraction, and brute-force monomial
-enumeration over bounded exponent boxes.
+textbook Gaussian elimination over Fraction, brute-force monomial
+enumeration over bounded exponent boxes, and an iterative-deepening
+leading-monomial factorization on ``Monomial`` objects.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from fractions import Fraction
 from itertools import product
 
 from plinth.polyring import Monomial, Polynomial, VariableSet
+from plinth.sagbi import GeneratorSet
 
 
 def random_poly(
@@ -90,3 +92,41 @@ def brute_monomials(
         if tuple(total) == tuple(degree):
             found.add(tuple((i, e) for i, e in zip(indices, combo) if e))
     return found
+
+
+def deepening_factorization(G: GeneratorSet, m: Monomial) -> tuple[str, ...] | None:
+    """Least factorization of m over the leading monomials of G, or None.
+
+    Depth-first search repeated at depths 1, 2, ... up to the total degree
+    of m over the smallest generator degree, so the first hit has the
+    fewest factors and, scanning names in sorted order, the
+    lexicographically smallest name sequence among those.  Unmemoized.
+    """
+    if m.is_one():
+        return ()
+    names = [name for name in G.names if not G.lt[name][0].is_one()]
+    if not names:
+        return None
+    lts = [G.lt[name][0] for name in names]
+    degs = [lt.degree() for lt in lts]
+
+    def dfs(rem: Monomial, start: int, depth_left: int) -> tuple[str, ...] | None:
+        if rem.is_one():
+            return () if depth_left == 0 else None
+        if depth_left == 0:
+            return None
+        rd = rem.degree()
+        if rd > depth_left * max(degs[start:]) or rd < depth_left * min(degs[start:]):
+            return None
+        for k in range(start, len(names)):
+            if lts[k].divides(rem):
+                sub = dfs(rem.divide(lts[k]), k, depth_left - 1)
+                if sub is not None:
+                    return (names[k],) + sub
+        return None
+
+    for depth in range(1, m.degree() // min(degs) + 1):
+        found = dfs(m, 0, depth)
+        if found is not None:
+            return found
+    return None
