@@ -106,9 +106,6 @@ class Derivation:
                 ) * g
         return total
 
-    def __call__(self, f: Polynomial) -> Polynomial:
-        return self.apply(f)
-
     def is_invariant(self, f: Polynomial) -> bool:
         """True iff D(f) = 0, i.e. f is constant along the flow."""
         return self.apply(f).is_zero()
@@ -256,24 +253,20 @@ class Derivation:
         Columns are ordered descending in the monomial order, so the
         reduced-echelon nullspace basis is canonical.
         """
-        key = self.ambient.monomial_key
-        cols = sorted(monomials, key=key, reverse=True)
+        cols = sorted(monomials, reverse=True)
         images = [
             self.apply(Polynomial(self.ambient, {m: Fraction(1)})) for m in cols
         ]
         row_monos: set[Monomial] = set()
         for g in images:
             row_monos.update(g.monomials())
-        rows_order = sorted(row_monos, key=key, reverse=True)
+        rows_order = sorted(row_monos, reverse=True)
         row_index = {m: i for i, m in enumerate(rows_order)}
         matrix = [[Fraction(0)] * len(cols) for _ in rows_order]
         for j, g in enumerate(images):
             for m, c in g.terms():
                 matrix[row_index[m]][j] = c
-        if rows_order:
-            vectors = linalg.nullspace(matrix, len(cols))
-        else:
-            vectors = linalg.nullspace([], len(cols))
+        vectors = linalg.nullspace(matrix, len(cols))
         basis = [
             Polynomial(self.ambient, {m: c for m, c in zip(cols, vec) if c})
             for vec in vectors

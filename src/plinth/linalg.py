@@ -149,8 +149,8 @@ def same_span(
     a: Sequence[Sequence[Fraction | int]], b: Sequence[Sequence[Fraction | int]]
 ) -> bool:
     """Do the two vector lists span the same subspace?"""
-    ra = rank(list(a)) if a else 0
-    rb = rank(list(b)) if b else 0
+    ra = rank(list(a))
+    rb = rank(list(b))
     if ra != rb:
         return False
     return rank(list(a) + list(b)) == ra

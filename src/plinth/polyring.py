@@ -1,9 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-This module is the foundation of the toolkit: variable sets with a lex
-precedence, sparse monomials, polynomials with ``fractions.Fraction``
-coefficients, integer multigradings (weight systems), and enumeration of
-the finite graded pieces they cut out.
+This module is the foundation of the toolkit: ordered variable sets,
+sparse monomials, polynomials with ``fractions.Fraction`` coefficients,
+integer multigradings (weight systems), and enumeration of the finite
+graded pieces they cut out.
+
+There is one monomial order, lex in declaration order with the last
+declared variable most significant: over ``("x1", ..., "z")`` it is
+x1 < x2 < ... < z.  ``Monomial`` compares in this order directly.
 
 Everything is exact; no floating point appears anywhere.  All values are
 immutable after construction and safe to share between threads.
@@ -17,14 +21,15 @@ Text grammar (both input and canonical output)::
     variable   := [A-Za-z][A-Za-z0-9_]*
 
 Whitespace is ignored.  Canonical output sorts terms descending in the
-active monomial order, elides coefficient 1 and renders -1 as a leading
-minus.
+monomial order, writes each monomial's factors from the most significant
+variable down, elides coefficient 1 and renders -1 as a leading minus.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 
@@ -50,31 +55,24 @@ INHOMOGENEOUS = "inhomogeneous"
 
 
 class VariableSet:
-    """An ordered set of variable names with a lex precedence.
+    """An ordered set of variable names.
 
-    ``precedence`` lists the names from lowest to highest; the last entry
-    is the most significant variable of the lex order.  By default the
-    declaration order is the precedence, so ``VariableSet(("x1", ..., "z"))``
+    The declaration order is the lex order, lowest first: the last name is
+    the most significant variable, so ``VariableSet(("x1", ..., "z"))``
     makes ``z`` dominate, matching the convention x1 < x2 < ... < z.
     """
 
-    __slots__ = ("names", "precedence", "_index", "_significance", "_hash")
+    __slots__ = ("names", "_index", "_hash")
 
-    def __init__(self, names: Sequence[str], precedence: Sequence[str] | None = None):
+    def __init__(self, names: Sequence[str]):
         names = tuple(names)
         if not names:
             raise PolyError("variable set must be nonempty")
         if len(set(names)) != len(names):
             raise PolyError(f"duplicate variable names in {names!r}")
-        prec = tuple(precedence) if precedence is not None else names
-        if sorted(prec) != sorted(names):
-            raise PolyError("precedence must be a permutation of the names")
         self.names = names
-        self.precedence = prec
         self._index = {name: i for i, name in enumerate(names)}
-        # variable indices from most significant to least significant
-        self._significance = tuple(self._index[name] for name in reversed(prec))
-        self._hash = hash((names, prec))
+        self._hash = hash(names)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -83,11 +81,7 @@ class VariableSet:
         return name in self._index
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VariableSet)
-            and self.names == other.names
-            and self.precedence == other.precedence
-        )
+        return isinstance(other, VariableSet) and self.names == other.names
 
     def __hash__(self) -> int:
         return self._hash
@@ -100,14 +94,6 @@ class VariableSet:
             return self._index[name]
         except KeyError:
             raise PolyError(f"unknown variable {name!r}") from None
-
-    def monomial_key(self, m: "Monomial") -> tuple[int, ...]:
-        """Exponents listed from the most significant variable down.
-
-        Tuple comparison of keys is exactly the lex order.
-        """
-        exps = m.exponent_map()
-        return tuple(exps.get(i, 0) for i in self._significance)
 
     def variable(self, name: str) -> "Polynomial":
         return Polynomial(self, {Monomial(((self.index(name), 1),)): Fraction(1)})
@@ -129,14 +115,17 @@ class VariableSet:
         return parse_polynomial(self, text)
 
     def extend(self, extra: Sequence[str]) -> "VariableSet":
-        """A new variable set with ``extra`` names appended (highest precedence)."""
-        return VariableSet(self.names + tuple(extra), self.precedence + tuple(extra))
+        """A new variable set with ``extra`` names appended (most significant)."""
+        return VariableSet(self.names + tuple(extra))
 
 
 class Monomial:
     """A sparse monomial: (variable index, exponent) pairs, no zero exponents.
 
     Each variable index appears at most once; a repeated index is rejected.
+    Monomials are totally ordered by lex: the exponent of the highest
+    variable index decides first.  On the ascending ``pairs`` that is tuple
+    comparison of ``pairs[::-1]``.
     """
 
     __slots__ = ("pairs", "_hash")
@@ -162,6 +151,18 @@ class Monomial:
     def __repr__(self) -> str:
         return f"Monomial({self.pairs!r})"
 
+    def __lt__(self, other: "Monomial") -> bool:
+        return self.pairs[::-1] < other.pairs[::-1]
+
+    def __gt__(self, other: "Monomial") -> bool:
+        return self.pairs[::-1] > other.pairs[::-1]
+
+    def __le__(self, other: "Monomial") -> bool:
+        return self.pairs[::-1] <= other.pairs[::-1]
+
+    def __ge__(self, other: "Monomial") -> bool:
+        return self.pairs[::-1] >= other.pairs[::-1]
+
     def is_one(self) -> bool:
         return not self.pairs
 
@@ -174,9 +175,6 @@ class Monomial:
                 return e
         return 0
 
-    def exponent_map(self) -> dict[int, int]:
-        return dict(self.pairs)
-
     def __mul__(self, other: "Monomial") -> "Monomial":
         d = dict(self.pairs)
         for i, e in other.pairs:
@@ -184,7 +182,7 @@ class Monomial:
         return Monomial(d.items())
 
     def divides(self, other: "Monomial") -> bool:
-        om = other.exponent_map()
+        om = dict(other.pairs)
         return all(om.get(i, 0) >= e for i, e in self.pairs)
 
     def divide(self, other: "Monomial") -> "Monomial":
@@ -230,12 +228,9 @@ class Polynomial:
         return iter(self._terms)
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical order: descending in the ambient lex order."""
+        """Terms in canonical order: descending in the monomial order."""
         if self._ordered is None:
-            key = self.ambient.monomial_key
-            self._ordered = sorted(
-                self._terms.items(), key=lambda t: key(t[0]), reverse=True
-            )
+            self._ordered = sorted(self._terms.items(), key=itemgetter(0), reverse=True)
         return list(self._ordered)
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
@@ -243,8 +238,7 @@ class Polynomial:
         if not self._terms:
             raise ZeroPolynomialError("no leading term: zero polynomial")
         if self._lt is None:
-            key = self.ambient.monomial_key
-            m = max(self._terms, key=key)
+            m = max(self._terms)
             self._lt = (m, self._terms[m])
         return self._lt
 
@@ -464,9 +458,6 @@ class WeightSystem:
                 return INHOMOGENEOUS
         return deg
 
-    def is_homogeneous(self, f: Polynomial) -> bool:
-        return self.multidegree(f) != INHOMOGENEOUS
-
     def monomial_basis(
         self, degree: Sequence[int], restrict: Sequence[str] | None = None
     ) -> list[Monomial]:
@@ -518,8 +509,7 @@ class WeightSystem:
 
         if all(x >= 0 for x in degree):
             walk(0, degree)
-        key = self.ambient.monomial_key
-        out.sort(key=key, reverse=True)
+        out.sort(reverse=True)
         return out
 
 
@@ -625,13 +615,8 @@ def format_monomial(ambient: VariableSet, m: Monomial) -> str:
         return "1"
     parts = []
     # render factors by descending significance to match the term order
-    exps = m.exponent_map()
-    for i in ambient._significance:
-        e = exps.get(i, 0)
-        if e == 1:
-            parts.append(ambient.names[i])
-        elif e > 1:
-            parts.append(f"{ambient.names[i]}^{e}")
+    for i, e in reversed(m.pairs):
+        parts.append(ambient.names[i] if e == 1 else f"{ambient.names[i]}^{e}")
     return "*".join(parts)
 
 

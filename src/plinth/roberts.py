@@ -130,9 +130,6 @@ class RobertsAction:
 
     # -- the invariant catalog -------------------------------------------
 
-    def u(self, i: int, j: int) -> Polynomial:
-        return {(1, 2): self.u12, (1, 3): self.u13, (2, 3): self.u23}[(i, j)]
-
     def beta_degree(self, i: int, n: int) -> tuple[int, int, int]:
         d = [2 * n, 2 * n, 2 * n]
         d[i - 1] += 1
@@ -174,25 +171,21 @@ class RobertsAction:
         R = self.ring
         z_index = R.index("z")
         degree = self.beta_degree(i, n)
-        mons = self.weights.monomial_basis(degree)
-        key = R.monomial_key
-        cols = sorted(mons, key=key, reverse=True)
+        cols = self.weights.monomial_basis(degree)  # descending
         col_index = {m: c for c, m in enumerate(cols)}
         targets = self._slice_targets(i, n)
         pinned_values: dict[int, Fraction] = {}
         for m in cols:
             t = m.exponent(z_index)
             if t in targets:
-                xy_part = m.divide(Monomial(((z_index, t),)) if t else Monomial(()))
+                xy_part = m.divide(Monomial(((z_index, t),)))
                 pinned_values[col_index[m]] = targets[t].coefficient(xy_part)
 
         rows: list[list[Fraction]] = []
         rhs: list[Fraction] = []
         # D(sum c_m m) = 0, one equation per image monomial
         images = [self.D.apply(Polynomial(R, {m: Fraction(1)})) for m in cols]
-        image_monos = sorted(
-            {m for g in images for m in g.monomials()}, key=key, reverse=True
-        )
+        image_monos = sorted({m for g in images for m in g.monomials()}, reverse=True)
         im_index = {m: r for r, m in enumerate(image_monos)}
         d_rows = [[Fraction(0)] * len(cols) for _ in image_monos]
         for c, g in enumerate(images):
@@ -264,8 +257,7 @@ class RobertsAction:
             return []
         z_index = self.ring.index("z")
         heavy = sorted(
-            {m for p in full for m in p.monomials() if m.exponent(z_index) > z_cap},
-            key=self.ring.monomial_key,
+            {m for p in full for m in p.monomials() if m.exponent(z_index) > z_cap}
         )
         if not heavy:
             return full
@@ -365,7 +357,7 @@ class RobertsAction:
         terms = {}
         for m, c in f.terms():
             if m.exponent(z_index) == t:
-                terms[m.divide(Monomial(((z_index, t),)) if t else Monomial(()))] = c
+                terms[m.divide(Monomial(((z_index, t),)))] = c
         return Polynomial(self.ring, terms)
 
     def sagbi_family_checks(self, N: int) -> VerificationReport:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .polyring import (
@@ -255,7 +256,6 @@ def subduct(
         raise SubductionError("max_steps must be >= 1")
     steps: list[SubductionStep] = []
     cur = f
-    key = G.ambient.monomial_key
     while not cur.is_zero():
         lm, lc = cur.leading_term()
         names = G.factorization(lm)
@@ -266,7 +266,7 @@ def subduct(
         coeff = lc / G.product_lt_coefficient(names)
         piece = G.product(names).scale(coeff)
         nxt = cur - piece
-        if not nxt.is_zero() and key(nxt.leading_monomial()) >= key(lm):
+        if not nxt.is_zero() and nxt.leading_monomial() >= lm:
             raise SubductionError("subduction step failed to decrease the leading term")
         steps.append(SubductionStep(coeff, names))
         cur = nxt
@@ -290,7 +290,6 @@ def x_ideal_membership(
     indices = [(p, G.ambient.index(p)) for p in prefixes]
     steps: list[SubductionStep] = []
     cur = f
-    key = G.ambient.monomial_key
     while not cur.is_zero():
         lm, lc = cur.leading_term()
         chosen: tuple[str, tuple[str, ...]] | None = None
@@ -308,7 +307,7 @@ def x_ideal_membership(
         coeff = lc / G.product_lt_coefficient(names)
         piece = G.product(names).scale(coeff) * G.ambient.variable(p)
         nxt = cur - piece
-        if not nxt.is_zero() and key(nxt.leading_monomial()) >= key(lm):
+        if not nxt.is_zero() and nxt.leading_monomial() >= lm:
             raise SubductionError("prefixed step failed to decrease the leading term")
         steps.append(SubductionStep(coeff, names, prefix=p))
         cur = nxt
@@ -348,9 +347,7 @@ def tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
 
     walk(0, (), MONOMIAL_ONE, total_degree_bound)
     out: list[TeteATete] = []
-    for mono, group in sorted(
-        by_product.items(), key=lambda kv: G.ambient.monomial_key(kv[0]), reverse=True
-    ):
+    for mono, group in sorted(by_product.items(), key=itemgetter(0), reverse=True):
         if len(group) < 2:
             continue
         group = sorted(set(group))
@@ -377,7 +374,7 @@ def verify_sagbi(
     """Subduct every tete-a-tete difference up to the bound; all must reach 0.
 
     The report records the bound (completeness is only claimed up to it)
-    and, for each nonzero difference, the observed leading term.
+    and how many nonzero differences were subducted to zero.
     """
     checker = Checker(
         check_id,
@@ -386,12 +383,11 @@ def verify_sagbi(
     )
     pairs = tete_a_tetes(G, total_degree_bound)
     checker.note(f"tete-a-tetes up to total degree {total_degree_bound}: {len(pairs)}")
-    observed: list[str] = []
+    nonzero = 0
     for tt in pairs:
         diff = tete_a_tete_difference(G, tt)
         if diff.is_zero():
             continue
-        lm, lc = diff.leading_term()
         cert = subduct(diff, G, max_steps)
         if not cert.ok:
             checker.require(
@@ -404,9 +400,6 @@ def verify_sagbi(
                 },
             )
         else:
-            observed.append(
-                f"LT({'*'.join(tt.left)} - {'*'.join(tt.right)}) = "
-                f"{lc}*{lm.pairs}"
-            )
-    checker.note(f"nonzero differences subducted to zero: {len(observed)}")
+            nonzero += 1
+    checker.note(f"nonzero differences subducted to zero: {nonzero}")
     return checker.report()

@@ -14,7 +14,7 @@ All sampling is seeded; identical inputs and seed give identical reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
@@ -49,7 +49,6 @@ class SeparationReport:
     v: Point
     v_prime: Point
     generator_set: str
-    agreeing: list[str] = field(default_factory=list)
     witness: str | None = None
 
     @property
@@ -76,7 +75,6 @@ def separates(
         if g.evaluate(pv) != g.evaluate(pw):
             report.witness = name
             return report
-        report.agreeing.append(name)
     return report
 
 
@@ -88,11 +86,10 @@ def _univariate_coeffs(f: Polynomial, param: str) -> list[Fraction]:
     idx = f.ambient.index(param)
     coeffs: dict[int, Fraction] = {}
     for m, c in f.terms():
-        exps = m.exponent_map()
-        rest = {k: e for k, e in exps.items() if k != idx and e}
-        if rest:
+        e = m.exponent(idx)
+        if e != m.degree():
             raise PolyError("polynomial is not univariate in the parameter")
-        coeffs[exps.get(idx, 0)] = c
+        coeffs[e] = c
     if not coeffs:
         return []
     out = [Fraction(0)] * (max(coeffs) + 1)
@@ -178,10 +175,6 @@ def solve_group_element(
 # -- sampling drivers --------------------------------------------------------
 
 
-def _default_sampler(rng: random.Random, names: Sequence[str]) -> Point:
-    return {name: Fraction(rng.randint(-9, 9)) for name in names}
-
-
 def graph_vs_separation_sampling(
     D: Derivation,
     G_ref: GeneratorSet,
@@ -190,7 +183,6 @@ def graph_vs_separation_sampling(
     plinth_indicator: Callable[[Point], bool] | None = None,
     plinth_sampler: Callable[[random.Random], Point] | None = None,
     plinth_unseparated: bool = False,
-    sampler: Callable[[random.Random, Sequence[str]], Point] | None = None,
 ) -> VerificationReport:
     """Unseparated pairs are orbit pairs away from the plinth locus.
 
@@ -210,14 +202,17 @@ def graph_vs_separation_sampling(
         {"trials": trials, "seed": seed, "generators": len(G_ref)},
     )
     rng = random.Random(seed)
-    sample = sampler or _default_sampler
     names = D.ambient.names
+
+    def sample() -> Point:
+        return {name: Fraction(rng.randint(-9, 9)) for name in names}
+
     if plinth_indicator is None:
         plinth_indicator = lambda p: False
     flow_pairs = graph_pairs = plinth_pairs = 0
     for trial in range(trials):
         mode = trial % 3
-        v = sample(rng, names)
+        v = sample()
         if mode == 0:
             s = Fraction(rng.randint(-9, 9))
             vp = D.flow_point(v, s)
@@ -233,7 +228,7 @@ def graph_vs_separation_sampling(
                 {"mode": "flow", "detail": "no group element for a flow pair"},
             )
         elif mode == 1:
-            vp = sample(rng, names)
+            vp = sample()
             rep = separates(v, vp, G_ref)
             if not rep.separated and not plinth_indicator(v) and not plinth_indicator(vp):
                 graph_pairs += 1
@@ -275,7 +270,6 @@ def separating_set_equivalence(
     D: Derivation,
     trials: int,
     seed: int = 1729,
-    sampler: Callable[[random.Random, Sequence[str]], Point] | None = None,
 ) -> VerificationReport:
     """Two invariant generator sets give the same separation verdicts.
 
@@ -300,14 +294,17 @@ def separating_set_equivalence(
         },
     )
     rng = random.Random(seed)
-    sample = sampler or _default_sampler
     names = D.ambient.names
+
+    def sample() -> Point:
+        return {name: Fraction(rng.randint(-9, 9)) for name in names}
+
     disagreements = 0
     for trial in range(trials):
         mode = trial % 3
-        v = sample(rng, names)
+        v = sample()
         if mode == 0:
-            vp = sample(rng, names)
+            vp = sample()
         elif mode == 1:
             vp = D.flow_point(v, Fraction(rng.randint(-9, 9)))
         else:

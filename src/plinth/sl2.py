@@ -61,9 +61,6 @@ class BinaryFormSpace:
     def weight(self, i: int) -> int:
         return self.n - 2 * i
 
-    def e_weight(self, i: int) -> int:
-        return 2 * i - self.n
-
 
 class RepSum:
     """A direct sum of binary-form spaces with its combined coordinate ring."""
@@ -157,6 +154,7 @@ def build_raising_derivation(rep: RepSum) -> Derivation:
     """
     scratch_names = ("X", "Y", "s") + tuple(f"a{i}" for i in range(rep.max_weight + 1))
     scratch = VariableSet(scratch_names)
+    x_idx, y_idx, s_idx = (scratch.index(name) for name in ("X", "Y", "s"))
     images: dict[str, Polynomial] = {}
     for space in rep.summands:
         n = space.n
@@ -166,27 +164,13 @@ def build_raising_derivation(rep: RepSum) -> Derivation:
             flowed = flowed + scratch.variable(f"a{i}") * (X + s * Y) ** (n - i) * Y**i
         for i in range(n + 1):
             image = rep.ambient.zero()
-            target = {
-                scratch.index("X"): n - i,
-                scratch.index("Y"): i,
-                scratch.index("s"): 1,
-            }
+            target = Monomial(((x_idx, n - i), (y_idx, i), (s_idx, 1)))
             for m, c in flowed.terms():
-                exps = m.exponent_map()
-                if all(exps.get(k, 0) == v for k, v in target.items()) and sum(
-                    e for k, e in exps.items() if k not in target
-                ) + sum(target.values()) == m.degree():
-                    # remaining factor is a single a_j
-                    rest = [
-                        (k, e)
-                        for k, e in exps.items()
-                        if k not in target and e
-                    ]
-                    if len(rest) == 1 and rest[0][1] == 1:
-                        j = int(scratch.names[rest[0][0]][1:])
-                        image = image + rep.ambient.variable(
-                            space.coordinates[j]
-                        ).scale(c)
+                # every term carries exactly one a_j, so m = target * a_j
+                if m.degree() == target.degree() + 1 and target.divides(m):
+                    ((k, _),) = m.divide(target).pairs
+                    j = int(scratch.names[k][1:])
+                    image = image + rep.ambient.variable(space.coordinates[j]).scale(c)
             images[space.coordinates[i]] = image
     D = Derivation(rep.ambient, images)
     D.certify_locally_nilpotent(bound=rep.max_weight + 2)

@@ -16,7 +16,7 @@ from plinth.polyring import (
     format_polynomial,
     parse_polynomial,
 )
-from util import brute_monomials, random_poly
+from util import brute_monomials, lex_key, random_poly
 
 R7 = VariableSet(("x1", "x2", "x3", "y1", "y2", "y3", "z"))
 W7 = WeightSystem(
@@ -30,8 +30,6 @@ def test_variable_set_validation():
         VariableSet(())
     with pytest.raises(PolyError):
         VariableSet(("x", "x"))
-    with pytest.raises(PolyError):
-        VariableSet(("x", "y"), precedence=("x", "z"))
 
 
 def test_arith_difference_of_squares():
@@ -216,8 +214,48 @@ def test_canonical_term_iteration_matches_key_order():
     rng = random.Random(6)
     for _ in range(20):
         f = random_poly(rng, R7, max_terms=8)
-        keys = [R7.monomial_key(m) for m, _ in f.terms()]
+        keys = [lex_key(R7, m) for m, _ in f.terms()]
         assert keys == sorted(keys, reverse=True)
+
+
+def test_monomial_order_matches_lex_oracle():
+    rng = random.Random(11)
+
+    def random_monomial() -> Monomial:
+        return Monomial(
+            (i, rng.randint(1, 3)) for i in range(len(R7)) if rng.random() < 0.4
+        )
+
+    pairs = []
+    for _ in range(300):
+        a = random_monomial()
+        pairs.append((a, random_monomial()))  # usually different supports
+        pairs.append((a, a * random_monomial()))  # a divides the other
+        # same exponents on the top variables, the other side extended below
+        top = [(i, e) for i, e in a.pairs if i >= 4]
+        low = [(i, rng.randint(1, 3)) for i in range(4) if rng.random() < 0.5]
+        pairs.append((Monomial(top), Monomial(top + low)))
+    pairs.append((Monomial(()), Monomial(())))
+    for a, b in pairs:
+        ka, kb = lex_key(R7, a), lex_key(R7, b)
+        for x, y, kx, ky in ((a, b, ka, kb), (b, a, kb, ka)):
+            assert (x < y) == (kx < ky)
+            assert (x > y) == (kx > ky)
+            assert (x <= y) == (kx <= ky)
+            assert (x >= y) == (kx >= ky)
+            assert (x == y) == (kx == ky)
+
+    for _ in range(40):
+        f = random_poly(rng, R7, max_terms=8)
+        if f:
+            lm = f.leading_monomial()
+            assert max(f.monomials()) == lm
+            assert max(f.monomials(), key=lambda m: lex_key(R7, m)) == lm
+
+    for degree in ((3, 2, 2), (4, 4, 4), (6, 3, 3)):
+        keys = [lex_key(R7, m) for m in W7.monomial_basis(degree)]
+        assert keys == sorted(keys, reverse=True)
+        assert len(set(keys)) == len(keys)
 
 
 def test_lift_and_extend():

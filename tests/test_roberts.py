@@ -206,14 +206,14 @@ def test_graded_kernel_beta_degrees_dims_and_membership():
     # lies in the span of the computed basis
     from plinth import linalg
     from plinth.polyring import Polynomial
-    from util import naive_nullspace
+    from util import lex_key, naive_nullspace
     from fractions import Fraction
 
     for n, expected_dim in ((1, 2), (2, 5), (3, 12)):
         degree = RA.beta_degree(1, n)
         basis = RA.graded_invariants(degree)
         mons = RA.weights.monomial_basis(degree)
-        key = R7.monomial_key
+        key = lambda m: lex_key(R7, m)
         cols = sorted(mons, key=key, reverse=True)
         images = [RA.D.apply(Polynomial(R7, {m: Fraction(1)})) for m in cols]
         row_monos = sorted({m for g in images for m in g.monomials()}, key=key)

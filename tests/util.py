@@ -1,9 +1,10 @@
 """Shared helpers and independent oracles for the test suite.
 
-The oracles here deliberately avoid the library's own code paths: naive
-textbook Gaussian elimination over Fraction, brute-force monomial
-enumeration over bounded exponent boxes, and an iterative-deepening
-leading-monomial factorization on ``Monomial`` objects.
+The oracles here deliberately avoid the library's own code paths: a lex
+sort key built from the exponents, naive textbook Gaussian elimination
+over Fraction, brute-force monomial enumeration over bounded exponent
+boxes, and an iterative-deepening leading-monomial factorization on
+``Monomial`` objects.
 """
 
 from __future__ import annotations
@@ -34,6 +35,16 @@ def random_poly(
             m = Monomial(pairs)
             terms[m] = terms.get(m, Fraction(0)) + c
     return Polynomial(ambient, {m: c for m, c in terms.items() if c})
+
+
+def lex_key(ambient: VariableSet, m: Monomial) -> tuple[int, ...]:
+    """Exponents listed from the last declared variable down.
+
+    Tuple comparison of these keys is the lex order with the last declared
+    variable most significant; it never calls ``Monomial`` comparisons.
+    """
+    exps = dict(m.pairs)
+    return tuple(exps.get(i, 0) for i in reversed(range(len(ambient))))
 
 
 def naive_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
