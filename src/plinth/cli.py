@@ -325,6 +325,12 @@ def main(argv: list[str] | None = None) -> int:
     del args["command"]
     run, usage_error = args.pop("run"), args.pop("usage_error")
     json_path = args.pop("json")
+    if json_path:
+        # fail before the suites run, not after; append mode keeps the file
+        try:
+            open(json_path, "a", encoding="utf-8").close()
+        except OSError as exc:
+            usage_error(f"cannot write --json file: {exc}")
     try:
         reports = run(**args)
     except argparse.ArgumentTypeError as exc:

@@ -80,6 +80,7 @@ class Derivation:
         self.images = {name: images[name] for name in ambient.names}
         self._witness: NilpotencyWitness | None = None
         self._flow_cache: dict[str, dict[str, Polynomial]] = {}
+        self._flow_coeffs: dict[str, list[Polynomial]] | None = None
 
     def __repr__(self) -> str:
         parts = ", ".join(f"D({n}) = {g}" for n, g in self.images.items())
@@ -173,6 +174,30 @@ class Derivation:
                 )
             self._flow_cache[param] = cached
         return extended, dict(cached)
+
+    def flow_coefficients(self) -> dict[str, list[Polynomial]]:
+        """The symbolic flow of every coordinate as a polynomial in s.
+
+        ``name -> [c_0, c_1, ...]`` with exp(s*D)(name) = sum_k c_k s^k and
+        every c_k over the original ambient: the terms of ``flow_images``
+        grouped by the power of the parameter.  Computed once and cached.
+        """
+        if self._flow_coeffs is None:
+            extended, images = self.flow_images()
+            param = len(extended) - 1
+            self._flow_coeffs = {}
+            for name, f in images.items():
+                groups: dict[int, dict[Monomial, Fraction]] = {}
+                for m, c in f.terms():
+                    pairs, k = m.pairs, 0
+                    if pairs and pairs[-1][0] == param:
+                        pairs, k = pairs[:-1], pairs[-1][1]
+                    groups.setdefault(k, {})[Monomial(pairs)] = c
+                self._flow_coeffs[name] = [
+                    Polynomial(self.ambient, groups.get(k, {}))
+                    for k in range(max(groups, default=-1) + 1)
+                ]
+        return self._flow_coeffs
 
     def _exp_series(
         self, f: Polynomial, s: Polynomial, extended: VariableSet

@@ -10,7 +10,9 @@ declared variable most significant: over ``("x1", ..., "z")`` it is
 x1 < x2 < ... < z.  ``Monomial`` compares in this order directly.
 
 Everything is exact; no floating point appears anywhere.  All values are
-immutable after construction and safe to share between threads.
+immutable after construction and safe to share between threads.  Point
+evaluation runs over Python integers (the point and the coefficients each
+brought to one common denominator) and builds one ``Fraction`` per call.
 
 Text grammar (both input and canonical output)::
 
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from numbers import Rational
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -118,6 +122,34 @@ class VariableSet:
         """A new variable set with ``extra`` names appended (most significant)."""
         return VariableSet(self.names + tuple(extra))
 
+    def integer_point(
+        self, point: Mapping[str, Fraction | int]
+    ) -> tuple[list[int], int]:
+        """A rational point as integer numerators over one common denominator.
+
+        The numerators come in declaration order.  Every variable needs an
+        ``int`` or ``Fraction`` value (any ``numbers.Rational``); a missing
+        or non-rational value raises PolyError naming the variable.
+        """
+        nums = []
+        dens = []
+        for name in self.names:
+            try:
+                x = point[name]
+            except KeyError:
+                raise PolyError(f"no value for variable {name!r}") from None
+            # the exact-type tests spare the slow ABC check on common values
+            if type(x) is not Fraction and type(x) is not int and not isinstance(
+                x, Rational
+            ):
+                raise PolyError(f"value for variable {name!r} is not rational: {x!r}")
+            nums.append(x.numerator)
+            dens.append(x.denominator)
+        den = lcm(*dens)
+        if den != 1:
+            nums = [n * (den // d) for n, d in zip(nums, dens)]
+        return nums, den
+
 
 class Monomial:
     """A sparse monomial: (variable index, exponent) pairs, no zero exponents.
@@ -202,13 +234,15 @@ MONOMIAL_ONE = Monomial(())
 class Polynomial:
     """An immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("ambient", "_terms", "_ordered", "_lt")
+    __slots__ = ("ambient", "_terms", "_ordered", "_lt", "_integral")
 
     def __init__(self, ambient: VariableSet, terms: Mapping[Monomial, Fraction]):
         self.ambient = ambient
         self._terms = {m: c for m, c in terms.items() if c != 0}
         self._ordered: list[tuple[Monomial, Fraction]] | None = None
         self._lt: tuple[Monomial, Fraction] | None = None
+        # (q, top degree, [(q * coefficient, pairs, degree)]) for evaluation
+        self._integral: tuple[int, int, list[tuple[int, tuple, int]]] | None = None
 
     # -- basic structure ------------------------------------------------
 
@@ -345,19 +379,41 @@ class Polynomial:
     # -- evaluation and substitution --------------------------------------
 
     def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
-        """Exact evaluation at a rational point (every variable needs a value)."""
-        values = []
-        for name in self.ambient.names:
-            if name not in point:
-                raise PolyError(f"no value for variable {name!r}")
-            values.append(Fraction(point[name]))
-        total = Fraction(0)
-        for m, c in self._terms.items():
-            v = c
-            for i, e in m.pairs:
-                v *= values[i] ** e
-            total += v
-        return total
+        """Exact evaluation at a rational point (every variable needs a value).
+
+        Values are ``int`` or ``Fraction``; anything else raises PolyError.
+        The sum runs over Python integers and one ``Fraction`` is built per
+        call (see ``evaluate_integer``).
+        """
+        nums, den = self.ambient.integer_point(point)
+        return self.evaluate_integer(nums, den)
+
+    def evaluate_integer(self, nums: Sequence[int], den: int) -> Fraction:
+        """Exact value at the point ``nums / den`` from ``integer_point``.
+
+        With the coefficients over one common denominator q and top the
+        largest term degree, the value is the integer
+        sum c * prod(nums[i] ** e) * den ** (top - deg) over q * den ** top.
+        """
+        if self._integral is None:
+            q = lcm(*(c.denominator for c in self._terms.values()))
+            self._integral = (
+                q,
+                self.total_degree(),
+                [
+                    (c.numerator * (q // c.denominator), m.pairs, m.degree())
+                    for m, c in self._terms.items()
+                ],
+            )
+        q, top, terms = self._integral
+        total = 0
+        for c, pairs, deg in terms:
+            for i, e in pairs:
+                c *= nums[i] ** e
+            if deg != top and den != 1:
+                c *= den ** (top - deg)
+            total += c
+        return Fraction(total, q * den**top)
 
     def substitute(
         self, images: Mapping[str, "Polynomial"], target: VariableSet | None = None

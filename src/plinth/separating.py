@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .derivation import Derivation
-from .polyring import PolyError, Polynomial
+from .polyring import PolyError
 from .report import Checker, VerificationReport
 from .sagbi import GeneratorSet
 
@@ -81,21 +81,26 @@ def separates(
 # -- exact solution of the univariate flow equations -----------------------
 
 
-def _univariate_coeffs(f: Polynomial, param: str) -> list[Fraction]:
-    """Coefficients [c_0, c_1, ...] of a polynomial univariate in ``param``."""
-    idx = f.ambient.index(param)
-    coeffs: dict[int, Fraction] = {}
-    for m, c in f.terms():
-        e = m.exponent(idx)
-        if e != m.degree():
-            raise PolyError("polynomial is not univariate in the parameter")
-        coeffs[e] = c
-    if not coeffs:
-        return []
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for e, c in coeffs.items():
-        out[e] = c
-    return out
+def flow_equations(
+    v: Mapping[str, Fraction | int],
+    v_prime: Mapping[str, Fraction | int],
+    D: Derivation,
+) -> list[list[Fraction]]:
+    """Coefficients [c_0, c_1, ...] in s of flow_s(v)[name] - v'[name].
+
+    One list per coordinate, in ambient order, with no trailing zero (the
+    empty list is the zero equation).  Each coefficient of the symbolic
+    flow is evaluated at v by the integer kernel of ``polyring``.
+    """
+    nums, den = D.ambient.integer_point(v)
+    equations = []
+    for name, coeffs in D.flow_coefficients().items():
+        eq = [c.evaluate_integer(nums, den) for c in coeffs]
+        eq[0] -= Fraction(v_prime[name])
+        while eq and eq[-1] == 0:
+            eq.pop()
+        equations.append(eq)
+    return equations
 
 
 def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -131,26 +136,14 @@ def solve_group_element(
 ) -> Fraction | None:
     """The exact group parameter s with flow_s(v) = v', if one exists.
 
-    Substitutes v into the symbolic coordinate flows, leaving univariate
-    polynomial equations in s, and solves their gcd: a point that is not
-    fixed has a trivial stabilizer, so the gcd is c*(s - s0)^k and s0 is
-    checked exactly against every equation.  A fixed point paired with
-    itself returns 0 (stabilizer convention); an inconsistent system
-    returns None.
+    Evaluates the symbolic coordinate flows at v, leaving univariate
+    polynomial equations in s (``flow_equations``), and solves their gcd:
+    a point that is not fixed has a trivial stabilizer, so the gcd is
+    c*(s - s0)^k and s0 is checked exactly against every equation.  A
+    fixed point paired with itself returns 0 (stabilizer convention); an
+    inconsistent system returns None.
     """
-    extended, images = D.flow_images()
-    param = extended.names[-1]
-    # substitute the point, keep the parameter symbolic
-    subs = {n: extended.constant(Fraction(v[n])) for n in D.ambient.names}
-    subs[param] = extended.variable(param)
-    equations = [
-        _univariate_coeffs(
-            images[name].substitute(subs, extended)
-            - extended.constant(Fraction(v_prime[name])),
-            param,
-        )
-        for name in D.ambient.names
-    ]
+    equations = flow_equations(v, v_prime, D)
     nonzero = [e for e in equations if e]
     if not nonzero:
         return Fraction(0)  # every s works: v is a fixed point and v' = v

@@ -122,6 +122,7 @@ def test_separating_subcommand(capsys):
         ["kernel", "--ring", "roberts", "--degree", "1,2"],
         ["kernel", "--ring", "sl2:V[2]", "--degree", "2,0,1"],
         ["kernel", "--degree", "1,a"],
+        ["example1", "--json", "/nonexistent/x.json"],
     ],
 )
 def test_usage_errors_exit_2_with_one_line(argv, capsys):

@@ -6,7 +6,8 @@ import pytest
 from plinth.derivation import Derivation, NotCertifiedError, extend_by_zero
 from plinth.polyring import Polynomial, VariableSet, WeightSystem
 from plinth.roberts import roberts_action
-from util import lex_key, naive_nullspace, random_poly
+from plinth.sl2 import RepSum, build_raising_derivation
+from util import brute_monomials, lex_key, naive_nullspace, random_poly
 
 RA = roberts_action()
 R7 = RA.ring
@@ -182,6 +183,63 @@ def test_graded_kernel_oracle_cross_check():
     naive = naive_nullspace(matrix, len(cols))
     ours = D.graded_kernel(RA.weights, (3, 2, 2)).basis
     assert len(naive) == len(ours)
+
+
+def _sympy_kernel_dimension(D, ws, degree):
+    """Nullity of D on one graded piece, with sympy doing the algebra.
+
+    The monomial basis comes from brute-force enumeration, the image of
+    each basis monomial from ``sympy.diff`` and the rank from a sympy
+    matrix, so no code is shared with ``kernel_on_monomials``.
+    """
+    sympy = pytest.importorskip("sympy")
+    names = D.ambient.names
+    xs = sympy.symbols(names)
+    symbols = dict(zip(names, xs))
+    images = [
+        sympy.sympify(str(D.images[n]).replace("^", "**"), locals=symbols)
+        for n in names
+    ]
+    columns = []
+    for pairs in brute_monomials(list(ws.weights), tuple(degree), list(range(len(xs)))):
+        mono = sympy.Mul(*(xs[i] ** e for i, e in pairs))
+        image = sympy.expand(sum(sympy.diff(mono, x) * g for x, g in zip(xs, images)))
+        columns.append(sympy.Poly(image, *xs).as_dict() if image != 0 else {})
+    rows = sorted(set().union(*columns))
+    if not rows:
+        return len(columns)
+    matrix = sympy.Matrix(
+        len(rows), len(columns), lambda r, c: columns[c].get(rows[r], 0)
+    )
+    return len(columns) - matrix.rank()
+
+
+@pytest.mark.parametrize(
+    "ring, degree",
+    [
+        ("roberts", (3, 2, 2)),
+        ("roberts", (3, 3, 0)),
+        ("roberts", (4, 4, 4)),
+        ("roberts", (5, 4, 4)),
+        ("V[4]", (2, 0)),
+        ("V[4]", (3, 0)),
+        ("V[4]", (3, 2)),
+        ("V[4]", (4, 0)),
+        ("V[4]+V[2]", (2, 0)),
+        ("V[4]+V[2]", (3, 0)),
+        ("V[4]+V[2]", (3, 2)),
+        ("V[4]+V[2]", (4, 0)),
+    ],
+)
+def test_graded_kernel_dimension_matches_sympy(ring, degree):
+    if ring == "roberts":
+        derivation, ws, piece = D, RA.weights, degree
+    else:
+        rep = RepSum.parse(ring)
+        derivation, ws = build_raising_derivation(rep), rep.weight_system()
+        piece = rep.piece(*degree)
+    got = derivation.graded_kernel(ws, piece)
+    assert len(got.basis) == _sympy_kernel_dimension(derivation, ws, piece)
 
 
 def test_graded_kernel_elements_recheck_invariant():

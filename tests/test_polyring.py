@@ -16,7 +16,7 @@ from plinth.polyring import (
     format_polynomial,
     parse_polynomial,
 )
-from util import brute_monomials, lex_key, random_poly
+from util import brute_monomials, fraction_evaluate, lex_key, random_poly
 
 R7 = VariableSet(("x1", "x2", "x3", "y1", "y2", "y3", "z"))
 W7 = WeightSystem(
@@ -150,6 +150,59 @@ def test_evaluate_u12_at_point():
     assert u12.evaluate(point) == 0
     with pytest.raises(PolyError):
         u12.evaluate({"x1": 1})
+
+
+def test_evaluate_takes_int_and_fraction_values_only():
+    f = R7.poly("1/2*x1^2*z - 3*y1 + 2/3")
+    point = {"x1": 2, "x2": 0, "x3": 0, "y1": Fraction(1, 3), "y2": 0, "y3": 0, "z": -1}
+    assert f.evaluate(point) == Fraction(-2 - 1) + Fraction(2, 3)
+    assert type(f.evaluate(point)) is Fraction
+    for bad in (0.5, "1/3", None):
+        with pytest.raises(PolyError, match="'y1'"):
+            f.evaluate(dict(point, y1=bad))
+    with pytest.raises(PolyError, match="'z'"):
+        f.evaluate({k: v for k, v in point.items() if k != "z"})
+    # every variable needs a value, also one the polynomial does not use
+    with pytest.raises(PolyError, match="'y3'"):
+        R7.one().evaluate({k: v for k, v in point.items() if k != "y3"})
+
+
+def _random_point(rng: random.Random, ambient: VariableSet) -> dict:
+    point = {}
+    for name in ambient.names:
+        kind = rng.randrange(4)
+        if kind == 0:
+            point[name] = 0
+        elif kind == 1:
+            point[name] = rng.randint(-5, 5)
+        elif kind == 2:
+            point[name] = Fraction(rng.randint(-5, 5))
+        else:
+            point[name] = Fraction(rng.randint(-9, 9), rng.randint(2, 7))
+    return point
+
+
+def test_evaluate_matches_fraction_oracle():
+    rng = random.Random(4242)
+    A2 = VariableSet(("a", "b"))
+    polys = [
+        R7.zero(),
+        R7.one(),
+        R7.constant(Fraction(-5, 3)),
+        R7.poly("x1^4 - 1/6*x2 + 5/4"),
+        A2.constant(7),
+        A2.poly("a^3*b - 2/5*a + 3/7"),
+    ]
+    for _ in range(300):
+        ambient = R7 if rng.random() < 0.7 else A2
+        f = random_poly(rng, ambient, max_terms=6, max_exp=4, coef_range=9)
+        polys.append(f.scale(Fraction(rng.randint(1, 5), rng.randint(1, 11))))
+    for f in polys:
+        for _ in range(4):  # repeated calls reuse the cached integral terms
+            point = _random_point(rng, f.ambient)
+            got = f.evaluate(point)
+            assert type(got) is Fraction
+            assert got == fraction_evaluate(f, point), (str(f), point)
 
 
 def test_identity_substitution():

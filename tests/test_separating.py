@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from plinth.casebook import danielewski_derivation
 from plinth.polyring import PolyError
 from plinth.roberts import roberts_action
 from plinth.sagbi import GeneratorSet
 from plinth.separating import (
+    flow_equations,
     graph_vs_separation_sampling,
     make_point,
     point_text,
@@ -16,6 +18,7 @@ from plinth.separating import (
     solve_group_element,
 )
 from plinth.sl2 import RepSum, build_raising_derivation
+from util import substitute_flow_equations
 
 RA = roberts_action()
 R7 = RA.ring
@@ -178,6 +181,48 @@ def test_report_determinism():
     assert a.status == b.status
     assert a.details == b.details
     assert a.params == b.params
+
+
+@pytest.mark.parametrize("which", ["roberts", "V[4]", "V[4]+V[2]", "danielewski"])
+def test_flow_equations_match_substitution_oracle(which):
+    if which == "roberts":
+        D = RA.D
+    elif which == "danielewski":
+        D = danielewski_derivation()
+    else:
+        D = build_raising_derivation(RepSum.parse(which))
+    names = D.ambient.names
+    rng = random.Random(sum(map(ord, which)))
+
+    def coordinate():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-9, 9), rng.randint(2, 5))
+        return rng.choice((int, Fraction))(rng.randint(-5, 5))
+
+    recovered = 0
+    for trial in range(40):
+        v = {n: coordinate() for n in names}
+        mode = trial % 4
+        s = None
+        if mode == 0:
+            s = Fraction(rng.randint(-9, 9))
+        elif mode == 1:
+            s = Fraction(rng.randint(-9, 9), rng.randint(2, 4))
+        if s is not None:
+            vp = D.flow_point(v, s)
+        elif mode == 2:
+            vp = {n: coordinate() for n in names}
+        else:
+            vp = dict(v)
+            if trial % 8 == 7:
+                vp[names[rng.randrange(len(names))]] += 1
+        equations = flow_equations(v, vp, D)
+        assert equations == substitute_flow_equations(v, vp, D), (v, vp)
+        assert all(type(c) is Fraction for eq in equations for c in eq)
+        if s is not None and any(len(eq) > 1 for eq in equations):
+            assert solve_group_element(v, vp, D) == s
+            recovered += 1
+    assert recovered >= 10
 
 
 HUGE = 10**18 + 9

@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's own code paths: a lex
 sort key built from the exponents, naive textbook Gaussian elimination
 over Fraction, brute-force monomial enumeration over bounded exponent
-boxes, and an iterative-deepening leading-monomial factorization on
-``Monomial`` objects.
+boxes, an iterative-deepening leading-monomial factorization on
+``Monomial`` objects, point evaluation with a ``Fraction`` for every
+power and partial sum, and flow equations built by polynomial
+substitution.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from plinth.derivation import Derivation
 from plinth.polyring import Monomial, Polynomial, VariableSet
 from plinth.sagbi import GeneratorSet
 
@@ -141,3 +144,42 @@ def deepening_factorization(G: GeneratorSet, m: Monomial) -> tuple[str, ...] | N
         if found is not None:
             return found
     return None
+
+
+def fraction_evaluate(f: Polynomial, point) -> Fraction:
+    """Evaluation with ``Fraction`` arithmetic throughout, term by term."""
+    values = [Fraction(point[name]) for name in f.ambient.names]
+    total = Fraction(0)
+    for m, c in f.terms():
+        v = c
+        for i, e in m.pairs:
+            v *= values[i] ** e
+        total += v
+    return total
+
+
+def substitute_flow_equations(v, v_prime, D: Derivation) -> list[list[Fraction]]:
+    """Coefficients in s of flow_s(v)[name] - v'[name], one list per coordinate.
+
+    The point is substituted as constant polynomials into the symbolic
+    flow, leaving the parameter symbolic; the difference is read off as a
+    univariate coefficient list with no trailing zero.
+    """
+    extended, images = D.flow_images()
+    param = extended.names[-1]
+    subs = {n: extended.constant(Fraction(v[n])) for n in D.ambient.names}
+    subs[param] = extended.variable(param)
+    equations = []
+    for name in D.ambient.names:
+        f = images[name].substitute(subs, extended) - extended.constant(
+            Fraction(v_prime[name])
+        )
+        coeffs: dict[int, Fraction] = {}
+        for m, c in f.terms():
+            assert m.exponent(len(extended) - 1) == m.degree(), "not univariate in s"
+            coeffs[m.degree()] = c
+        out = [Fraction(0)] * (max(coeffs, default=-1) + 1)
+        for e, c in coeffs.items():
+            out[e] = c
+        equations.append(out)
+    return equations
