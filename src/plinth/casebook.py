@@ -136,8 +136,13 @@ def example1_phi_separation(
             q["x"] = Fraction(0)
         if trial % 7 == 0:
             q = dict(p)
-        gens_equal = all(g.evaluate(p) == g.evaluate(q) for g in gens)
-        phi_equal = all(c.evaluate(p) == c.evaluate(q) for c in phi)
+        at_p, at_q = PLANE.integer_point(p), PLANE.integer_point(q)
+        gens_equal = all(
+            g.evaluate_integer(*at_p) == g.evaluate_integer(*at_q) for g in gens
+        )
+        phi_equal = all(
+            c.evaluate_integer(*at_p) == c.evaluate_integer(*at_q) for c in phi
+        )
         checker.require(
             gens_equal == phi_equal,
             {
@@ -198,8 +203,7 @@ def divide_out(f: Polynomial, g: Polynomial) -> Polynomial:
     while not cur.is_zero():
         m, c = cur.leading_term()
         if lt_m.divides(m):
-            factor = Polynomial(f.ambient, {m.divide(lt_m): c / lt_c})
-            cur = cur - factor * g
+            cur = cur.sub_scaled(Fraction(c) / lt_c, g, m.divide(lt_m))
         else:
             head = Polynomial(f.ambient, {m: c})
             remainder = remainder + head

@@ -102,9 +102,7 @@ class Derivation:
                 lowered = Monomial(
                     (j, ee - 1 if j == i else ee) for j, ee in m.pairs
                 )
-                total = total + Polynomial(
-                    self.ambient, {lowered: c * e}
-                ) * g
+                total = total.sub_scaled(-c * e, g, lowered)
         return total
 
     def is_invariant(self, f: Polynomial) -> bool:
@@ -238,7 +236,8 @@ class Derivation:
         extended, images = self.flow_images()
         values = {name: Fraction(point[name]) for name in self.ambient.names}
         values[extended.names[-1]] = Fraction(s)
-        return {name: images[name].evaluate(values) for name in self.ambient.names}
+        at = extended.integer_point(values)
+        return {name: images[name].evaluate_integer(*at) for name in self.ambient.names}
 
     # -- gradings ----------------------------------------------------------
 

@@ -1,9 +1,20 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 This module is the foundation of the toolkit: ordered variable sets,
-sparse monomials, polynomials with ``fractions.Fraction`` coefficients,
-integer multigradings (weight systems), and enumeration of the finite
-graded pieces they cut out.
+sparse monomials, polynomials with exact rational coefficients, integer
+multigradings (weight systems), and enumeration of the finite graded
+pieces they cut out.
+
+Coefficients are stored in one canonical form: an integral value as a
+plain ``int``, any other as a ``fractions.Fraction``, and no zero term.
+The public ``Polynomial(ambient, terms)`` brings every value to that form
+and rejects anything that is not rational (a ``float`` above all);
+arithmetic keeps it and builds its results through the trusted
+``Polynomial._raw``, which skips the check.  Integer-coefficient
+polynomials, the common case, so run entirely over Python ints.  Since
+``3 == Fraction(3)``, ``hash(3) == hash(Fraction(3))`` and
+``str(3) == str(Fraction(3))``, a stored ``int`` compares, hashes and
+prints as the ``Fraction`` would.
 
 There is one monomial order, lex in declaration order with the last
 declared variable most significant: over ``("x1", ..., "z")`` it is
@@ -100,16 +111,14 @@ class VariableSet:
             raise PolyError(f"unknown variable {name!r}") from None
 
     def variable(self, name: str) -> "Polynomial":
-        return Polynomial(self, {Monomial(((self.index(name), 1),)): Fraction(1)})
+        return Polynomial._raw(self, {Monomial(((self.index(name), 1),)): 1})
 
     def constant(self, value) -> "Polynomial":
-        c = Fraction(value)
-        if c == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {Monomial(()): c})
+        c = coefficient_value(value)
+        return Polynomial._raw(self, {MONOMIAL_ONE: c} if c else {})
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
+        return Polynomial._raw(self, {})
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -174,6 +183,15 @@ class Monomial:
         self.pairs = cleaned
         self._hash = hash(cleaned)
 
+    @classmethod
+    def _raw(cls, pairs: tuple[tuple[int, int], ...]) -> "Monomial":
+        """Trusted constructor: ``pairs`` is sorted by index, with distinct
+        indices and positive exponents."""
+        self = object.__new__(cls)
+        self.pairs = pairs
+        self._hash = hash(pairs)
+        return self
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self.pairs == other.pairs
 
@@ -211,7 +229,7 @@ class Monomial:
         d = dict(self.pairs)
         for i, e in other.pairs:
             d[i] = d.get(i, 0) + e
-        return Monomial(d.items())
+        return Monomial._raw(tuple(sorted(d.items())))
 
     def divides(self, other: "Monomial") -> bool:
         om = dict(other.pairs)
@@ -225,24 +243,59 @@ class Monomial:
             if r < 0:
                 raise PolyError(f"{self!r} not divisible by {other!r}")
             d[i] = r
-        return Monomial(d.items())
+        return Monomial._raw(tuple(sorted((i, e) for i, e in d.items() if e)))
 
 
 MONOMIAL_ONE = Monomial(())
 
+# a stored coefficient: an int, or a Fraction whose denominator is not 1
+Coefficient = int | Fraction
+
+
+def coefficient_value(c) -> Coefficient:
+    """``c`` in canonical coefficient form; PolyError if it is not rational."""
+    # the exact-type tests spare the slow ABC check on common values
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        if not isinstance(c, Rational):
+            raise PolyError(f"coefficient is not rational: {c!r}")
+        c = Fraction(c.numerator, c.denominator)
+    return c.numerator if c.denominator == 1 else c
+
 
 class Polynomial:
-    """An immutable sparse polynomial with exact rational coefficients."""
+    """An immutable sparse polynomial with exact rational coefficients.
+
+    ``_terms`` maps each monomial to a nonzero coefficient in canonical
+    form (see ``coefficient_value``).
+    """
 
     __slots__ = ("ambient", "_terms", "_ordered", "_lt", "_integral")
 
-    def __init__(self, ambient: VariableSet, terms: Mapping[Monomial, Fraction]):
+    def __init__(self, ambient: VariableSet, terms: Mapping[Monomial, Rational]):
+        clean: dict[Monomial, Coefficient] = {}
+        for m, c in terms.items():
+            if type(c) is not int:
+                c = coefficient_value(c)
+            if c:
+                clean[m] = c
         self.ambient = ambient
-        self._terms = {m: c for m, c in terms.items() if c != 0}
-        self._ordered: list[tuple[Monomial, Fraction]] | None = None
-        self._lt: tuple[Monomial, Fraction] | None = None
+        self._terms = clean
+        self._ordered: list[tuple[Monomial, Coefficient]] | None = None
+        self._lt: tuple[Monomial, Coefficient] | None = None
         # (q, top degree, [(q * coefficient, pairs, degree)]) for evaluation
         self._integral: tuple[int, int, list[tuple[int, tuple, int]]] | None = None
+
+    @classmethod
+    def _raw(cls, ambient: VariableSet, terms: dict[Monomial, Coefficient]) -> "Polynomial":
+        """Trusted constructor: ``terms`` is already canonical and is kept,
+        not copied, so the caller must not change it afterwards."""
+        self = object.__new__(cls)
+        self.ambient = ambient
+        self._terms = terms
+        self._ordered = self._lt = self._integral = None
+        return self
 
     # -- basic structure ------------------------------------------------
 
@@ -255,19 +308,19 @@ class Polynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+    def coefficient(self, m: Monomial) -> Coefficient:
+        return self._terms.get(m, 0)
 
     def monomials(self) -> Iterator[Monomial]:
         return iter(self._terms)
 
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
+    def terms(self) -> list[tuple[Monomial, Coefficient]]:
         """Terms in canonical order: descending in the monomial order."""
         if self._ordered is None:
             self._ordered = sorted(self._terms.items(), key=itemgetter(0), reverse=True)
         return list(self._ordered)
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
+    def leading_term(self) -> tuple[Monomial, Coefficient]:
         """The lex-maximal term.  Raises ZeroPolynomialError on zero."""
         if not self._terms:
             raise ZeroPolynomialError("no leading term: zero polynomial")
@@ -279,8 +332,8 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         return self.leading_term()[0]
 
-    def constant_term(self) -> Fraction:
-        return self._terms.get(MONOMIAL_ONE, Fraction(0))
+    def constant_term(self) -> Coefficient:
+        return self._terms.get(MONOMIAL_ONE, 0)
 
     def is_constant(self) -> bool:
         return all(m.is_one() for m in self._terms)
@@ -306,53 +359,76 @@ class Polynomial:
             )
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        d = dict(self._terms)
-        for m, c in other._terms.items():
-            s = d.get(m, Fraction(0)) + c
-            if s:
-                d[m] = s
-            else:
-                d.pop(m, None)
-        return Polynomial(self.ambient, d)
+        return self.sub_scaled(-1, other)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
+        return self.sub_scaled(1, other)
+
+    # The loops below keep their results canonical: an int stays an int,
+    # and a Fraction result with denominator 1 goes back to its numerator.
+
+    def sub_scaled(
+        self, c, g: "Polynomial", shift: Monomial | None = None
+    ) -> "Polynomial":
+        """self - c * shift * g in one pass, building no scaled copy of g.
+
+        ``c`` is any rational; ``shift`` defaults to the monomial 1.
+        """
+        self._check(g)
+        if type(c) is not int:
+            c = coefficient_value(c)
         d = dict(self._terms)
-        for m, c in other._terms.items():
-            s = d.get(m, Fraction(0)) - c
+        if not c:
+            return Polynomial._raw(self.ambient, d)
+        terms = g._terms.items()
+        if shift is not None and shift.pairs:
+            terms = [(m * shift, v) for m, v in terms]
+        for m, v in terms:
+            s = d.get(m, 0) - c * v
+            if type(s) is not int and s.denominator == 1:
+                s = s.numerator
             if s:
                 d[m] = s
             else:
-                d.pop(m, None)
-        return Polynomial(self.ambient, d)
+                del d[m]
+        return Polynomial._raw(self.ambient, d)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ambient, {m: -c for m, c in self._terms.items()})
+        return Polynomial._raw(self.ambient, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
         if not self._terms or not other._terms:
-            return Polynomial(self.ambient, {})
+            return Polynomial._raw(self.ambient, {})
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        d: dict[Monomial, Fraction] = {}
+        d: dict[Monomial, Coefficient] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 m = m1 * m2
-                s = d.get(m, Fraction(0)) + c1 * c2
+                s = d.get(m, 0) + c1 * c2
+                if type(s) is not int and s.denominator == 1:
+                    s = s.numerator
                 if s:
                     d[m] = s
                 else:
                     d.pop(m, None)
-        return Polynomial(self.ambient, d)
+        return Polynomial._raw(self.ambient, d)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial(self.ambient, {})
-        return Polynomial(self.ambient, {m: c * v for m, v in self._terms.items()})
+        if type(c) is not int:
+            c = coefficient_value(c)
+        if c == 1:
+            return self
+        d: dict[Monomial, Coefficient] = {}
+        if c:
+            for m, v in self._terms.items():
+                s = c * v
+                if type(s) is not int and s.denominator == 1:
+                    s = s.numerator
+                d[m] = s
+        return Polynomial._raw(self.ambient, d)
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -455,7 +531,7 @@ class Polynomial:
         d = {}
         for m, c in self._terms.items():
             d[Monomial((mapping[self.ambient.names[i]], e) for i, e in m.pairs)] = c
-        return Polynomial(target, d)
+        return Polynomial._raw(target, d)
 
     # -- text form ---------------------------------------------------------
 

@@ -84,10 +84,10 @@ class GeneratorSet:
         return got
 
     def product_lt_coefficient(self, names: Sequence[str]) -> Fraction:
-        c = Fraction(1)
+        c = 1
         for name in names:
             c *= self.lt[name][1]
-        return c
+        return Fraction(c)
 
     # -- monomial algebra membership ---------------------------------------
 
@@ -263,9 +263,8 @@ def subduct(
             return SubductionCertificate(f, steps, cur, complete=True)
         if len(steps) >= max_steps:
             return SubductionCertificate(f, steps, cur, complete=False)
-        coeff = lc / G.product_lt_coefficient(names)
-        piece = G.product(names).scale(coeff)
-        nxt = cur - piece
+        coeff = Fraction(lc) / G.product_lt_coefficient(names)
+        nxt = cur.sub_scaled(coeff, G.product(names))
         if not nxt.is_zero() and nxt.leading_monomial() >= lm:
             raise SubductionError("subduction step failed to decrease the leading term")
         steps.append(SubductionStep(coeff, names))
@@ -287,26 +286,28 @@ def x_ideal_membership(
     """
     if max_steps < 1:
         raise SubductionError("max_steps must be >= 1")
-    indices = [(p, G.ambient.index(p)) for p in prefixes]
+    indices = []
+    for p in prefixes:
+        idx = G.ambient.index(p)
+        indices.append((p, idx, Monomial(((idx, 1),))))
     steps: list[SubductionStep] = []
     cur = f
     while not cur.is_zero():
         lm, lc = cur.leading_term()
-        chosen: tuple[str, tuple[str, ...]] | None = None
-        for p, idx in indices:
+        chosen: tuple[str, Monomial, tuple[str, ...]] | None = None
+        for p, idx, var in indices:
             if lm.exponent(idx) >= 1:
-                names = G.factorization(lm.divide(Monomial(((idx, 1),))))
+                names = G.factorization(lm.divide(var))
                 if names is not None:
-                    chosen = (p, names)
+                    chosen = (p, var, names)
                     break
         if chosen is None:
             return SubductionCertificate(f, steps, cur, complete=True, stuck=lm)
         if len(steps) >= max_steps:
             return SubductionCertificate(f, steps, cur, complete=False, stuck=None)
-        p, names = chosen
-        coeff = lc / G.product_lt_coefficient(names)
-        piece = G.product(names).scale(coeff) * G.ambient.variable(p)
-        nxt = cur - piece
+        p, var, names = chosen
+        coeff = Fraction(lc) / G.product_lt_coefficient(names)
+        nxt = cur.sub_scaled(coeff, G.product(names), var)
         if not nxt.is_zero() and nxt.leading_monomial() >= lm:
             raise SubductionError("prefixed step failed to decrease the leading term")
         steps.append(SubductionStep(coeff, names, prefix=p))
@@ -359,9 +360,10 @@ def tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
 
 def tete_a_tete_difference(G: GeneratorSet, tt: TeteATete) -> Polynomial:
     """Monic-normalized difference of the two generator products."""
-    left = G.product(tt.left).scale(1 / G.product_lt_coefficient(tt.left))
-    right = G.product(tt.right).scale(1 / G.product_lt_coefficient(tt.right))
-    return left - right
+    left = G.product(tt.left).scale(Fraction(1) / G.product_lt_coefficient(tt.left))
+    return left.sub_scaled(
+        Fraction(1) / G.product_lt_coefficient(tt.right), G.product(tt.right)
+    )
 
 
 def verify_sagbi(

@@ -66,13 +66,20 @@ def separates(
     G: GeneratorSet,
     label: str = "G",
 ) -> SeparationReport:
-    """Evaluate every generator at both points; first disagreement decides."""
-    pv = {name: Fraction(v[name]) for name in G.ambient.names}
-    pw = {name: Fraction(v_prime[name]) for name in G.ambient.names}
+    """Evaluate every generator at both points; first disagreement decides.
+
+    Each point is brought to integers once (``integer_point``) and every
+    generator is evaluated from that form.
+    """
+    names = G.ambient.names
+    pv = {n: x if type(x := v[n]) is Fraction else Fraction(x) for n in names}
+    pw = {n: x if type(x := v_prime[n]) is Fraction else Fraction(x) for n in names}
     report = SeparationReport(pv, pw, label)
+    at_v = G.ambient.integer_point(pv)
+    at_w = G.ambient.integer_point(pw)
     for name in G.names:
         g = G.polys[name]
-        if g.evaluate(pv) != g.evaluate(pw):
+        if g.evaluate_integer(*at_v) != g.evaluate_integer(*at_w):
             report.witness = name
             return report
     return report
@@ -106,7 +113,7 @@ def flow_equations(
 def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     a = list(a)
     while len(a) >= len(b):
-        factor = a[-1] / b[-1]
+        factor = Fraction(a[-1], b[-1])
         shift = len(a) - len(b)
         for i, c in enumerate(b):
             a[i + shift] -= factor * c
@@ -159,7 +166,7 @@ def solve_group_element(
     k = len(g) - 1
     if k == 0:
         return None
-    s0 = -g[k - 1] / (k * g[k])
+    s0 = Fraction(-g[k - 1], k * g[k])
     if all(_eval_coeffs(e, s0) == 0 for e in nonzero):
         return s0
     return None

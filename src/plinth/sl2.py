@@ -205,7 +205,7 @@ def quadratic_invariants(n: int) -> list[Polynomial]:
         lead = f.coefficient(top)
         if lead == 0:
             raise PolyError(f"f_{k} of V[{n}] misses the x0*x{2 * k} monomial")
-        f = f.scale(1 / lead)
+        f = f.scale(Fraction(1) / lead)
         expected_support = set()
         for j in range(k + 1):
             if j == 2 * k - j:
@@ -241,13 +241,15 @@ def invariants_up_to_degree(
     """Kernel bases of all (degree, weight) pieces up to the degree bound.
 
     Returns (degree, torus weight, basis element) triples; only weights
-    with nonzero kernel appear.
+    with nonzero kernel appear.  Kernel elements of the raising derivation
+    are highest-weight vectors, whose weight is >= 0, so the pieces of
+    negative weight are never built.
     """
     ws = rep.weight_system()
     out: list[tuple[int, int, Polynomial]] = []
     for d in range(1, degree_bound + 1):
         span = d * rep.max_weight
-        for w in range(-span, span + 1):
+        for w in range(0, span + 1):
             mons = ws.monomial_basis(rep.piece(d, w))
             if not mons:
                 continue
@@ -435,9 +437,11 @@ def component_containment_check(
             membership in expected,
             {"part": "construction", "trial": trial, "membership": membership.value},
         )
+        at_v = rep.ambient.integer_point(v)
+        at_vp = rep.ambient.integer_point(vp)
         for f in invariants:
             checked += 1
-            if f.evaluate(v) != f.evaluate(vp):
+            if f.evaluate_integer(*at_v) != f.evaluate_integer(*at_vp):
                 checker.require(
                     False,
                     {

@@ -16,7 +16,7 @@ from plinth.casebook import (
     sl2_mod_n_checks,
 )
 from plinth.polyring import PolyError, VariableSet
-from util import random_poly
+from util import fraction_sub_scaled, fraction_terms, is_canonical, random_poly
 
 
 def test_membership_examples():
@@ -102,6 +102,27 @@ def test_divide_out_exact_multiples():
     q = A.poly("a*b - 3*c + 2")
     assert divide_out(q * g, g).is_zero()
     assert divide_out(q * g + A.one(), g) == A.one()
+
+
+def test_divide_out_integer_leading_coefficient_matches_fraction_oracle():
+    # lt(g) = 3*a*d: each quotient coefficient is an int over the int 3
+    A = VariableSet(("a", "d", "b", "c"))
+    g = A.poly("3*a*d - b*c - 1")
+    rng = random.Random(31)
+    G = fraction_terms(g)
+    lt_m, lt_c = max(G), G[max(G)]
+    for _ in range(40):
+        f = random_poly(rng, A, max_terms=5, max_exp=3, coef_range=7)
+        cur, rem = fraction_terms(f), {}
+        while cur:
+            m = max(cur)
+            if lt_m.divides(m):
+                cur = fraction_sub_scaled(cur, cur[m] / lt_c, m.divide(lt_m), G)
+            else:
+                rem[m] = cur.pop(m)
+        got = divide_out(f, g)
+        assert got._terms == rem and is_canonical(got)
+        assert divide_out(f * g, g).is_zero()
 
 
 def test_danielewski_derivation_kills_quadric():

@@ -6,6 +6,7 @@ import pytest
 from plinth.polyring import (
     ANY_DEGREE,
     INHOMOGENEOUS,
+    MONOMIAL_ONE,
     InfiniteGradedPieceError,
     Monomial,
     PolyError,
@@ -16,7 +17,20 @@ from plinth.polyring import (
     format_polynomial,
     parse_polynomial,
 )
-from util import brute_monomials, fraction_evaluate, lex_key, random_poly
+from util import (
+    brute_monomials,
+    fraction_add,
+    fraction_evaluate,
+    fraction_mul,
+    fraction_scale,
+    fraction_sub,
+    fraction_sub_scaled,
+    fraction_terms,
+    is_canonical,
+    lex_key,
+    monomial_product,
+    random_poly,
+)
 
 R7 = VariableSet(("x1", "x2", "x3", "y1", "y2", "y3", "z"))
 W7 = WeightSystem(
@@ -337,3 +351,110 @@ def test_monomial_rejects_duplicate_index():
     # a zero exponent is dropped before the check, so it cannot collide
     assert Monomial([(0, 3), (0, 0)]) == Monomial([(0, 3)])
     assert Monomial([(0, 1)]) * Monomial([(0, 2)]) == Monomial([(0, 3)])
+
+
+def test_constructor_stores_canonical_coefficients():
+    x1, z = Monomial(((0, 1),)), Monomial(((6, 1),))
+    f = Polynomial(R7, {x1: Fraction(4, 2), z: Fraction(1, 2), MONOMIAL_ONE: Fraction(0)})
+    assert f._terms == {x1: 2, z: Fraction(1, 2)}
+    assert type(f._terms[x1]) is int
+    assert is_canonical(f)
+    assert is_canonical(Polynomial(R7, {x1: True, z: 0}))
+    assert type(R7.constant(Fraction(-6, 3)).constant_term()) is int
+    assert str(f) == "1/2*z + 2*x1"
+
+
+def test_no_float_reaches_a_polynomial():
+    m = Monomial(((0, 1),))
+    f = R7.poly("x1 + 1/2*z")
+    for bad in (0.5, 2.0, "1/2", None, complex(1, 0)):
+        with pytest.raises(PolyError, match="not rational"):
+            Polynomial(R7, {m: bad})
+        with pytest.raises(PolyError, match="not rational"):
+            f.scale(bad)
+        with pytest.raises(PolyError, match="not rational"):
+            R7.constant(bad)
+        with pytest.raises(PolyError, match="not rational"):
+            f.sub_scaled(bad, f)
+
+
+def _mixed_pairs(rng: random.Random, count: int) -> list[tuple[Polynomial, Polynomial]]:
+    """Seeded operand pairs with integral and non-integral coefficients,
+    including pairs whose sums or differences cancel to zero or become
+    integral again (1/2 + 1/2)."""
+    pairs = []
+    for _ in range(count):
+        f = random_poly(rng, R7, max_terms=5, coef_range=6)
+        kind = rng.randrange(5)
+        if kind == 0:
+            g = random_poly(rng, R7, max_terms=5, coef_range=6)
+        elif kind == 1:
+            g = -f + random_poly(rng, R7, max_terms=2)  # most terms cancel in f + g
+        elif kind == 2:
+            g = f  # f - g is zero
+        elif kind == 3:
+            # f + g integral again: each coefficient topped up to an integer
+            g = Polynomial(
+                R7, {m: Fraction(c).__ceil__() - c for m, c in fraction_terms(f).items()}
+            )
+        else:
+            g = f.scale(Fraction(rng.randint(-4, 4), rng.randint(1, 4)))
+        pairs.append((f, g))
+    return pairs
+
+
+def test_arithmetic_matches_fraction_oracle():
+    rng = random.Random(606)
+    scalars = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(6, 3), Fraction(2, 7)]
+    for f, g in _mixed_pairs(rng, 250):
+        F, G = fraction_terms(f), fraction_terms(g)
+        c = rng.choice(scalars)
+        shift = Monomial((i, rng.randint(1, 2)) for i in range(7) if rng.random() < 0.3)
+        checks = [
+            (f + g, fraction_add(F, G)),
+            (f - g, fraction_sub(F, G)),
+            (-f, fraction_scale(F, -1)),
+            (f * g, fraction_mul(F, G)),
+            (f.scale(c), fraction_scale(F, c)),
+            (f.sub_scaled(c, g), fraction_sub_scaled(F, c, Monomial(()), G)),
+            (f.sub_scaled(c, g, shift), fraction_sub_scaled(F, c, shift, G)),
+        ]
+        for got, want in checks:
+            assert got._terms == want, (str(f), str(g), c, shift)
+            assert is_canonical(got), got._terms
+            assert str(got) == str(Polynomial(R7, want))
+    # the special cases the pairs are built to reach
+    half = R7.poly("1/2*x1 - 1/3")
+    assert (half + half)._terms == {Monomial(((0, 1),)): 1, MONOMIAL_ONE: Fraction(-2, 3)}
+    assert is_canonical(half + half) and type((half + half).coefficient(Monomial(((0, 1),)))) is int
+    assert (half - half).is_zero() and half.sub_scaled(1, half).is_zero()
+    assert half.sub_scaled(Fraction(1, 2), half.scale(2)).is_zero()
+
+
+def test_monomial_product_and_quotient_match_constructor():
+    rng = random.Random(17)
+    for _ in range(300):
+        a = Monomial((i, rng.randint(1, 4)) for i in range(7) if rng.random() < 0.5)
+        b = Monomial((i, rng.randint(1, 4)) for i in range(7) if rng.random() < 0.5)
+        ab = a * b
+        assert ab.pairs == monomial_product(a, b).pairs and hash(ab) == hash(monomial_product(a, b))
+        assert ab.divide(b) == a and ab.divide(a) == b
+        assert ab.divide(ab).pairs == ()
+
+
+def test_accessors_agree_with_fraction_oracle():
+    rng = random.Random(909)
+    for f, g in _mixed_pairs(rng, 60):
+        h = f * g - f
+        F = fraction_terms(h)
+        for m in list(F) + [MONOMIAL_ONE, Monomial(((6, 9),))]:
+            c, want = h.coefficient(m), F.get(m, Fraction(0))
+            assert c == want and hash(c) == hash(want) and str(c) == str(want)
+        assert h.constant_term() == F.get(MONOMIAL_ONE, Fraction(0))
+        assert str(h.constant_term()) == str(F.get(MONOMIAL_ONE, Fraction(0)))
+        if F:
+            lm = max(F)
+            assert h.leading_term() == (lm, F[lm])
+            assert str(h.leading_term()[1]) == str(F[lm])
+        assert h.terms() == sorted(F.items(), reverse=True)
+        assert hash(h) == hash(Polynomial(R7, F))

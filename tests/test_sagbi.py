@@ -16,7 +16,16 @@ from plinth.sagbi import (
     verify_sagbi,
     x_ideal_membership,
 )
-from util import deepening_factorization, lex_key
+from util import (
+    deepening_factorization,
+    fraction_mul,
+    fraction_scale,
+    fraction_sub,
+    fraction_subduct,
+    fraction_terms,
+    is_canonical,
+    lex_key,
+)
 
 RA = roberts_action()
 R7 = RA.ring
@@ -327,3 +336,65 @@ def test_invariants_of_bounded_z_degree_subduct_over_catalog():
             for f in RA.graded_invariants_z_capped(degree, N):
                 cert = subduct(f, G)
                 assert cert.ok, (N, degree, str(f))
+
+
+# generators with integer leading coefficients 2 and 3, so every step
+# coefficient and normalization divides an int by an int
+XYZ = VariableSet(("x", "y", "z"))
+INT_LC = GeneratorSet(
+    XYZ,
+    [("a", XYZ.poly("2*z + y")), ("b", XYZ.poly("3*z^2 + x")), ("c", XYZ.poly("x"))],
+)
+
+
+def _assert_matches_fraction_oracle(cert, f, G, prefixes=()):
+    steps, remainder = fraction_subduct(f, G, prefixes)
+    assert [(s.coefficient, s.factors, s.prefix) for s in cert.steps] == steps
+    assert all(type(s.coefficient) is Fraction for s in cert.steps)
+    assert cert.remainder._terms == remainder and is_canonical(cert.remainder)
+    assert cert.replay(G) == f
+
+
+def test_subduct_integer_leading_coefficients_matches_fraction_oracle():
+    a, b, c = (INT_LC.polys[n] for n in "abc")
+    inputs = (
+        a * a * b + a.scale(5) - c * b,  # stops on z^3*y: no factorization
+        b * b - a,  # an algebra member, subducts to zero
+        XYZ.poly("z^2*x + z + y"),
+        XYZ.poly("5*z^4 - z*x + 2"),
+    )
+    certs = [subduct(f, INT_LC) for f in inputs]
+    for f, cert in zip(inputs, certs):
+        _assert_matches_fraction_oracle(cert, f, INT_LC)
+    assert certs[1].ok
+    assert {str(s.coefficient) for s in certs[2].steps} >= {"1/3", "1/2"}
+
+
+def test_x_ideal_membership_integer_leading_coefficients_matches_fraction_oracle():
+    a, b, c = (INT_LC.polys[n] for n in "abc")
+    x, y = XYZ.variable("x"), XYZ.variable("y")
+    inputs = (
+        x * a * b - x * c * a.scale(7),
+        XYZ.poly("x*z + y*z^2"),
+        XYZ.poly("y*z^2*x + 3*x^2*z + y*x"),
+        XYZ.poly("z^2 + x*z"),  # stuck at once: no prefix divides z^2
+    )
+    certs = [x_ideal_membership(f, INT_LC, ("x", "y")) for f in inputs]
+    for f, cert in zip(inputs, certs):
+        _assert_matches_fraction_oracle(cert, f, INT_LC, ("x", "y"))
+    assert certs[0].ok and certs[1].ok
+    assert [str(s.coefficient) for s in certs[1].steps] == ["1/3", "1/2", "-5/6"]
+    assert certs[3].stuck == Monomial(((2, 2),)) and not certs[3].steps
+
+
+def test_tete_a_tete_difference_integer_leading_coefficients():
+    (tt,) = [tt for tt in tete_a_tetes(INT_LC, 2) if tt.left == ("a", "a")]
+    assert tt.right == ("b",)
+    diff = tete_a_tete_difference(INT_LC, tt)
+    a, b = (fraction_terms(INT_LC.polys[n]) for n in "ab")
+    want = fraction_sub(
+        fraction_scale(fraction_mul(a, a), Fraction(1, 4)),
+        fraction_scale(b, Fraction(1, 3)),
+    )
+    assert diff._terms == want and is_canonical(diff)
+    assert str(diff) == "z*y + 1/4*y^2 - 1/3*x"

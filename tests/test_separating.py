@@ -9,6 +9,8 @@ from plinth.polyring import PolyError
 from plinth.roberts import roberts_action
 from plinth.sagbi import GeneratorSet
 from plinth.separating import (
+    _poly_gcd,
+    _poly_mod,
     flow_equations,
     graph_vs_separation_sampling,
     make_point,
@@ -18,7 +20,7 @@ from plinth.separating import (
     solve_group_element,
 )
 from plinth.sl2 import RepSum, build_raising_derivation
-from util import substitute_flow_equations
+from util import fraction_evaluate, substitute_flow_equations
 
 RA = roberts_action()
 R7 = RA.ring
@@ -306,3 +308,38 @@ def test_solve_group_element_matches_sympy(degrees):
         assert got == _sympy_common_root(xs, flows, v, vp, names), (v, vp)
         solved += got is not None
     assert solved >= 8
+
+
+def test_separates_converts_each_point_once_and_matches_oracle():
+    rng = random.Random(77)
+    G = RA.catalog(2)
+    for trial in range(60):
+        v = {n: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for n in NAMES}
+        if trial % 3 == 0:
+            vp = RA.D.flow_point(v, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        else:
+            vp = {n: rng.randint(-6, 6) if rng.random() < 0.5 else v[n] for n in NAMES}
+        at_v, at_vp = R7.integer_point(v), R7.integer_point(vp)
+        witness = None
+        for name in G.names:
+            g = G.polys[name]
+            for p, at in ((v, at_v), (vp, at_vp)):
+                assert g.evaluate_integer(*at) == g.evaluate(p) == fraction_evaluate(g, p)
+            if witness is None and fraction_evaluate(g, v) != fraction_evaluate(g, vp):
+                witness = name
+        rep = separates(v, vp, G)
+        assert rep.witness == witness
+        # the report keeps Fraction coordinates in ambient order
+        assert list(rep.v_prime) == list(NAMES)
+        assert all(type(x) is Fraction for x in rep.v_prime.values())
+        assert point_text(rep.v_prime) == ",".join(str(Fraction(vp[n])) for n in NAMES)
+
+
+def test_poly_mod_exact_on_int_coefficients():
+    # s^2 + 3 = (2s + 1)(s/2 - 1/4) + 13/4: int / int must not become a float
+    rem = _poly_mod([3, 0, 1], [1, 2])
+    assert rem == [Fraction(13, 4)] and type(rem[0]) is Fraction
+    # gcd of (s - 2)(3s + 1) and (s - 2)(5s - 7), both with int coefficients
+    g = _poly_gcd([-2, -5, 3], [14, -17, 5])
+    assert len(g) == 2 and Fraction(-g[0], g[1]) == 2
+    assert all(type(c) in (int, Fraction) for c in g)

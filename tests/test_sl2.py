@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from plinth.polyring import PolyError
+from plinth.polyring import Monomial, PolyError
 from plinth.sl2 import (
     ComponentMembership,
     RepSum,
@@ -18,6 +18,7 @@ from plinth.sl2 import (
     quadratic_invariants,
     sigma_on_V0,
 )
+from util import all_weight_invariants, fraction_scale, fraction_terms, is_canonical
 
 
 def test_rep_parse_and_names():
@@ -220,3 +221,34 @@ def test_flow_preserves_zero_weight_component():
     for name in rep.zero_weight_coordinates():
         restricted = flow[name].substitute(sub, extended)
         assert restricted == extended.variable(name)
+
+
+def test_quadratic_invariant_normalization_matches_fraction_oracle():
+    # each f_k is the kernel basis vector divided by its x0*x2k coefficient;
+    # that coefficient is an int (lead = -3 for V[3], k = 1)
+    int_leads = set()
+    for n in range(1, 7):
+        rep = RepSum([n])
+        D = build_raising_derivation(rep)
+        ws = rep.weight_system()
+        x = lambda j: rep.ambient.index(f"x{j}")
+        for k, f in enumerate(quadratic_invariants(n)):
+            (raw,) = D.graded_kernel(ws, rep.piece(2, 2 * n - 4 * k)).basis
+            top = Monomial(((x(0), 1), (x(2 * k), 1)) if k else ((x(0), 2),))
+            lead = raw.coefficient(top)
+            if type(lead) is int:
+                int_leads.add(lead)
+            want = fraction_scale(fraction_terms(raw), 1 / Fraction(lead))
+            assert f._terms == want and is_canonical(f)
+            assert str(f) == str(raw.scale(Fraction(1) / Fraction(lead)))
+    assert -3 in int_leads
+
+
+@pytest.mark.parametrize("spec", ["V[4]+V[2]", "V[4]+V[4]", "V[3]+V[1]", "V[2]+V[2]+V[2]"])
+def test_invariants_skip_negative_weights_matches_all_weight_oracle(spec):
+    rep = RepSum.parse(spec)
+    D = build_raising_derivation(rep)
+    got = invariants_up_to_degree(rep, D, 3)
+    want = all_weight_invariants(rep, D, 3)
+    assert [(d, w, str(f)) for d, w, f in got] == [(d, w, str(f)) for d, w, f in want]
+    assert got == want and all(w >= 0 for _, w, _ in got)

@@ -5,8 +5,9 @@ sort key built from the exponents, naive textbook Gaussian elimination
 over Fraction, brute-force monomial enumeration over bounded exponent
 boxes, an iterative-deepening leading-monomial factorization on
 ``Monomial`` objects, point evaluation with a ``Fraction`` for every
-power and partial sum, and flow equations built by polynomial
-substitution.
+power and partial sum, flow equations built by polynomial substitution,
+polynomial arithmetic and subduction over ``Fraction`` on plain term
+dicts, and sl2 invariants searched over every torus weight.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from itertools import product
 from plinth.derivation import Derivation
 from plinth.polyring import Monomial, Polynomial, VariableSet
 from plinth.sagbi import GeneratorSet
+from plinth.sl2 import RepSum
 
 
 def random_poly(
@@ -183,3 +185,112 @@ def substitute_flow_equations(v, v_prime, D: Derivation) -> list[list[Fraction]]
             out[e] = c
         equations.append(out)
     return equations
+
+
+# -- Fraction-only polynomial arithmetic -------------------------------------
+#
+# Terms are plain dicts {Monomial: Fraction} with no zero value; monomials
+# are multiplied through the validating public ``Monomial`` constructor.
+
+Terms = dict[Monomial, Fraction]
+
+
+def fraction_terms(f: Polynomial) -> Terms:
+    return {m: Fraction(c) for m, c in f.terms()}
+
+
+def monomial_product(a: Monomial, b: Monomial) -> Monomial:
+    exps = dict(a.pairs)
+    for i, e in b.pairs:
+        exps[i] = exps.get(i, 0) + e
+    return Monomial(exps.items())
+
+
+def fraction_sub_scaled(f: Terms, c, shift: Monomial, g: Terms) -> Terms:
+    """f - c * shift * g."""
+    out = dict(f)
+    for m, v in g.items():
+        m = monomial_product(m, shift)
+        s = out.get(m, Fraction(0)) - Fraction(c) * v
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
+
+
+def fraction_add(f: Terms, g: Terms) -> Terms:
+    return fraction_sub_scaled(f, -1, Monomial(()), g)
+
+
+def fraction_sub(f: Terms, g: Terms) -> Terms:
+    return fraction_sub_scaled(f, 1, Monomial(()), g)
+
+
+def fraction_scale(f: Terms, c) -> Terms:
+    return {m: Fraction(c) * v for m, v in f.items() if c}
+
+
+def fraction_mul(f: Terms, g: Terms) -> Terms:
+    out: Terms = {}
+    for m, c in f.items():
+        out = fraction_sub_scaled(out, -c, m, g)
+    return out
+
+
+def is_canonical(f: Polynomial) -> bool:
+    """No zero term, no float, and no Fraction with denominator 1."""
+    return all(
+        type(c) is int and c != 0 or type(c) is Fraction and c.denominator != 1
+        for c in f._terms.values()
+    )
+
+
+def fraction_subduct(
+    f: Polynomial, G: GeneratorSet, prefixes: tuple[str, ...] = ()
+) -> tuple[list[tuple[Fraction, tuple[str, ...], str | None]], Terms]:
+    """The steps (coefficient, factors, prefix) and remainder of subducting f.
+
+    Without prefixes this is ``subduct``; with them, ``x_ideal_membership``
+    (which stops at the first leading monomial no prefix can cancel).  The
+    arithmetic is ``Fraction``-only on term dicts; the generator products
+    are built with ``fraction_mul``.  Only the factorization search is the
+    library's.
+    """
+    steps = []
+    cur = fraction_terms(f)
+    while cur:
+        lm = max(cur)
+        shift, prefix, names = Monomial(()), None, G.factorization(lm)
+        if prefixes:
+            names = None
+            for p in prefixes:
+                var = Monomial(((G.ambient.index(p), 1),))
+                if var.divides(lm):
+                    names = G.factorization(lm.divide(var))
+                    if names is not None:
+                        shift, prefix = var, p
+                        break
+        if names is None:
+            break
+        product = {Monomial(()): Fraction(1)}
+        for name in names:
+            product = fraction_mul(product, fraction_terms(G.polys[name]))
+        coeff = cur[lm] / product[max(product)]
+        steps.append((coeff, names, prefix))
+        cur = fraction_sub_scaled(cur, coeff, shift, product)
+    return steps, cur
+
+
+def all_weight_invariants(rep: RepSum, D: Derivation, degree_bound: int):
+    """``sl2.invariants_up_to_degree`` over every torus weight -span..span,
+    the negative ones included."""
+    ws = rep.weight_system()
+    out = []
+    for d in range(1, degree_bound + 1):
+        span = d * rep.max_weight
+        for w in range(-span, span + 1):
+            mons = ws.monomial_basis(rep.piece(d, w))
+            if mons:
+                out.extend((d, w, f) for f in D.kernel_on_monomials(mons))
+    return out
