@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .derivation import Derivation
-from .polyring import Monomial, PolyError, Polynomial, VariableSet
+from .polyring import Monomial, PolyError, Polynomial, VariableSet, coefficient_matrix
 from .report import Checker, VerificationReport
 from .separating import solve_group_element
 
@@ -437,16 +437,9 @@ def sl2_mod_n_checks(degree_bound: int = 6) -> VerificationReport:
         for c in range(degree_bound + 1 - a - b)
     ]
     monos.sort(reverse=True)
-    col = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for image_of in (
-        lambda p: D.apply(p),
-        lambda p: sigma_hat(p) - p,
-    ):
-        images = [image_of(Polynomial(R, {m: Fraction(1)})) for m in monos]
-        row_monos = sorted({m for g in images for m in g.monomials()})
-        for rm in row_monos:
-            rows.append([images[j].coefficient(rm) for j in range(len(monos))])
+    basis = [Polynomial(R, {m: 1}) for m in monos]
+    rows = coefficient_matrix([D.apply(p) for p in basis])
+    rows += coefficient_matrix([sigma_hat(p) - p for p in basis])
     combos = linalg.nullspace(rows, len(monos))
     reduced_vectors = []
     nf_monos: dict[Monomial, int] = {}

@@ -25,6 +25,7 @@ from .polyring import (
     VariableMismatchError,
     VariableSet,
     WeightSystem,
+    coefficient_matrix,
 )
 
 
@@ -278,24 +279,12 @@ class Derivation:
         reduced-echelon nullspace basis is canonical.
         """
         cols = sorted(monomials, reverse=True)
-        images = [
-            self.apply(Polynomial(self.ambient, {m: Fraction(1)})) for m in cols
-        ]
-        row_monos: set[Monomial] = set()
-        for g in images:
-            row_monos.update(g.monomials())
-        rows_order = sorted(row_monos, reverse=True)
-        row_index = {m: i for i, m in enumerate(rows_order)}
-        matrix = [[Fraction(0)] * len(cols) for _ in rows_order]
-        for j, g in enumerate(images):
-            for m, c in g.terms():
-                matrix[row_index[m]][j] = c
-        vectors = linalg.nullspace(matrix, len(cols))
-        basis = [
+        images = [self.apply(Polynomial(self.ambient, {m: 1})) for m in cols]
+        vectors = linalg.nullspace(coefficient_matrix(images), len(cols))
+        return [
             Polynomial(self.ambient, {m: c for m, c in zip(cols, vec) if c})
             for vec in vectors
         ]
-        return [p for p in basis if not p.is_zero()]
 
     def graded_kernel(
         self,

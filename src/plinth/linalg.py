@@ -119,7 +119,11 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[Row]
 def solve(
     rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> Row | None:
-    """One exact solution of Ax = b with free variables set to 0, or None."""
+    """One exact solution of Ax = b with free variables set to 0, or None.
+
+    The free columns are those that are linear combinations of the columns
+    to their left, so the solution is the unique one that vanishes on them.
+    """
     if not rows:
         return None if any(Fraction(x) for x in rhs) else []
     ncols = len(rows[0])

@@ -542,6 +542,21 @@ class Polynomial:
         return f"<poly {format_polynomial(self)}>"
 
 
+def coefficient_matrix(images: Sequence[Polynomial]) -> list[list[Coefficient]]:
+    """The matrix whose columns are the coefficient vectors of ``images``.
+
+    One row per monomial occurring in any image, descending in the monomial
+    order; stored coefficients are kept as they are and absent ones are 0.
+    """
+    monos = sorted({m for g in images for m in g._terms}, reverse=True)
+    row_of = {m: r for r, m in enumerate(monos)}
+    matrix: list[list[Coefficient]] = [[0] * len(images) for _ in monos]
+    for c, g in enumerate(images):
+        for m, coef in g._terms.items():
+            matrix[row_of[m]][c] = coef
+    return matrix
+
+
 class WeightSystem:
     """Integer multigrading: a weight vector of fixed rank per variable."""
 
@@ -595,6 +610,10 @@ class WeightSystem:
     ) -> list[Monomial]:
         """All monomials of exactly the given multidegree, descending order.
 
+        The walk fixes the exponents from the most significant variable down,
+        each from its largest feasible value to 0, so the monomials come out
+        in descending order without a sort.
+
         Finiteness requires every weight entry to be nonnegative and every
         (restricted) variable to have at least one strictly positive weight
         coordinate; otherwise InfiniteGradedPieceError is raised.
@@ -602,10 +621,8 @@ class WeightSystem:
         degree = tuple(int(x) for x in degree)
         if len(degree) != self.rank:
             raise PolyError(f"degree of rank {len(degree)}, expected {self.rank}")
-        if restrict is None:
-            indices = list(range(len(self.ambient)))
-        else:
-            indices = [self.ambient.index(name) for name in restrict]
+        names = self.ambient.names if restrict is None else restrict
+        indices = sorted({self.ambient.index(name) for name in names}, reverse=True)
         for i in indices:
             w = self.weights[i]
             if any(x < 0 for x in w):
@@ -622,17 +639,16 @@ class WeightSystem:
         def walk(pos: int, remaining: tuple[int, ...]) -> None:
             if pos == len(indices):
                 if all(x == 0 for x in remaining):
-                    out.append(Monomial(tuple(chosen)))
+                    out.append(Monomial._raw(tuple(reversed(chosen))))
                 return
             i = indices[pos]
             w = self.weights[i]
+            # every remainder stays nonnegative: e <= remaining[j] // w[j]
             cap = min(
                 remaining[j] // w[j] for j in range(self.rank) if w[j] > 0
             )
-            for e in range(cap + 1):
+            for e in range(cap, -1, -1):
                 rem = tuple(remaining[j] - e * w[j] for j in range(self.rank))
-                if any(x < 0 for x in rem):
-                    break
                 if e:
                     chosen.append((i, e))
                 walk(pos + 1, rem)
@@ -641,7 +657,6 @@ class WeightSystem:
 
         if all(x >= 0 for x in degree):
             walk(0, degree)
-        out.sort(reverse=True)
         return out
 
 

@@ -43,6 +43,7 @@ from .polyring import (
     Polynomial,
     VariableSet,
     WeightSystem,
+    coefficient_matrix,
 )
 from .report import Checker, VerificationReport
 from .sagbi import (
@@ -168,51 +169,36 @@ class RobertsAction:
         return targets
 
     def _construct_beta(self, i: int, n: int) -> Polynomial:
+        """The unique invariant with the pinned slices that vanishes on every
+        leading monomial of the invariants that vanish on those slices.
+
+        The columns run in ascending order, so a column is free exactly when
+        it is a combination of smaller monomials, that is, when it is such a
+        leading monomial; ``linalg.solve`` sets the free columns to 0.
+        """
         R = self.ring
         z_index = R.index("z")
         degree = self.beta_degree(i, n)
-        cols = self.weights.monomial_basis(degree)  # descending
-        col_index = {m: c for c, m in enumerate(cols)}
+        cols = self.weights.monomial_basis(degree)[::-1]  # ascending
         targets = self._slice_targets(i, n)
-        pinned_values: dict[int, Fraction] = {}
-        for m in cols:
+        # D(sum c_m m) = 0, one equation per image monomial
+        rows = coefficient_matrix([self.D.apply(Polynomial(R, {m: 1})) for m in cols])
+        rhs: list[Fraction | int] = [0] * len(rows)
+        for c, m in enumerate(cols):
             t = m.exponent(z_index)
             if t in targets:
-                xy_part = m.divide(Monomial(((z_index, t),)))
-                pinned_values[col_index[m]] = targets[t].coefficient(xy_part)
+                unit = [0] * len(cols)
+                unit[c] = 1
+                rows.append(unit)
+                rhs.append(targets[t].coefficient(m.divide(Monomial(((z_index, t),)))))
 
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        # D(sum c_m m) = 0, one equation per image monomial
-        images = [self.D.apply(Polynomial(R, {m: Fraction(1)})) for m in cols]
-        image_monos = sorted({m for g in images for m in g.monomials()}, reverse=True)
-        im_index = {m: r for r, m in enumerate(image_monos)}
-        d_rows = [[Fraction(0)] * len(cols) for _ in image_monos]
-        for c, g in enumerate(images):
-            for m, coef in g.terms():
-                d_rows[im_index[m]][c] = coef
-        rows.extend(d_rows)
-        rhs.extend(Fraction(0) for _ in d_rows)
-        for c, value in pinned_values.items():
-            unit = [Fraction(0)] * len(cols)
-            unit[c] = Fraction(1)
-            rows.append(unit)
-            rhs.append(value)
-
-        particular = linalg.solve(rows, rhs)
-        if particular is None:
+        solution = linalg.solve(rows, rhs)
+        if solution is None:
             raise PolyError(
                 f"no invariant of multidegree {degree} with canonical slices; "
                 f"beta({i},{n}) construction failed"
             )
-        homogeneous = linalg.nullspace(rows, len(cols))
-        if homogeneous:
-            reduced, pivots = linalg.rref(homogeneous)
-            for row, pivot in zip(reduced, pivots):
-                factor = particular[pivot]
-                if factor:
-                    particular = [a - factor * b for a, b in zip(particular, row)]
-        return Polynomial(R, {m: c for m, c in zip(cols, particular) if c})
+        return Polynomial(R, {m: c for m, c in zip(cols, solution) if c})
 
     def generator_name(self, i: int, n: int) -> str:
         return f"b{i}_{n}"
@@ -262,16 +248,10 @@ class RobertsAction:
         if not heavy:
             return full
         rows = [[p.coefficient(m) for p in full] for m in heavy]
-        combos = linalg.nullspace(rows, len(full))
-        out = []
-        for combo in combos:
-            q = self.ring.zero()
-            for c, p in zip(combo, full):
-                if c:
-                    q = q + p.scale(c)
-            if not q.is_zero():
-                out.append(q)
-        return out
+        return [
+            sum((p.scale(c) for c, p in zip(combo, full) if c), self.ring.zero())
+            for combo in linalg.nullspace(rows, len(full))
+        ]
 
     # -- verification suites -------------------------------------------------
 

@@ -14,9 +14,12 @@ from plinth.polyring import (
     VariableSet,
     WeightSystem,
     ZeroPolynomialError,
+    coefficient_matrix,
     format_polynomial,
     parse_polynomial,
 )
+from plinth.roberts import _degree_box
+from plinth.sl2 import RepSum
 from util import (
     brute_monomials,
     fraction_add,
@@ -30,6 +33,7 @@ from util import (
     lex_key,
     monomial_product,
     random_poly,
+    sorted_walk_monomial_basis,
 )
 
 R7 = VariableSet(("x1", "x2", "x3", "y1", "y2", "y3", "z"))
@@ -147,6 +151,25 @@ def test_monomial_basis_completeness_by_rejection():
         m = Monomial(pairs)
         if W7.monomial_degree(m) == (6, 6, 6):
             assert m.pairs in basis
+
+
+def test_monomial_basis_matches_sorted_walk_oracle():
+    # list equality: the walk must produce the content and the order itself
+    for degree in _degree_box(6):
+        assert W7.monomial_basis(degree) == sorted_walk_monomial_basis(W7, degree)
+    for restrict in (["y3", "x1", "y2"], ["z", "x2", "x1", "y1"], list(R7.names[::-1])):
+        for degree in _degree_box(4):
+            got = W7.monomial_basis(degree, restrict)
+            assert got == sorted_walk_monomial_basis(W7, degree, restrict)
+    rep = RepSum([4, 2])
+    ws = rep.weight_system()
+    sizes = []
+    for d in range(7):
+        for w in range(-4 * d, 4 * d + 1):
+            got = ws.monomial_basis(rep.piece(d, w))
+            assert got == sorted_walk_monomial_basis(ws, rep.piece(d, w))
+            sizes.append(len(got))
+    assert max(sizes) > 10
 
 
 def test_monomial_basis_infinite_piece_rejected():
@@ -323,6 +346,28 @@ def test_monomial_order_matches_lex_oracle():
         keys = [lex_key(R7, m) for m in W7.monomial_basis(degree)]
         assert keys == sorted(keys, reverse=True)
         assert len(set(keys)) == len(keys)
+
+
+def test_coefficient_matrix():
+    assert coefficient_matrix([]) == []
+    assert coefficient_matrix([R7.zero()]) == []
+    f = R7.poly("3*z - x1^2 + 1/2*x2")
+    g = R7.poly("x1^2 + 5")
+    matrix = coefficient_matrix([f, R7.zero(), g])
+    # rows descending: z > x2 > x1^2 > 1
+    assert matrix == [
+        [3, 0, 0],
+        [Fraction(1, 2), 0, 0],
+        [-1, 0, 1],
+        [0, 0, 5],
+    ]
+    # stored coefficients are kept and the fill is the int 0
+    assert [[type(x) for x in row] for row in matrix] == [
+        [int, int, int],
+        [Fraction, int, int],
+        [int, int, int],
+        [int, int, int],
+    ]
 
 
 def test_lift_and_extend():

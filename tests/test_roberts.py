@@ -11,6 +11,7 @@ from plinth.roberts import (
     _parse_with_products,
     roberts_action,
 )
+from util import naive_nullspace, span_leading_monomials, three_elimination_beta
 
 RA = roberts_action()
 R7 = RA.ring
@@ -57,6 +58,43 @@ def test_beta_family_structure():
                 ((R7.index(f"x{i}"), 1),) + (((R7.index("z"), n),) if n else ())
             )
             assert RA.weights.multidegree(b) == RA.beta_degree(i, n)
+
+
+def test_beta_matches_three_elimination_oracle():
+    for n in range(5):
+        for i in (1, 2, 3):
+            assert RA.beta(i, n) == three_elimination_beta(RA, i, n)
+
+
+def test_beta_vanishes_on_leading_monomials_of_slice_free_invariants():
+    """The canonical property of beta(i, n), checked without its system.
+
+    K holds the invariants of beta's multidegree that vanish on the pinned
+    z-slices (z-degree n, n - 1 and n - 2).  beta(i, n) has coefficient 0
+    on every leading monomial of K.  Invariants outside K do not count:
+    beta itself is one, with coefficient 1 on its leading monomial x_i z^n.
+    """
+    z_index = R7.index("z")
+    checked = 0
+    for n in range(5):
+        for i in (1, 2, 3):
+            degree = RA.beta_degree(i, n)
+            basis = RA.graded_invariants(degree)
+            pinned = [
+                m
+                for m in RA.weights.monomial_basis(degree)
+                if m.exponent(z_index) in (n, n - 1, n - 2)
+            ]
+            rows = [[p.coefficient(m) for p in basis] for m in pinned]
+            K = [
+                sum((p.scale(c) for c, p in zip(vec, basis) if c), R7.zero())
+                for vec in naive_nullspace(rows, len(basis))
+            ]
+            beta = RA.beta(i, n)
+            for lm in span_leading_monomials(K):
+                assert beta.coefficient(lm) == 0, (i, n, lm)
+                checked += 1
+    assert checked == 3 * (7 + 15)  # K is nonzero for n = 3 and n = 4
 
 
 def test_beta_out_of_range():

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: a lex
 sort key built from the exponents, naive textbook Gaussian elimination
 over Fraction, brute-force monomial enumeration over bounded exponent
-boxes, an iterative-deepening leading-monomial factorization on
+boxes, graded enumeration that walks up from the least significant
+variable and sorts afterwards, beta(i, n) canonicalized by three
+eliminations of one system, an iterative-deepening leading-monomial factorization on
 ``Monomial`` objects, point evaluation with a ``Fraction`` for every
 power and partial sum, flow equations built by polynomial substitution,
 polynomial arithmetic and subduction over ``Fraction`` on plain term
@@ -16,8 +18,10 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from plinth import linalg
 from plinth.derivation import Derivation
-from plinth.polyring import Monomial, Polynomial, VariableSet
+from plinth.polyring import Monomial, Polynomial, VariableSet, WeightSystem
+from plinth.roberts import RobertsAction
 from plinth.sagbi import GeneratorSet
 from plinth.sl2 import RepSum
 
@@ -108,6 +112,77 @@ def brute_monomials(
         if tuple(total) == tuple(degree):
             found.add(tuple((i, e) for i, e in zip(indices, combo) if e))
     return found
+
+
+def sorted_walk_monomial_basis(
+    ws: WeightSystem, degree: tuple[int, ...], restrict: list[str] | None = None
+) -> list[Monomial]:
+    """``WeightSystem.monomial_basis`` by the earlier route.
+
+    The walk takes the variables in the given order with each exponent
+    rising from 0, and the result is sorted descending afterwards.
+    """
+    if restrict is None:
+        indices = list(range(len(ws.ambient)))
+    else:
+        indices = [ws.ambient.index(name) for name in restrict]
+    out: list[Monomial] = []
+    chosen: list[tuple[int, int]] = []
+
+    def walk(pos: int, remaining: tuple[int, ...]) -> None:
+        if pos == len(indices):
+            if all(x == 0 for x in remaining):
+                out.append(Monomial(chosen))
+            return
+        w = ws.weights[indices[pos]]
+        cap = min(remaining[j] // w[j] for j in range(ws.rank) if w[j] > 0)
+        for e in range(cap + 1):
+            rem = tuple(remaining[j] - e * w[j] for j in range(ws.rank))
+            if any(x < 0 for x in rem):
+                break
+            if e:
+                chosen.append((indices[pos], e))
+            walk(pos + 1, rem)
+            if e:
+                chosen.pop()
+
+    if all(x >= 0 for x in degree):
+        walk(0, tuple(degree))
+    out.sort(reverse=True)
+    return out
+
+
+def three_elimination_beta(action: RobertsAction, i: int, n: int) -> Polynomial:
+    """beta(i, n) canonicalized by three eliminations of one system.
+
+    The system is D = 0 plus the pinned slices as unit rows, on descending
+    columns.  ``linalg.solve`` gives a particular solution, ``nullspace``
+    the homogeneous solutions, and the particular solution is reduced by
+    the RREF of those, so it vanishes on their leading monomials.
+    """
+    R = action.ring
+    z_index = R.index("z")
+    cols = sorted(action.weights.monomial_basis(action.beta_degree(i, n)), reverse=True)
+    targets = action._slice_targets(i, n)
+    images = [action.D.apply(Polynomial(R, {m: Fraction(1)})) for m in cols]
+    image_monos = sorted({m for g in images for m in g.monomials()}, reverse=True)
+    rows = [[g.coefficient(rm) for g in images] for rm in image_monos]
+    rhs = [Fraction(0)] * len(rows)
+    for c, m in enumerate(cols):
+        t = m.exponent(z_index)
+        if t in targets:
+            rows.append([Fraction(1 if k == c else 0) for k in range(len(cols))])
+            rhs.append(Fraction(targets[t].coefficient(m.divide(Monomial([(z_index, t)])))))
+    particular = linalg.solve(rows, rhs)
+    assert particular is not None
+    homogeneous = linalg.nullspace(rows, len(cols))
+    if homogeneous:
+        reduced, pivots = linalg.rref(homogeneous)
+        for row, pivot in zip(reduced, pivots):
+            factor = particular[pivot]
+            if factor:
+                particular = [a - factor * b for a, b in zip(particular, row)]
+    return Polynomial(R, {m: c for m, c in zip(cols, particular) if c})
 
 
 def deepening_factorization(G: GeneratorSet, m: Monomial) -> tuple[str, ...] | None:
@@ -217,6 +292,24 @@ def fraction_sub_scaled(f: Terms, c, shift: Monomial, g: Terms) -> Terms:
         else:
             out.pop(m, None)
     return out
+
+
+def span_leading_monomials(polys: list[Polynomial]) -> set[Monomial]:
+    """Leading monomials of the nonzero elements of the span of ``polys``.
+
+    Gaussian elimination on ``Fraction`` term dicts: each polynomial is
+    reduced by the kept ones until its leading monomial is new.
+    """
+    kept: dict[Monomial, Terms] = {}
+    for p in polys:
+        cur = fraction_terms(p)
+        while cur:
+            lm = max(cur)
+            if lm not in kept:
+                kept[lm] = cur
+                break
+            cur = fraction_sub_scaled(cur, cur[lm] / kept[lm][lm], Monomial(()), kept[lm])
+    return set(kept)
 
 
 def fraction_add(f: Terms, g: Terms) -> Terms:
