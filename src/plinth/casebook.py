@@ -43,7 +43,7 @@ def _plane_monomials(bound: int) -> list[Monomial]:
 
 def _membership_constraint_rows(
     f: Polynomial, h_monomials: list[Monomial]
-) -> list[list[Fraction]]:
+) -> list[list[Fraction | int]]:
     """Rows of the condition 'f*h lies in R', linear in the coefficients of h.
 
     One row per pure power y^b (b >= 1) that can appear in the product.
@@ -51,15 +51,9 @@ def _membership_constraint_rows(
     x_index = f.ambient.index("x")
     y_index = f.ambient.index("y")
     products = [f * Polynomial(f.ambient, {m: Fraction(1)}) for m in h_monomials]
-    bad_monos = sorted(
-        {
-            m
-            for p in products
-            for m in p.monomials()
-            if m.exponent(x_index) == 0 and m.exponent(y_index) >= 1
-        }
+    return coefficient_matrix(
+        products, lambda m: m.exponent(x_index) == 0 and m.exponent(y_index) >= 1
     )
-    return [[p.coefficient(bad) for p in products] for bad in bad_monos]
 
 
 def example1_conductor_check(f: Polynomial, degree_bound: int = 6) -> VerificationReport:
@@ -441,7 +435,6 @@ def sl2_mod_n_checks(degree_bound: int = 6) -> VerificationReport:
     rows = coefficient_matrix([D.apply(p) for p in basis])
     rows += coefficient_matrix([sigma_hat(p) - p for p in basis])
     combos = linalg.nullspace(rows, len(monos))
-    reduced_vectors = []
     nf_monos: dict[Monomial, int] = {}
     reduced_polys = []
     for vec in combos:

@@ -1,117 +1,87 @@
 """Exact linear algebra over the rationals.
 
-Fraction-free Gaussian elimination (Bareiss) on integer-scaled rows, with
-partial pivoting on the magnitude of the integer pivot to control
-coefficient growth.  Everything returns exact ``Fraction`` results; rows
-are plain lists.
+One integer Gauss-Jordan elimination serves every call.  Each row is
+brought once to a primitive integer row: its denominators are cleared and
+its content is divided out.  For each pivot column, taking the row with the
+smallest nonzero |pivot|, every other row with a nonzero entry v there
+becomes a*row - b*pivot_row with a, b = p/g, v/g (p the pivot, g = gcd(p, v))
+and is made primitive again.  At the end every pivot column is zero outside
+its pivot row, so answers are read off the integer rows as ``Fraction``s;
+rows are plain lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
+
+from .polyring import coefficient_value
 
 Row = list[Fraction]
 
 
-def _scaled_int_row(row: Sequence[Fraction | int]) -> list[int]:
-    """Clear denominators and strip the content, keeping the sign."""
-    fr = [Fraction(x) for x in row]
-    lcm = 1
-    for x in fr:
-        if x:
-            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in fr]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Bareiss fraction-free elimination; returns echelon rows and pivot columns."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    m = [list(r) for r in rows]
+def _reduce(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
+    """Integer reduced rows, one per pivot, and their ascending pivot columns."""
+    m: list[list[int]] = []
+    for row in rows:
+        vals = [coefficient_value(x) for x in row]
+        den = lcm(*(v.denominator for v in vals if type(v) is not int))
+        ints = [v.numerator * (den // v.denominator) for v in vals]
+        g = gcd(*ints)
+        if g:  # a zero row constrains nothing
+            m.append([v // g for v in ints] if g > 1 else ints)
     pivots: list[int] = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        # smallest nonzero |pivot| below the current row
-        best = -1
-        for i in range(r, len(m)):
-            v = m[i][c]
-            if v != 0 and (best < 0 or abs(v) < abs(m[best][c])):
-                best = i
-        if best < 0:
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        candidates = [i for i in range(r, len(m)) if m[i][c]]
+        if not candidates:
             continue
+        best = min(candidates, key=lambda i: abs(m[i][c]))
         m[r], m[best] = m[best], m[r]
-        piv = m[r][c]
-        for i in range(r + 1, len(m)):
-            v = m[i][c]
-            row_i = m[i]
-            row_r = m[r]
-            for j in range(c, ncols):
-                row_i[j] = (piv * row_i[j] - v * row_r[j]) // prev
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            v = row[c]
+            if v and i != r:
+                g = gcd(p, v)
+                a, b = p // g, v // g
+                new = [a * x - b * y for x, y in zip(row, prow)]
+                h = gcd(*new)
+                m[i] = [x // h for x in new] if h > 1 else new
         pivots.append(c)
-        prev = piv
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    return m[: len(pivots)], pivots
 
 
 def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form over Fraction, plus the pivot columns."""
-    ints = [_scaled_int_row(r) for r in rows if any(Fraction(x) for x in r)]
-    ech, pivots = _echelon(ints)
-    ncols = len(rows[0]) if rows else 0
-    reduced: list[Row] = [[Fraction(x) for x in row] for row in ech]
-    for k in range(len(reduced) - 1, -1, -1):
-        c = pivots[k]
-        piv = reduced[k][c]
-        reduced[k] = [x / piv for x in reduced[k]]
-        for i in range(k):
-            factor = reduced[i][c]
-            if factor:
-                reduced[i] = [
-                    a - factor * b for a, b in zip(reduced[i], reduced[k])
-                ]
-    return reduced, pivots
+    reduced, pivots = _reduce(rows)
+    return [[Fraction(x, row[c]) for x in row] for row, c in zip(reduced, pivots)], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    if not rows:
-        return 0
-    ints = [_scaled_int_row(r) for r in rows if any(Fraction(x) for x in r)]
-    _, pivots = _echelon(ints)
-    return len(pivots)
+    """Dimension of the span of the rows."""
+    return len(_reduce(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[Row]:
     """Canonical basis of {x : Ax = 0}.
 
     One basis vector per free column, carrying 1 there; entries on pivot
-    columns come from the RREF, so the basis is determined by the column
-    order alone.
+    columns come from the reduced rows, so the basis is determined by the
+    column order alone.
     """
-    if not rows:
-        return [
-            [Fraction(1 if j == f else 0) for j in range(ncols)] for f in range(ncols)
-        ]
-    reduced, pivots = rref(rows)
+    reduced, pivots = _reduce(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis: list[Row] = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for k, c in enumerate(pivots):
-            vec[c] = -reduced[k][f]
+        for row, c in zip(reduced, pivots):
+            if row[f]:
+                vec[c] = Fraction(-row[f], row[c])
         basis.append(vec)
     return basis
 
@@ -125,39 +95,27 @@ def solve(
     to their left, so the solution is the unique one that vanishes on them.
     """
     if not rows:
-        return None if any(Fraction(x) for x in rhs) else []
+        return None if any(coefficient_value(x) for x in rhs) else []
     ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(aug)
-    for k, c in enumerate(pivots):
-        if c == ncols:
-            return None  # pivot in the augmented column: inconsistent
+    reduced, pivots = _reduce([[*r, b] for r, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == ncols:
+        return None  # pivot in the augmented column: inconsistent
     x = [Fraction(0)] * ncols
-    for k, c in enumerate(pivots):
-        x[c] = reduced[k][ncols]
+    for row, c in zip(reduced, pivots):
+        x[c] = Fraction(row[ncols], row[c])
     return x
 
 
 def in_span(vectors: Sequence[Sequence[Fraction | int]], target: Sequence[Fraction | int]) -> bool:
     """Is the target a linear combination of the given vectors?"""
-    if all(Fraction(x) == 0 for x in target):
-        return True
-    if not vectors:
-        return False
-    cols = list(vectors)
-    rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
-    return solve(rows, list(target)) is not None
+    return rank([*vectors, target]) == rank(vectors)
 
 
 def same_span(
     a: Sequence[Sequence[Fraction | int]], b: Sequence[Sequence[Fraction | int]]
 ) -> bool:
     """Do the two vector lists span the same subspace?"""
-    ra = rank(list(a))
-    rb = rank(list(b))
-    if ra != rb:
-        return False
-    return rank(list(a) + list(b)) == ra
+    return rank(a) == rank(b) == rank([*a, *b])
 
 
 def det3(m: Sequence[Sequence[int]]) -> int:

@@ -45,7 +45,7 @@ from fractions import Fraction
 from math import lcm
 from numbers import Rational
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class PolyError(Exception):
@@ -542,18 +542,25 @@ class Polynomial:
         return f"<poly {format_polynomial(self)}>"
 
 
-def coefficient_matrix(images: Sequence[Polynomial]) -> list[list[Coefficient]]:
+def coefficient_matrix(
+    images: Sequence[Polynomial], keep: Callable[[Monomial], bool] | None = None
+) -> list[list[Coefficient]]:
     """The matrix whose columns are the coefficient vectors of ``images``.
 
-    One row per monomial occurring in any image, descending in the monomial
-    order; stored coefficients are kept as they are and absent ones are 0.
+    One row per monomial occurring in any image (only those that ``keep``
+    accepts, if given), descending in the monomial order; stored
+    coefficients are kept as they are and absent ones are 0.
     """
-    monos = sorted({m for g in images for m in g._terms}, reverse=True)
+    monos = sorted(
+        {m for g in images for m in g._terms if keep is None or keep(m)}, reverse=True
+    )
     row_of = {m: r for r, m in enumerate(monos)}
     matrix: list[list[Coefficient]] = [[0] * len(images) for _ in monos]
     for c, g in enumerate(images):
         for m, coef in g._terms.items():
-            matrix[row_of[m]][c] = coef
+            r = row_of.get(m)
+            if r is not None:
+                matrix[r][c] = coef
     return matrix
 
 

@@ -239,15 +239,10 @@ class RobertsAction:
     ) -> list[Polynomial]:
         """Basis of the invariants of one multidegree with z-degree <= z_cap."""
         full = self.graded_invariants(degree)
-        if not full:
-            return []
         z_index = self.ring.index("z")
-        heavy = sorted(
-            {m for p in full for m in p.monomials() if m.exponent(z_index) > z_cap}
-        )
-        if not heavy:
+        rows = coefficient_matrix(full, lambda m: m.exponent(z_index) > z_cap)
+        if not rows:
             return full
-        rows = [[p.coefficient(m) for p in full] for m in heavy]
         return [
             sum((p.scale(c) for c, p in zip(combo, full) if c), self.ring.zero())
             for combo in linalg.nullspace(rows, len(full))

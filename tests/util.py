@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own code paths: a lex
 sort key built from the exponents, naive textbook Gaussian elimination
-over Fraction, brute-force monomial enumeration over bounded exponent
+over Fraction, the earlier dense Bareiss elimination with a ``Fraction``
+back-substitution, brute-force monomial enumeration over bounded exponent
 boxes, graded enumeration that walks up from the least significant
 variable and sorts afterwards, beta(i, n) canonicalized by three
 eliminations of one system, an iterative-deepening leading-monomial factorization on
@@ -17,10 +18,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from plinth import linalg
 from plinth.derivation import Derivation
-from plinth.polyring import Monomial, Polynomial, VariableSet, WeightSystem
+from plinth.polyring import (
+    Monomial,
+    Polynomial,
+    VariableSet,
+    WeightSystem,
+    coefficient_matrix,
+)
 from plinth.roberts import RobertsAction
 from plinth.sagbi import GeneratorSet
 from plinth.sl2 import RepSum
@@ -91,6 +99,77 @@ def naive_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fractio
     return basis
 
 
+def _scaled_int_row(row) -> list[int]:
+    """Clear denominators and strip the content, keeping the sign."""
+    fr = [Fraction(x) for x in row]
+    lcm = 1
+    for x in fr:
+        if x:
+            lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    ints = [int(x * lcm) for x in fr]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints
+
+
+def _echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Bareiss fraction-free elimination; returns echelon rows and pivot columns."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    m = [list(r) for r in rows]
+    pivots: list[int] = []
+    r = 0
+    prev = 1
+    for c in range(ncols):
+        # smallest nonzero |pivot| below the current row
+        best = -1
+        for i in range(r, len(m)):
+            v = m[i][c]
+            if v != 0 and (best < 0 or abs(v) < abs(m[best][c])):
+                best = i
+        if best < 0:
+            continue
+        m[r], m[best] = m[best], m[r]
+        piv = m[r][c]
+        for i in range(r + 1, len(m)):
+            v = m[i][c]
+            row_i = m[i]
+            row_r = m[r]
+            for j in range(c, ncols):
+                row_i[j] = (piv * row_i[j] - v * row_r[j]) // prev
+        pivots.append(c)
+        prev = piv
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def bareiss_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """``linalg.rref`` by the earlier dense route.
+
+    Each row goes to ``Fraction``s and then to a primitive integer row, a
+    forward Bareiss pass gives the echelon form, and the back-substitution
+    runs over ``Fraction``.
+    """
+    ints = [_scaled_int_row(r) for r in rows if any(Fraction(x) for x in r)]
+    ech, pivots = _echelon(ints)
+    reduced = [[Fraction(x) for x in row] for row in ech]
+    for k in range(len(reduced) - 1, -1, -1):
+        c = pivots[k]
+        piv = reduced[k][c]
+        reduced[k] = [x / piv for x in reduced[k]]
+        for i in range(k):
+            factor = reduced[i][c]
+            if factor:
+                reduced[i] = [a - factor * b for a, b in zip(reduced[i], reduced[k])]
+    return reduced, pivots
+
+
 def brute_monomials(
     weights: list[tuple[int, ...]], degree: tuple[int, ...], indices: list[int]
 ) -> set[tuple[tuple[int, int], ...]]:
@@ -150,6 +229,24 @@ def sorted_walk_monomial_basis(
         walk(0, tuple(degree))
     out.sort(reverse=True)
     return out
+
+
+def beta_system(action: RobertsAction, i: int, n: int):
+    """The system that ``RobertsAction._construct_beta`` solves: D = 0 on the
+    ascending monomial columns plus one unit row per pinned slice coefficient.
+    """
+    R = action.ring
+    z_index = R.index("z")
+    cols = action.weights.monomial_basis(action.beta_degree(i, n))[::-1]
+    targets = action._slice_targets(i, n)
+    rows = coefficient_matrix([action.D.apply(Polynomial(R, {m: 1})) for m in cols])
+    rhs = [0] * len(rows)
+    for c, m in enumerate(cols):
+        t = m.exponent(z_index)
+        if t in targets:
+            rows.append([1 if k == c else 0 for k in range(len(cols))])
+            rhs.append(targets[t].coefficient(m.divide(Monomial([(z_index, t)]))))
+    return rows, rhs
 
 
 def three_elimination_beta(action: RobertsAction, i: int, n: int) -> Polynomial:
