@@ -99,19 +99,13 @@ def run_roberts_fixed() -> list[VerificationReport]:
         {"N": 4},
     )
     collapsed = ra.fixed_point_collapse(4)
-    extended, flow = ra.D.flow_images()
-    sub = {
-        name: (
-            extended.zero()
-            if name.startswith("x")
-            else extended.variable(name)
-        )
-        for name in extended.names
-    }
+    # the flow fixes x = 0 when every c_k, k >= 1, of exp(s*D) vanishes there
+    R = ra.ring
+    x_zero = {n: R.zero() if n.startswith("x") else R.variable(n) for n in R.names}
     fixed = all(
-        flow[name].substitute(sub, extended)
-        == extended.variable(name).substitute(sub, extended)
-        for name in ra.ring.names
+        c.substitute(x_zero, R).is_zero()
+        for series in ra.D.flow_coefficients().values()
+        for c in series[1:]
     )
     for ok, line in (
         (collapsed, f"all S_4 generators constant on x = 0: {collapsed}"),

@@ -2,8 +2,10 @@
 
 A derivation is given by the images of the variables and extended by the
 Leibniz rule.  Locally nilpotent derivations are certified by iterating on
-the generators; the certified flow exp(s*D) is computed symbolically with
-a fresh parameter variable adjoined, and numeric flows specialize it.
+the generators.  The certified flow exp(s*D) is stored in one form: the
+series c_k = D^k(x)/k! of each variable x, with exp(s*D)(x) = sum_k c_k s^k.
+Symbolic flows adjoin a fresh parameter variable s to that series, and a
+point is flowed by evaluating each c_k at it once and summing in s.
 
 Graded kernels are computed degree by degree: solve the exact linear
 system cut out by D on the monomial basis of one graded piece.
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -26,6 +27,7 @@ from .polyring import (
     VariableSet,
     WeightSystem,
     coefficient_matrix,
+    coefficient_value,
 )
 
 
@@ -80,8 +82,7 @@ class Derivation:
         self.ambient = ambient
         self.images = {name: images[name] for name in ambient.names}
         self._witness: NilpotencyWitness | None = None
-        self._flow_cache: dict[str, dict[str, Polynomial]] = {}
-        self._flow_coeffs: dict[str, list[Polynomial]] | None = None
+        self._flow_coeffs: dict[str, list[Polynomial]] = {}
 
     def __repr__(self) -> str:
         parts = ", ".join(f"D({n}) = {g}" for n, g in self.images.items())
@@ -117,128 +118,108 @@ class Derivation:
 
         Local nilpotency on the generators extends to the whole algebra, so
         success certifies the derivation.  Exceeding ``bound`` raises
-        NotCertifiedError (distinct from a disproof).
+        NotCertifiedError (distinct from a disproof).  The series of each
+        variable is kept as its flow coefficients.
         """
         if bound < 1:
             raise DerivationError("bound must be >= 1")
-        orders: dict[str, int] = {}
-        for name in self.ambient.names:
-            cur = self.ambient.variable(name)
-            order = 0
-            while not cur.is_zero():
-                order += 1
-                if order > bound:
-                    raise NotCertifiedError(
-                        f"D^{bound}({name}) still nonzero; not certified within bound"
-                    )
-                cur = self.apply(cur)
-            orders[name] = max(order, 1)
-        witness = NilpotencyWitness(orders)
-        self._witness = witness
+        coeffs = {
+            name: self._series(self.ambient.variable(name), bound)
+            for name in self.ambient.names
+        }
+        witness = NilpotencyWitness({name: len(c) for name, c in coeffs.items()})
+        self._witness, self._flow_coeffs = witness, coeffs
         return witness
 
     @property
     def witness(self) -> NilpotencyWitness | None:
         return self._witness
 
-    def _require_certified(self) -> NilpotencyWitness:
+    def _require_certified(self) -> None:
         if self._witness is None:
             raise NotCertifiedError(
                 "flow requested for an uncertified derivation; "
                 "call certify_locally_nilpotent first"
             )
-        return self._witness
 
-    def _fresh_parameter(self, stem: str) -> str:
+    def _series(self, f: Polynomial, bound: int | None = None) -> list[Polynomial]:
+        """[c_0, c_1, ...] with c_k = D^k(f) / k!, up to the first zero.
+
+        exp(s*D)(f) = sum_k c_k s^k.  More than ``bound`` nonzero terms
+        raises NotCertifiedError.
+        """
+        out: list[Polynomial] = []
+        cur = f
+        while not cur.is_zero():
+            if bound is not None and len(out) == bound:
+                raise NotCertifiedError(
+                    f"D^{bound}({f}) still nonzero; not certified within bound"
+                )
+            out.append(cur)
+            cur = self.apply(cur).scale(Fraction(1, len(out)))
+        return out
+
+    def _with_parameter(self, stem: str) -> VariableSet:
+        """The ambient extended by ``stem``, renamed until it is fresh."""
         name = stem
         while name in self.ambient:
             name += "_"
-        return name
-
-    def flow_images(self, param: str = "s") -> tuple[VariableSet, dict[str, Polynomial]]:
-        """Symbolic flow of every coordinate: variable -> exp(s*D)(variable).
-
-        The parameter is adjoined as a fresh variable; results are cached.
-        """
-        self._require_certified()
-        param = self._fresh_parameter(param)
-        cached = self._flow_cache.get(param)
-        extended = self.ambient.extend((param,))
-        if cached is None:
-            s = extended.variable(param)
-            cached = {}
-            for name in self.ambient.names:
-                cached[name] = self._exp_series(
-                    self.ambient.variable(name), s, extended
-                )
-            self._flow_cache[param] = cached
-        return extended, dict(cached)
+        return self.ambient.extend((name,))
 
     def flow_coefficients(self) -> dict[str, list[Polynomial]]:
         """The symbolic flow of every coordinate as a polynomial in s.
 
         ``name -> [c_0, c_1, ...]`` with exp(s*D)(name) = sum_k c_k s^k and
-        every c_k over the original ambient: the terms of ``flow_images``
-        grouped by the power of the parameter.  Computed once and cached.
+        every c_k = D^k(name) / k! over the original ambient: the series
+        kept by ``certify_locally_nilpotent``.
         """
-        if self._flow_coeffs is None:
-            extended, images = self.flow_images()
-            param = len(extended) - 1
-            self._flow_coeffs = {}
-            for name, f in images.items():
-                groups: dict[int, dict[Monomial, Fraction]] = {}
-                for m, c in f.terms():
-                    pairs, k = m.pairs, 0
-                    if pairs and pairs[-1][0] == param:
-                        pairs, k = pairs[:-1], pairs[-1][1]
-                    groups.setdefault(k, {})[Monomial(pairs)] = c
-                self._flow_coeffs[name] = [
-                    Polynomial(self.ambient, groups.get(k, {}))
-                    for k in range(max(groups, default=-1) + 1)
-                ]
+        self._require_certified()
         return self._flow_coeffs
 
-    def _exp_series(
-        self, f: Polynomial, s: Polynomial, extended: VariableSet
-    ) -> Polynomial:
-        """sum_k s^k D^k(f) / k! over ``extended``; s may be a constant."""
-        total = extended.zero()
-        cur = f
-        k = 0
-        s_power = extended.one()
-        while not cur.is_zero():
-            total = total + cur.lift(extended).scale(
-                Fraction(1, factorial(k))
-            ) * s_power
-            cur = self.apply(cur)
-            k += 1
-            s_power = s_power * s
-        return total
+    def flow_images(self, param: str = "s") -> tuple[VariableSet, dict[str, Polynomial]]:
+        """Symbolic flow of every coordinate: variable -> exp(s*D)(variable).
+
+        The parameter is adjoined as a fresh variable, the most significant.
+        """
+        extended = self._with_parameter(param)
+        return extended, {
+            name: _in_parameter(coeffs, extended)
+            for name, coeffs in self.flow_coefficients().items()
+        }
 
     def exp_flow(self, f: Polynomial, s=None, param: str = "s") -> Polynomial:
         """exp(s*D)(f) = sum_k s^k D^k(f) / k! (a finite sum).
 
         With ``s`` None the result is symbolic over the ambient extended by
-        the fresh parameter; a Fraction ``s`` gives the numeric flow over
+        the fresh parameter; a rational ``s`` gives the numeric flow over
         the original ambient.
         """
         self._require_certified()
         if f.ambient != self.ambient:
             raise VariableMismatchError("polynomial over a different variable set")
-        if s is not None:
-            return self._exp_series(f, self.ambient.constant(s), self.ambient)
-        extended = self.ambient.extend((self._fresh_parameter(param),))
-        return self._exp_series(f, extended.variable(extended.names[-1]), extended)
+        series = self._series(f)
+        if s is None:
+            return _in_parameter(series, self._with_parameter(param))
+        s = coefficient_value(s)
+        return sum((c.scale(s**k) for k, c in enumerate(series)), self.ambient.zero())
 
-    def flow_point(
-        self, point: Mapping[str, Fraction | int], s
-    ) -> dict[str, Fraction]:
-        """Move a rational point along the flow by time s."""
-        extended, images = self.flow_images()
-        values = {name: Fraction(point[name]) for name in self.ambient.names}
-        values[extended.names[-1]] = Fraction(s)
-        at = extended.integer_point(values)
-        return {name: images[name].evaluate_integer(*at) for name in self.ambient.names}
+    def flow_at(self, point: Mapping[str, Fraction | int]) -> dict[str, list[Fraction]]:
+        """The flow of a rational point as polynomials in s.
+
+        ``name -> [c_0(point), c_1(point), ...]``: each flow coefficient
+        evaluated once by the integer kernel of ``polyring``.  A missing or
+        non-rational coordinate raises PolyError.
+        """
+        nums, den = self.ambient.integer_point(point)
+        return {
+            name: [c.evaluate_integer(nums, den) for c in series]
+            for name, series in self.flow_coefficients().items()
+        }
+
+    def flow_point(self, point: Mapping[str, Fraction | int], s) -> dict[str, Fraction]:
+        """Move a rational point along the flow by a rational time s."""
+        s = coefficient_value(s)
+        return {name: horner(values, s) for name, values in self.flow_at(point).items()}
 
     # -- gradings ----------------------------------------------------------
 
@@ -343,8 +324,24 @@ def extend_by_zero(D: Derivation, extended: VariableSet) -> Derivation:
     }
     lifted = Derivation(extended, images)
     if D.witness is not None:
-        orders = dict(D.witness.orders)
-        for name in extended.names:
-            orders.setdefault(name, 1)
-        lifted._witness = NilpotencyWitness(orders)
+        lifted.certify_locally_nilpotent(D.witness.bound())
     return lifted
+
+
+def _in_parameter(series: Sequence[Polynomial], extended: VariableSet) -> Polynomial:
+    """sum_k series[k] * s^k over ``extended``, whose last variable is s."""
+    s = len(extended) - 1
+    total = extended.zero()
+    for k, c in enumerate(series):
+        total = total.sub_scaled(-1, c.lift(extended), Monomial(((s, k),)))
+    return total
+
+
+def horner(coeffs: Sequence[Fraction | int], s: Fraction | int) -> Fraction:
+    """sum_k coeffs[k] * s^k, from the top down over the integers: one Fraction."""
+    p, q = s.numerator, s.denominator
+    num, den = 0, 1
+    for c in reversed(coeffs):
+        b = c.denominator
+        num, den = num * p * b + c.numerator * den * q, den * q * b
+    return Fraction(num, den)

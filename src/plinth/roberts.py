@@ -127,7 +127,7 @@ class RobertsAction:
         self.u23 = R.poly("x2^3*y3 - x3^3*y2")
         self._betas: dict[tuple[int, int], Polynomial] = {}
         self._gensets: dict[int, GeneratorSet] = {}
-        self._kernel_cache: dict[tuple[tuple[int, int, int], str], list[Polynomial]] = {}
+        self._kernel_cache: dict[tuple[int, ...], list[Polynomial]] = {}
 
     # -- the invariant catalog -------------------------------------------
 
@@ -223,14 +223,12 @@ class RobertsAction:
 
     # -- graded kernels -----------------------------------------------------
 
-    def graded_invariants(
-        self, degree: Sequence[int], restrict: Sequence[str] | None = None
-    ) -> list[Polynomial]:
-        """Cached basis of ker D in one multidegree (optionally in k[x,y])."""
-        key = (tuple(int(x) for x in degree), ",".join(restrict or ()))
+    def graded_invariants(self, degree: Sequence[int]) -> list[Polynomial]:
+        """Cached basis of ker D in one multidegree."""
+        key = tuple(int(x) for x in degree)
         got = self._kernel_cache.get(key)
         if got is None:
-            got = self.D.graded_kernel(self.weights, degree, restrict).basis
+            got = self.D.graded_kernel(self.weights, degree).basis
             self._kernel_cache[key] = got
         return got
 
@@ -394,19 +392,10 @@ class RobertsAction:
                         {"family": "mixed", "pairs": ((n, m), (np, mp))},
                     )
         # equal-index family: b1n b1m vs b1n' b1m'
-        seen = set()
         for n in range(N + 1):
             for m in range(n, N + 1):
-                for np in range(N + 1):
+                for np in range(n + 1, (n + m) // 2 + 1):  # n < np <= mp
                     mp = n + m - np
-                    if not np <= mp <= N:
-                        continue
-                    if {n, m} == {np, mp}:
-                        continue
-                    key = ((n, m), (np, mp))
-                    if key in seen or (key[1], key[0]) in seen:
-                        continue
-                    seen.add(key)
                     diff = beta(1, n) * beta(1, m) - beta(1, np) * beta(1, mp)
                     zdeg = n + m - 2
                     lt_is(
@@ -546,18 +535,12 @@ class RobertsAction:
             self.u13,
             self.u23,
         ]
-        out = [self.ring.one()]
         frontier = [self.ring.one()]
+        out = list(frontier)
         for _ in range(max_factors):
             frontier = [f * g for f in frontier for g in gens]
-            # deduplicate by string form (products commute)
-            seen = {str(f) for f in out}
-            for f in frontier:
-                s = str(f)
-                if s not in seen:
-                    seen.add(s)
-                    out.append(f)
-        return out
+            out += frontier
+        return list(dict.fromkeys(out))  # products commute: first copy kept
 
     def _pure_u_products(self, max_factors: int) -> Iterable[Polynomial]:
         us = [self.u12, self.u13, self.u23]

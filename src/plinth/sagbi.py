@@ -8,9 +8,10 @@ term of a polynomial by a product of generators and leaves a replayable
 certificate.  A generating set is verified to be a SAGBI basis (up to a
 degree bound) by subducting every tete-a-tete difference to zero.
 
-The same step machinery, with a variable prefix allowed in front of the
-generator product, decides membership in the ideal generated by chosen
-variables inside the subalgebra.
+``subduct`` and ``x_ideal_membership`` share one cancellation loop: the
+first with the unit prefix, the second with a variable prefix in front of
+the generator product, which decides membership in the ideal generated by
+chosen variables inside the subalgebra.
 """
 
 from __future__ import annotations
@@ -249,27 +250,11 @@ def subduct(
 
     Repeatedly cancels the leading term by a scalar multiple of a product
     of generators whose leading terms multiply to it; stops when the
-    leading term has no factorization or the remainder is zero.  Exceeding
-    the step budget flags the certificate incomplete.
+    leading term has no factorization (recorded as ``stuck``) or the
+    remainder is zero.  Exceeding the step budget flags the certificate
+    incomplete.
     """
-    if max_steps < 1:
-        raise SubductionError("max_steps must be >= 1")
-    steps: list[SubductionStep] = []
-    cur = f
-    while not cur.is_zero():
-        lm, lc = cur.leading_term()
-        names = G.factorization(lm)
-        if names is None:
-            return SubductionCertificate(f, steps, cur, complete=True)
-        if len(steps) >= max_steps:
-            return SubductionCertificate(f, steps, cur, complete=False)
-        coeff = Fraction(lc) / G.product_lt_coefficient(names)
-        nxt = cur.sub_scaled(coeff, G.product(names))
-        if not nxt.is_zero() and nxt.leading_monomial() >= lm:
-            raise SubductionError("subduction step failed to decrease the leading term")
-        steps.append(SubductionStep(coeff, names))
-        cur = nxt
-    return SubductionCertificate(f, steps, cur, complete=True)
+    return _cancel(f, G, _UNIT_PREFIX, max_steps)
 
 
 def x_ideal_membership(
@@ -281,36 +266,50 @@ def x_ideal_membership(
     """Write f as sum of prefix * (generator product) * coefficient.
 
     Each step cancels the leading term by a prefix variable times a
-    generator-product leading term; no prefixed factorization means
-    failure, reported with the stuck monomial.
+    generator-product leading term, trying the prefixes in order; no
+    prefixed factorization means failure, reported with the stuck monomial.
+    """
+    at = [(p, G.ambient.index(p)) for p in prefixes]
+    return _cancel(f, G, [(p, i, Monomial(((i, 1),))) for p, i in at], max_steps)
+
+
+# (prefix name, variable index, prefix monomial) of the unit prefix
+_UNIT_PREFIX = [(None, -1, None)]
+
+
+def _cancel(
+    f: Polynomial, G: GeneratorSet, prefixes: Sequence[tuple], max_steps: int
+) -> SubductionCertificate:
+    """The cancellation loop of ``subduct`` and ``x_ideal_membership``.
+
+    Each step cancels the leading term by coefficient * prefix * product
+    of generators, for the first prefix that divides the leading monomial
+    and leaves a quotient with a factorization over G.
     """
     if max_steps < 1:
         raise SubductionError("max_steps must be >= 1")
-    indices = []
-    for p in prefixes:
-        idx = G.ambient.index(p)
-        indices.append((p, idx, Monomial(((idx, 1),))))
     steps: list[SubductionStep] = []
     cur = f
     while not cur.is_zero():
         lm, lc = cur.leading_term()
-        chosen: tuple[str, Monomial, tuple[str, ...]] | None = None
-        for p, idx, var in indices:
-            if lm.exponent(idx) >= 1:
-                names = G.factorization(lm.divide(var))
-                if names is not None:
-                    chosen = (p, var, names)
-                    break
-        if chosen is None:
+        for prefix, idx, shift in prefixes:
+            if shift is None:
+                names = G.factorization(lm)
+            elif lm.exponent(idx):
+                names = G.factorization(lm.divide(shift))
+            else:
+                continue
+            if names is not None:
+                break
+        else:
             return SubductionCertificate(f, steps, cur, complete=True, stuck=lm)
         if len(steps) >= max_steps:
-            return SubductionCertificate(f, steps, cur, complete=False, stuck=None)
-        p, var, names = chosen
+            return SubductionCertificate(f, steps, cur, complete=False)
         coeff = Fraction(lc) / G.product_lt_coefficient(names)
-        nxt = cur.sub_scaled(coeff, G.product(names), var)
+        nxt = cur.sub_scaled(coeff, G.product(names), shift)
         if not nxt.is_zero() and nxt.leading_monomial() >= lm:
-            raise SubductionError("prefixed step failed to decrease the leading term")
-        steps.append(SubductionStep(coeff, names, prefix=p))
+            raise SubductionError("subduction step failed to decrease the leading term")
+        steps.append(SubductionStep(coeff, names, prefix))
         cur = nxt
     return SubductionCertificate(f, steps, cur, complete=True)
 

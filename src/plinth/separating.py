@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .derivation import Derivation
-from .polyring import PolyError
+from .derivation import Derivation, horner
+from .polyring import PolyError, coefficient_value
 from .report import Checker, VerificationReport
 from .sagbi import GeneratorSet
 
@@ -27,9 +27,10 @@ Point = dict[str, Fraction]
 
 
 def make_point(ambient_names: Sequence[str], values: Sequence[Fraction | int]) -> Point:
+    """A point from rational coordinates; PolyError if one is not rational."""
     if len(ambient_names) != len(values):
         raise PolyError("coordinate count mismatch")
-    return {name: Fraction(v) for name, v in zip(ambient_names, values)}
+    return {n: Fraction(coefficient_value(v)) for n, v in zip(ambient_names, values)}
 
 
 def point_text(point: Mapping[str, Fraction]) -> str:
@@ -96,14 +97,11 @@ def flow_equations(
     """Coefficients [c_0, c_1, ...] in s of flow_s(v)[name] - v'[name].
 
     One list per coordinate, in ambient order, with no trailing zero (the
-    empty list is the zero equation).  Each coefficient of the symbolic
-    flow is evaluated at v by the integer kernel of ``polyring``.
+    empty list is the zero equation): the flow of v (``flow_at``) less v'.
     """
-    nums, den = D.ambient.integer_point(v)
     equations = []
-    for name, coeffs in D.flow_coefficients().items():
-        eq = [c.evaluate_integer(nums, den) for c in coeffs]
-        eq[0] -= Fraction(v_prime[name])
+    for name, eq in D.flow_at(v).items():
+        eq[0] -= coefficient_value(v_prime[name])
         while eq and eq[-1] == 0:
             eq.pop()
         equations.append(eq)
@@ -127,13 +125,6 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     while b:
         a, b = b, _poly_mod(a, b)
     return a
-
-
-def _eval_coeffs(coeffs: Sequence[Fraction], s: Fraction) -> Fraction:
-    total = Fraction(0)
-    for c in reversed(coeffs):
-        total = total * s + c
-    return total
 
 
 def solve_group_element(
@@ -167,7 +158,7 @@ def solve_group_element(
     if k == 0:
         return None
     s0 = Fraction(-g[k - 1], k * g[k])
-    if all(_eval_coeffs(e, s0) == 0 for e in nonzero):
+    if all(horner(e, s0) == 0 for e in nonzero):
         return s0
     return None
 

@@ -3,11 +3,24 @@ from fractions import Fraction
 
 import pytest
 
+from plinth.casebook import danielewski_derivation
 from plinth.derivation import Derivation, NotCertifiedError, extend_by_zero
-from plinth.polyring import Polynomial, VariableSet, WeightSystem
+from plinth.polyring import PolyError, Polynomial, VariableSet, WeightSystem
 from plinth.roberts import roberts_action
 from plinth.sl2 import RepSum, build_raising_derivation
-from util import brute_monomials, lex_key, naive_nullspace, random_poly
+from util import (
+    brute_monomials,
+    fraction_evaluate,
+    is_canonical,
+    lex_key,
+    naive_nullspace,
+    nilpotency_orders,
+    oracle_exp_flow,
+    oracle_flow_coefficients,
+    oracle_flow_images,
+    oracle_flow_point,
+    random_poly,
+)
 
 RA = roberts_action()
 R7 = RA.ring
@@ -122,6 +135,89 @@ def test_flow_point_matches_numeric_flow():
         "y1": Fraction(5), "y2": Fraction(40), "y3": Fraction(135),
         "z": Fraction(180),
     }
+
+
+FLOW_CASES = ["roberts", "danielewski", "V[4]+V[2]", "lift"]
+
+
+def _flow_case(which: str) -> Derivation:
+    if which == "roberts":
+        return D
+    if which == "danielewski":
+        return danielewski_derivation()
+    if which == "lift":
+        # both default parameter names are taken by variables of the lift
+        return extend_by_zero(D, R7.extend(("t", "s")))
+    return build_raising_derivation(RepSum.parse(which))
+
+
+def _rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+@pytest.mark.parametrize("which", FLOW_CASES)
+def test_flow_matches_extended_ring_oracle(which):
+    Dc = _flow_case(which)
+    for param in ("s", "t", Dc.ambient.names[0]):
+        extended, images = Dc.flow_images(param)
+        want_extended, want = oracle_flow_images(Dc, param)
+        assert extended == want_extended and extended.names[-1] not in Dc.ambient
+        assert images == want
+        assert all(is_canonical(f) for f in images.values())
+    coeffs = Dc.flow_coefficients()
+    assert coeffs == oracle_flow_coefficients(Dc)
+    rng = random.Random(sum(map(ord, which)))
+    for _ in range(6):
+        f = random_poly(rng, Dc.ambient, max_exp=2)
+        assert Dc.exp_flow(f) == oracle_exp_flow(Dc, f)
+        assert Dc.exp_flow(f, param="t") == oracle_exp_flow(Dc, f, param="t")
+        s = _rational(rng)
+        assert Dc.exp_flow(f, s) == oracle_exp_flow(Dc, f, s)
+    for _ in range(20):
+        point = {n: _rational(rng) for n in Dc.ambient.names}
+        s = _rational(rng)
+        assert Dc.flow_at(point) == {
+            n: [fraction_evaluate(c, point) for c in series] for n, series in coeffs.items()
+        }
+        assert Dc.flow_point(point, s) == oracle_flow_point(Dc, point, s)
+
+
+@pytest.mark.parametrize("which", FLOW_CASES)
+def test_witness_orders_are_the_series_lengths(which):
+    Dc = _flow_case(which)
+    orders = nilpotency_orders(Dc)
+    assert dict(Dc.witness.orders) == orders
+    assert {n: len(c) for n, c in Dc.flow_coefficients().items()} == orders
+
+
+def test_certify_bound_message_is_unchanged():
+    fresh = Derivation(R7, D.images)
+    with pytest.raises(
+        NotCertifiedError, match=r"^D\^1\(y1\) still nonzero; not certified within bound$"
+    ):
+        fresh.certify_locally_nilpotent(bound=1)
+    assert fresh.witness is None
+    assert fresh.certify_locally_nilpotent(bound=2) == D.witness
+    A = VariableSet(("x",))
+    E = Derivation(A, {"x": A.variable("x")})
+    with pytest.raises(
+        NotCertifiedError, match=r"^D\^6\(x\) still nonzero; not certified within bound$"
+    ):
+        E.certify_locally_nilpotent(bound=6)
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/2"])
+def test_flow_rejects_non_rational_times_and_points(bad):
+    point = {n: Fraction(1, 2) for n in R7.names}
+    for call in (
+        lambda: D.flow_point(point, bad),
+        lambda: D.flow_point({**point, "y2": bad}, 1),
+        lambda: D.flow_at({**point, "z": bad}),
+        lambda: D.exp_flow(R7.variable("y1"), bad),
+    ):
+        with pytest.raises(PolyError) as err:
+            call()
+        assert repr(bad) in str(err.value) and "\n" not in str(err.value)
 
 
 def test_weight_shift_inferred():

@@ -18,6 +18,7 @@ from plinth.sagbi import (
 )
 from util import (
     deepening_factorization,
+    random_poly,
     fraction_mul,
     fraction_scale,
     fraction_sub,
@@ -352,6 +353,8 @@ def _assert_matches_fraction_oracle(cert, f, G, prefixes=()):
     assert [(s.coefficient, s.factors, s.prefix) for s in cert.steps] == steps
     assert all(type(s.coefficient) is Fraction for s in cert.steps)
     assert cert.remainder._terms == remainder and is_canonical(cert.remainder)
+    assert cert.complete
+    assert cert.stuck == (max(remainder) if remainder else None)
     assert cert.replay(G) == f
 
 
@@ -398,3 +401,66 @@ def test_tete_a_tete_difference_integer_leading_coefficients():
     )
     assert diff._terms == want and is_canonical(diff)
     assert str(diff) == "z*y + 1/4*y^2 - 1/3*x"
+
+
+X_PREFIXES = ("x1", "x2", "x3")
+
+
+@pytest.mark.parametrize("N, bound", [(0, 10), (1, 6), (2, 6)])
+def test_certificates_match_fraction_oracle_on_tete_a_tetes(N, bound):
+    G = RA.catalog(N)
+    xs = [R7.variable(x) for x in X_PREFIXES]
+    diffs = [tete_a_tete_difference(G, tt) for tt in tete_a_tetes(G, bound)]
+    assert len(diffs) >= 20
+    for k, diff in enumerate(diffs):
+        cert = subduct(diff, G)
+        _assert_matches_fraction_oracle(cert, diff, G)
+        assert cert.ok
+        # two prefixes divide every leading monomial, so their order matters
+        f = xs[k % 3] * xs[(k + 1) % 3] * diff
+        cert = x_ideal_membership(f, G, X_PREFIXES)
+        _assert_matches_fraction_oracle(cert, f, G, X_PREFIXES)
+
+
+def test_certificates_match_fraction_oracle_on_seeded_polynomials():
+    rng = random.Random(2718)
+    G = RA.catalog(1)
+    names = G.names
+    stuck = prefixed = 0
+    for trial in range(60):
+        f = random_poly(rng, R7, max_terms=2, max_exp=2)
+        for _ in range(rng.randint(1, 3)):
+            factors = [rng.choice(names) for _ in range(rng.randint(1, 3))]
+            f = f + G.product(factors).scale(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        cert = subduct(f, G)
+        _assert_matches_fraction_oracle(cert, f, G)
+        stuck += cert.stuck is not None
+        prefixes = tuple(rng.sample(X_PREFIXES, rng.randint(1, 3)))
+        g = R7.variable(rng.choice(X_PREFIXES)) * f
+        cert = x_ideal_membership(g, G, prefixes)
+        _assert_matches_fraction_oracle(cert, g, G, prefixes)
+        prefixed += len(cert.steps)
+    assert stuck >= 10 and prefixed >= 40
+
+
+def test_incomplete_certificates_record_no_stuck_monomial():
+    G = RA.catalog(1)
+    f = RA.beta(1, 1) * RA.beta(2, 1) + RA.u12
+    cert = subduct(f, G, max_steps=1)
+    assert not cert.complete and cert.stuck is None and len(cert.steps) == 1
+    cert = x_ideal_membership(R7.variable("x1") * f, G, X_PREFIXES, max_steps=1)
+    assert not cert.complete and cert.stuck is None and len(cert.steps) == 1
+
+
+def test_failed_step_message_is_shared():
+    # a generator set whose leading terms lie: g's stored leading term is
+    # rewritten so that cancelling it cannot lower the leading monomial
+    G = GeneratorSet(XYZ, [("g", XYZ.poly("x"))])
+    G.polys["g"] = XYZ.poly("y")
+    G._prod_cache.clear()
+    for run in (
+        lambda: subduct(XYZ.poly("x"), G),
+        lambda: x_ideal_membership(XYZ.poly("x^2"), G, ("x",)),
+    ):
+        with pytest.raises(SubductionError, match="^subduction step failed to decrease"):
+            run()

@@ -48,6 +48,16 @@ def test_point_text_round():
         make_point(NAMES, (1, 2))
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_make_point_rejects_non_rational(bad):
+    with pytest.raises(PolyError) as err:
+        make_point(NAMES, (1, 2, 3, 0, 0, 0, bad))
+    assert repr(bad) in str(err.value) and "\n" not in str(err.value)
+    v = make_point(NAMES, (1, 2, 3, 0, 0, 0, 0))
+    with pytest.raises(PolyError):
+        flow_equations(v, dict(v, z=bad), RA.D)
+
+
 def test_separates_diagonal():
     v = make_point(NAMES, (1, 2, 3, 4, 5, 6, 7))
     rep = separates(v, v, RA.catalog(1))

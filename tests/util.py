@@ -8,8 +8,9 @@ boxes, graded enumeration that walks up from the least significant
 variable and sorts afterwards, beta(i, n) canonicalized by three
 eliminations of one system, an iterative-deepening leading-monomial factorization on
 ``Monomial`` objects, point evaluation with a ``Fraction`` for every
-power and partial sum, flow equations built by polynomial substitution,
-polynomial arithmetic and subduction over ``Fraction`` on plain term
+power and partial sum, the flow exp(s*D) summed term by term over the
+ring extended by its parameter, flow equations built by polynomial
+substitution into that flow, polynomial arithmetic and subduction over ``Fraction`` on plain term
 dicts, and sl2 invariants searched over every torus weight.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 from plinth import linalg
 from plinth.derivation import Derivation
@@ -332,14 +333,96 @@ def fraction_evaluate(f: Polynomial, point) -> Fraction:
     return total
 
 
+# -- the flow over the extended ring ------------------------------------------
+#
+# exp(s*D)(f) built term by term over the ring extended by the parameter:
+# D^k(f) lifted, scaled by 1/k! (from ``math.factorial``) and multiplied by
+# the polynomial s^k.  Nothing here reads the library's stored series.
+
+
+def oracle_exp_series(
+    D: Derivation, f: Polynomial, s: Polynomial, extended: VariableSet
+) -> Polynomial:
+    """sum_k s^k D^k(f) / k! over ``extended``; s may be a constant."""
+    total = extended.zero()
+    cur, k, s_power = f, 0, extended.one()
+    while not cur.is_zero():
+        total = total + cur.lift(extended).scale(Fraction(1, factorial(k))) * s_power
+        cur = D.apply(cur)
+        k += 1
+        s_power = s_power * s
+    return total
+
+
+def oracle_extended(D: Derivation, param: str = "s") -> VariableSet:
+    """The ambient of D extended by ``param``, with "_" appended until fresh."""
+    while param in D.ambient:
+        param += "_"
+    return D.ambient.extend((param,))
+
+
+def oracle_exp_flow(D: Derivation, f: Polynomial, s=None, param: str = "s") -> Polynomial:
+    """exp(s*D)(f): symbolic in a fresh parameter, or at a rational s."""
+    if s is not None:
+        return oracle_exp_series(D, f, D.ambient.constant(s), D.ambient)
+    extended = oracle_extended(D, param)
+    return oracle_exp_series(D, f, extended.variable(extended.names[-1]), extended)
+
+
+def oracle_flow_images(D: Derivation, param: str = "s"):
+    """(extended ring, variable -> exp(s*D)(variable)) over the extended ring."""
+    extended = oracle_extended(D, param)
+    s = extended.variable(extended.names[-1])
+    return extended, {
+        n: oracle_exp_series(D, D.ambient.variable(n), s, extended) for n in D.ambient.names
+    }
+
+
+def oracle_flow_coefficients(D: Derivation) -> dict[str, list[Polynomial]]:
+    """The oracle flow images grouped by the power of the parameter."""
+    extended, images = oracle_flow_images(D)
+    param = len(extended) - 1
+    out = {}
+    for name, f in images.items():
+        groups: dict[int, dict[Monomial, Fraction]] = {}
+        for m, c in f.terms():
+            k = m.exponent(param)
+            rest = Monomial((i, e) for i, e in m.pairs if i != param)
+            groups.setdefault(k, {})[rest] = c
+        out[name] = [
+            Polynomial(D.ambient, groups.get(k, {})) for k in range(max(groups) + 1)
+        ]
+    return out
+
+
+def oracle_flow_point(D: Derivation, point, s) -> dict[str, Fraction]:
+    """The oracle flow images evaluated at (point, s) with ``fraction_evaluate``."""
+    extended, images = oracle_flow_images(D)
+    values = {**point, extended.names[-1]: s}
+    return {n: fraction_evaluate(images[n], values) for n in D.ambient.names}
+
+
+def nilpotency_orders(D: Derivation) -> dict[str, int]:
+    """Smallest m with D^m(variable) = 0 per variable, by plain iteration
+    (D must be locally nilpotent)."""
+    orders = {}
+    for name in D.ambient.names:
+        cur, order = D.ambient.variable(name), 0
+        while not cur.is_zero():
+            cur, order = D.apply(cur), order + 1
+        orders[name] = order
+    return orders
+
+
 def substitute_flow_equations(v, v_prime, D: Derivation) -> list[list[Fraction]]:
     """Coefficients in s of flow_s(v)[name] - v'[name], one list per coordinate.
 
-    The point is substituted as constant polynomials into the symbolic
-    flow, leaving the parameter symbolic; the difference is read off as a
-    univariate coefficient list with no trailing zero.
+    The point is substituted as constant polynomials into the oracle's
+    symbolic flow (``oracle_flow_images``), leaving the parameter symbolic;
+    the difference is read off as a univariate coefficient list with no
+    trailing zero.
     """
-    extended, images = D.flow_images()
+    extended, images = oracle_flow_images(D)
     param = extended.names[-1]
     subs = {n: extended.constant(Fraction(v[n])) for n in D.ambient.names}
     subs[param] = extended.variable(param)
