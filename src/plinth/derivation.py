@@ -58,7 +58,6 @@ class GradedKernelBasis:
 
     degree: tuple[int, ...]
     basis: list[Polynomial]
-    restrict: tuple[str, ...] | None = None
 
     @property
     def dimension(self) -> int:
@@ -267,24 +266,14 @@ class Derivation:
             for vec in vectors
         ]
 
-    def graded_kernel(
-        self,
-        ws: WeightSystem,
-        degree: Sequence[int],
-        restrict: Sequence[str] | None = None,
-    ) -> GradedKernelBasis:
+    def graded_kernel(self, ws: WeightSystem, degree: Sequence[int]) -> GradedKernelBasis:
         """Basis of the kernel in one graded piece (exact linear algebra).
 
         Requires D weight-homogeneous for ``ws`` and a finite graded piece.
         """
         self.weight_shift(ws)  # validates homogeneity
-        mons = ws.monomial_basis(degree, restrict)
-        basis = self.kernel_on_monomials(mons)
-        return GradedKernelBasis(
-            tuple(int(x) for x in degree),
-            basis,
-            tuple(restrict) if restrict is not None else None,
-        )
+        basis = self.kernel_on_monomials(ws.monomial_basis(degree))
+        return GradedKernelBasis(tuple(int(x) for x in degree), basis)
 
     # -- slices ------------------------------------------------------------
 

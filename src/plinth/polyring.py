@@ -612,26 +612,31 @@ class WeightSystem:
                 return INHOMOGENEOUS
         return deg
 
-    def monomial_basis(
-        self, degree: Sequence[int], restrict: Sequence[str] | None = None
-    ) -> list[Monomial]:
+    def monomial_basis(self, degree: Sequence[int]) -> list[Monomial]:
         """All monomials of exactly the given multidegree, descending order.
 
         The walk fixes the exponents from the most significant variable down,
         each from its largest feasible value to 0, so the monomials come out
-        in descending order without a sort.
+        in descending order without a sort.  A variable that is the last one
+        with positive weight on some coordinate has a forced exponent: the
+        remainder on that coordinate over its weight there.  A branch stops
+        at once where that weight does not divide the remainder, where the
+        quotient exceeds what the other coordinates leave, or where two
+        coordinates the variable closes disagree, so every leaf of the walk
+        is an output.  When each closing variable has weight 1 on the one
+        coordinate it closes and 0 elsewhere, as x1, x2, x3 do for Roberts,
+        no branch stops early and the walk is linear in its output.
 
         Finiteness requires every weight entry to be nonnegative and every
-        (restricted) variable to have at least one strictly positive weight
-        coordinate; otherwise InfiniteGradedPieceError is raised.
+        variable to have at least one strictly positive weight coordinate;
+        otherwise InfiniteGradedPieceError is raised.
         """
         degree = tuple(int(x) for x in degree)
         if len(degree) != self.rank:
             raise PolyError(f"degree of rank {len(degree)}, expected {self.rank}")
-        names = self.ambient.names if restrict is None else restrict
-        indices = sorted({self.ambient.index(name) for name in names}, reverse=True)
-        for i in indices:
-            w = self.weights[i]
+        weights = self.weights
+        for i in range(len(weights) - 1, -1, -1):
+            w = weights[i]
             if any(x < 0 for x in w):
                 raise InfiniteGradedPieceError(
                     f"negative weight on {self.ambient.names[i]!r}"
@@ -640,30 +645,49 @@ class WeightSystem:
                 raise InfiniteGradedPieceError(
                     f"variable {self.ambient.names[i]!r} has zero weight vector"
                 )
+        # positive[i]: coordinates where variable i has positive weight;
+        # closes[i]: those where it is the last such variable of the walk
+        positive = [[j for j, x in enumerate(w) if x > 0] for w in weights]
+        closes: list[list[int]] = [[] for _ in weights]
+        for j in range(self.rank):
+            last = next((i for i, p in enumerate(positive) if j in p), None)
+            if last is not None:
+                closes[last].append(j)
+            elif degree[j]:
+                return []
+        if any(x < 0 for x in degree):
+            return []
         out: list[Monomial] = []
         chosen: list[tuple[int, int]] = []
 
-        def walk(pos: int, remaining: tuple[int, ...]) -> None:
-            if pos == len(indices):
-                if all(x == 0 for x in remaining):
-                    out.append(Monomial._raw(tuple(reversed(chosen))))
+        def walk(i: int, remaining: tuple[int, ...]) -> None:
+            if i < 0:
+                out.append(Monomial._raw(tuple(reversed(chosen))))
                 return
-            i = indices[pos]
-            w = self.weights[i]
-            # every remainder stays nonnegative: e <= remaining[j] // w[j]
-            cap = min(
-                remaining[j] // w[j] for j in range(self.rank) if w[j] > 0
-            )
-            for e in range(cap, -1, -1):
-                rem = tuple(remaining[j] - e * w[j] for j in range(self.rank))
-                if e:
-                    chosen.append((i, e))
-                walk(pos + 1, rem)
-                if e:
-                    chosen.pop()
+            w = weights[i]
+            if closes[i]:
+                j, *others = closes[i]
+                e, r = divmod(remaining[j], w[j])
+                if (
+                    r
+                    or any(remaining[k] != e * w[k] for k in others)
+                    or any(remaining[k] < e * w[k] for k in positive[i])
+                ):
+                    return
+                exponents = (e,)
+            else:
+                # every remainder stays nonnegative: e <= remaining[j] // w[j]
+                cap = min(remaining[j] // w[j] for j in positive[i])
+                exponents = range(cap, -1, -1)
+            for e in exponents:
+                if not e:
+                    walk(i - 1, remaining)
+                    continue
+                chosen.append((i, e))
+                walk(i - 1, tuple(r - e * x for r, x in zip(remaining, w)))
+                chosen.pop()
 
-        if all(x >= 0 for x in degree):
-            walk(0, degree)
+        walk(len(weights) - 1, degree)
         return out
 
 

@@ -46,6 +46,16 @@ def test_point_text_round():
     assert parse_point(NAMES, point_text(v)) == v
     with pytest.raises(PolyError):
         make_point(NAMES, (1, 2))
+    for text, field in (
+        ("1,x,3,0,0,0,0", "x"),
+        ("1/0,2,3,0,0,0,0", "1/0"),
+        ("1,,3,0,0,0,0", ""),
+    ):
+        with pytest.raises(PolyError) as err:
+            parse_point(NAMES, text)
+        assert repr(field) in str(err.value) and "\n" not in str(err.value)
+    with pytest.raises(PolyError):
+        parse_point(NAMES, "1,2")
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2"])

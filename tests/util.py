@@ -194,18 +194,13 @@ def brute_monomials(
     return found
 
 
-def sorted_walk_monomial_basis(
-    ws: WeightSystem, degree: tuple[int, ...], restrict: list[str] | None = None
-) -> list[Monomial]:
+def sorted_walk_monomial_basis(ws: WeightSystem, degree: tuple[int, ...]) -> list[Monomial]:
     """``WeightSystem.monomial_basis`` by the earlier route.
 
-    The walk takes the variables in the given order with each exponent
-    rising from 0, and the result is sorted descending afterwards.
+    The walk takes the variables in index order with each exponent rising
+    from 0, and the result is sorted descending afterwards.
     """
-    if restrict is None:
-        indices = list(range(len(ws.ambient)))
-    else:
-        indices = [ws.ambient.index(name) for name in restrict]
+    indices = list(range(len(ws.ambient)))
     out: list[Monomial] = []
     chosen: list[tuple[int, int]] = []
 
@@ -230,6 +225,17 @@ def sorted_walk_monomial_basis(
         walk(0, tuple(degree))
     out.sort(reverse=True)
     return out
+
+
+def xy_graded_kernel(action: RobertsAction, degree: tuple[int, ...]) -> list[Polynomial]:
+    """Basis of one graded piece of ker D in k[x1, x2, x3, y1, y2, y3].
+
+    D maps the z-free polynomials to themselves, so this is the kernel of D
+    on the z-free monomials of the given multidegree.
+    """
+    z = action.ring.index("z")
+    mons = [m for m in action.weights.monomial_basis(degree) if not m.exponent(z)]
+    return action.D.kernel_on_monomials(mons)
 
 
 def beta_system(action: RobertsAction, i: int, n: int):
