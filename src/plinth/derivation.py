@@ -94,16 +94,14 @@ class Derivation:
         if f.ambient != self.ambient:
             raise VariableMismatchError("polynomial over a different variable set")
         names = self.ambient.names
+        x = [Monomial(((i, 1),)) for i in range(len(names))]
         total = self.ambient.zero()
         for m, c in f.terms():
             for i, e in m.pairs:
                 g = self.images[names[i]]
                 if g.is_zero():
                     continue
-                lowered = Monomial(
-                    (j, ee - 1 if j == i else ee) for j, ee in m.pairs
-                )
-                total = total.sub_scaled(-c * e, g, lowered)
+                total = total.sub_scaled(-c * e, g, m.divide(x[i]))
         return total
 
     def is_invariant(self, f: Polynomial) -> bool:

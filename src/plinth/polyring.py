@@ -7,8 +7,9 @@ pieces they cut out.
 
 Coefficients are stored in one canonical form: an integral value as a
 plain ``int``, any other as a ``fractions.Fraction``, and no zero term.
-The public ``Polynomial(ambient, terms)`` brings every value to that form
-and rejects anything that is not rational (a ``float`` above all);
+The public ``Polynomial(ambient, terms)`` brings every value to that form,
+rejects anything that is not rational (a ``float`` above all) and any key
+that is not a ``Monomial`` over the ambient's variables;
 arithmetic keeps it and builds its results through the trusted
 ``Polynomial._raw``, which skips the check.  Integer-coefficient
 polynomials, the common case, so run entirely over Python ints.  Since
@@ -16,9 +17,13 @@ polynomials, the common case, so run entirely over Python ints.  Since
 ``str(3) == str(Fraction(3))``, a stored ``int`` compares, hashes and
 prints as the ``Fraction`` would.
 
-There is one monomial order, lex in declaration order with the last
-declared variable most significant: over ``("x1", ..., "z")`` it is
-x1 < x2 < ... < z.  ``Monomial`` compares in this order directly.
+A ``Monomial`` is an ``int`` whose bits [32 * i, 32 * i + 32) hold the
+exponent of variable index i.  The top bit of each field is a guard bit, so
+an exponent is at most 2^31 - 1; a larger one, whether read or made by a
+product, raises PolyError.  There is one monomial order, lex in
+declaration order with the last declared variable most significant: over
+``("x1", ..., "z")`` it is x1 < x2 < ... < z.  With the highest index in
+the top bits, that is integer order.
 
 Everything is exact; no floating point appears anywhere.  All values are
 immutable after construction and safe to share between threads.  Point
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from numbers import Rational
 from operator import itemgetter
@@ -69,15 +75,30 @@ ANY_DEGREE = "any"
 INHOMOGENEOUS = "inhomogeneous"
 
 
+FIELD_BITS = 32  # bits per exponent field; the top one is a guard bit
+MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+@cache
+def _guard_mask(bits: int) -> int:
+    """The guard bits of the exponent fields that hold bits 0 .. bits - 1."""
+    fields = -(-bits // FIELD_BITS)
+    return ((1 << FIELD_BITS * fields) - 1) // _FIELD_MASK << FIELD_BITS - 1
+
+
 class VariableSet:
     """An ordered set of variable names.
 
     The declaration order is the lex order, lowest first: the last name is
     the most significant variable, so ``VariableSet(("x1", ..., "z"))``
     makes ``z`` dominate, matching the convention x1 < x2 < ... < z.
+
+    An integer m is a monomial over the set exactly when ``m & invalid_bits``
+    is 0; for monomials a, b over it, b divides a exactly when a - b is one.
     """
 
-    __slots__ = ("names", "_index", "_hash")
+    __slots__ = ("names", "_index", "_hash", "invalid_bits")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -88,6 +109,8 @@ class VariableSet:
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
         self._hash = hash(names)
+        bits = FIELD_BITS * len(names)
+        self.invalid_bits = _guard_mask(bits) | -1 << bits
 
     def __len__(self) -> int:
         return len(self.names)
@@ -160,90 +183,79 @@ class VariableSet:
         return nums, den
 
 
-class Monomial:
-    """A sparse monomial: (variable index, exponent) pairs, no zero exponents.
+class Monomial(int):
+    """A monomial packed into a nonnegative integer (see the module docstring).
 
-    Each variable index appears at most once; a repeated index is rejected.
-    Monomials are totally ordered by lex: the exponent of the highest
-    variable index decides first.  On the ascending ``pairs`` that is tuple
-    comparison of ``pairs[::-1]``.
+    Hash, equality and order are ``int``'s own.  A product is an addition
+    and a quotient a subtraction, both checked on the guard bits, so neither
+    ever carries into the next variable.  ``pairs`` (ascending (index,
+    exponent) pairs, no zero exponent), ``degree`` and ``exponent`` read the
+    fields back.  ``Monomial(pairs)`` takes int indices >= 0, each at most
+    once, and int exponents in 0 .. MAX_EXPONENT; a zero exponent is dropped.
     """
 
-    __slots__ = ("pairs", "_hash")
+    __slots__ = ()
 
-    def __init__(self, pairs: Iterable[tuple[int, int]]):
-        cleaned = tuple(sorted((i, e) for i, e in pairs if e != 0))
-        prev = None
-        for i, e in cleaned:
-            if e < 0:
-                raise PolyError(f"negative exponent on variable index {i}")
-            if i == prev:
+    def __new__(cls, pairs: Iterable[tuple[int, int]]) -> "Monomial":
+        packed = 0
+        for i, e in pairs:
+            if type(i) is not int or type(e) is not int or i < 0:
+                raise PolyError(f"monomial pair {(i, e)!r} is not two ints, index >= 0")
+            if not 0 <= e <= MAX_EXPONENT:
+                raise PolyError(
+                    f"exponent {e} of index {i} is negative or above the limit 2^31 - 1"
+                )
+            if packed >> FIELD_BITS * i & _FIELD_MASK and e:
                 raise PolyError(f"duplicate variable index {i}")
-            prev = i
-        self.pairs = cleaned
-        self._hash = hash(cleaned)
-
-    @classmethod
-    def _raw(cls, pairs: tuple[tuple[int, int], ...]) -> "Monomial":
-        """Trusted constructor: ``pairs`` is sorted by index, with distinct
-        indices and positive exponents."""
-        self = object.__new__(cls)
-        self.pairs = pairs
-        self._hash = hash(pairs)
-        return self
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return self._hash
+            packed |= e << FIELD_BITS * i
+        return int.__new__(cls, packed)
 
     def __repr__(self) -> str:
         return f"Monomial({self.pairs!r})"
 
-    def __lt__(self, other: "Monomial") -> bool:
-        return self.pairs[::-1] < other.pairs[::-1]
+    def __getnewargs__(self) -> tuple:  # pickle and copy revalidate
+        return (self.pairs,)
 
-    def __gt__(self, other: "Monomial") -> bool:
-        return self.pairs[::-1] > other.pairs[::-1]
-
-    def __le__(self, other: "Monomial") -> bool:
-        return self.pairs[::-1] <= other.pairs[::-1]
-
-    def __ge__(self, other: "Monomial") -> bool:
-        return self.pairs[::-1] >= other.pairs[::-1]
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        out = []
+        x, i = int(self), 0
+        while x:
+            if x & _FIELD_MASK:
+                out.append((i, x & _FIELD_MASK))
+            x >>= FIELD_BITS
+            i += 1
+        return tuple(out)
 
     def is_one(self) -> bool:
-        return not self.pairs
+        return not self
 
     def degree(self) -> int:
         return sum(e for _, e in self.pairs)
 
     def exponent(self, index: int) -> int:
-        for i, e in self.pairs:
-            if i == index:
-                return e
-        return 0
+        return self >> FIELD_BITS * index & _FIELD_MASK
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        d = dict(self.pairs)
-        for i, e in other.pairs:
-            d[i] = d.get(i, 0) + e
-        return Monomial._raw(tuple(sorted(d.items())))
+        p = int.__add__(self, other)
+        if p & _guard_mask(p.bit_length()):
+            raise PolyError(f"{self!r} * {other!r}: exponent above the limit 2^31 - 1")
+        return _packed(p)
 
     def divides(self, other: "Monomial") -> bool:
-        om = dict(other.pairs)
-        return all(om.get(i, 0) >= e for i, e in self.pairs)
+        return not (other - self) & _guard_mask(self.bit_length())
 
     def divide(self, other: "Monomial") -> "Monomial":
         """Exact quotient self / other; raises if not divisible."""
-        d = dict(self.pairs)
-        for i, e in other.pairs:
-            r = d.get(i, 0) - e
-            if r < 0:
-                raise PolyError(f"{self!r} not divisible by {other!r}")
-            d[i] = r
-        return Monomial._raw(tuple(sorted((i, e) for i, e in d.items() if e)))
+        q = self - other
+        if q & _guard_mask(other.bit_length()):
+            raise PolyError(f"{self!r} not divisible by {other!r}")
+        return _packed(q)
+
+
+def _packed(x: int) -> Monomial:
+    """Trusted constructor: x is a packed monomial with no guard bit set."""
+    return int.__new__(Monomial, x)
 
 
 MONOMIAL_ONE = Monomial(())
@@ -275,7 +287,10 @@ class Polynomial:
 
     def __init__(self, ambient: VariableSet, terms: Mapping[Monomial, Rational]):
         clean: dict[Monomial, Coefficient] = {}
+        invalid = ambient.invalid_bits
         for m, c in terms.items():
+            if type(m) is not Monomial or m & invalid:
+                raise PolyError(f"term key {m!r} is not a monomial over {ambient!r}")
             if type(c) is not int:
                 c = coefficient_value(c)
             if c:
@@ -372,7 +387,8 @@ class Polynomial:
     ) -> "Polynomial":
         """self - c * shift * g in one pass, building no scaled copy of g.
 
-        ``c`` is any rational; ``shift`` defaults to the monomial 1.
+        ``c`` is any rational; ``shift`` defaults to the monomial 1.  A
+        shifted exponent above MAX_EXPONENT raises PolyError.
         """
         self._check(g)
         if type(c) is not int:
@@ -381,8 +397,13 @@ class Polynomial:
         if not c:
             return Polynomial._raw(self.ambient, d)
         terms = g._terms.items()
-        if shift is not None and shift.pairs:
-            terms = [(m * shift, v) for m, v in terms]
+        if shift:
+            terms = [(_packed(m + shift), v) for m, v in terms]
+            if any(m & self.ambient.invalid_bits for m, _ in terms):
+                raise PolyError(
+                    f"shift {shift!r} makes a term with a variable outside {self.ambient!r}"
+                    " or an exponent above the limit 2^31 - 1"
+                )
         for m, v in terms:
             s = d.get(m, 0) - c * v
             if type(s) is not int and s.denominator == 1:
@@ -403,10 +424,13 @@ class Polynomial:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        invalid = self.ambient.invalid_bits
         d: dict[Monomial, Coefficient] = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = m1 * m2
+                m = _packed(m1 + m2)
+                if m & invalid:
+                    raise PolyError(f"{m1!r} * {m2!r}: exponent above the limit 2^31 - 1")
                 s = d.get(m, 0) + c1 * c2
                 if type(s) is not int and s.denominator == 1:
                     s = s.numerator
@@ -629,7 +653,8 @@ class WeightSystem:
 
         Finiteness requires every weight entry to be nonnegative and every
         variable to have at least one strictly positive weight coordinate;
-        otherwise InfiniteGradedPieceError is raised.
+        otherwise InfiniteGradedPieceError is raised.  A degree entry above
+        MAX_EXPONENT raises PolyError.
         """
         degree = tuple(int(x) for x in degree)
         if len(degree) != self.rank:
@@ -657,12 +682,13 @@ class WeightSystem:
                 return []
         if any(x < 0 for x in degree):
             return []
+        if max(degree) > MAX_EXPONENT:  # no exponent can exceed max(degree)
+            raise PolyError(f"degree {degree} has an entry above the limit 2^31 - 1")
         out: list[Monomial] = []
-        chosen: list[tuple[int, int]] = []
 
-        def walk(i: int, remaining: tuple[int, ...]) -> None:
+        def walk(i: int, remaining: tuple[int, ...], packed: int) -> None:
             if i < 0:
-                out.append(Monomial._raw(tuple(reversed(chosen))))
+                out.append(_packed(packed))
                 return
             w = weights[i]
             if closes[i]:
@@ -681,13 +707,15 @@ class WeightSystem:
                 exponents = range(cap, -1, -1)
             for e in exponents:
                 if not e:
-                    walk(i - 1, remaining)
+                    walk(i - 1, remaining, packed)
                     continue
-                chosen.append((i, e))
-                walk(i - 1, tuple(r - e * x for r, x in zip(remaining, w)))
-                chosen.pop()
+                walk(
+                    i - 1,
+                    tuple(r - e * x for r, x in zip(remaining, w)),
+                    packed + (e << FIELD_BITS * i),
+                )
 
-        walk(len(weights) - 1, degree)
+        walk(len(weights) - 1, degree, 0)
         return out
 
 
@@ -729,7 +757,7 @@ def parse_polynomial(ambient: VariableSet, text: str) -> Polynomial:
         pos += 1
         return int(tok)
 
-    def parse_factor() -> tuple[Fraction, dict[int, int]]:
+    def parse_factor() -> tuple[Fraction, Monomial]:
         nonlocal pos
         tok = peek()
         if tok is None:
@@ -742,8 +770,8 @@ def parse_polynomial(ambient: VariableSet, text: str) -> Polynomial:
                 den = parse_nat()
                 if den == 0:
                     raise PolyError("zero denominator")
-                return Fraction(num, den), {}
-            return Fraction(num), {}
+                return Fraction(num, den), MONOMIAL_ONE
+            return Fraction(num), MONOMIAL_ONE
         if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
             pos += 1
             idx = ambient.index(tok)
@@ -751,23 +779,20 @@ def parse_polynomial(ambient: VariableSet, text: str) -> Polynomial:
             if peek() == "^":
                 pos += 1
                 exp = parse_nat()
-            return Fraction(1), {idx: exp}
+            return Fraction(1), Monomial(((idx, exp),))
         raise PolyError(f"unexpected token {tok!r} in {text!r}")
 
     def parse_term(sign: int) -> None:
         nonlocal pos
-        coef = Fraction(sign)
-        exps: dict[int, int] = {}
+        coef, m = Fraction(sign), MONOMIAL_ONE
         while True:
             c, e = parse_factor()
             coef *= c
-            for i, n in e.items():
-                exps[i] = exps.get(i, 0) + n
+            m *= e
             if peek() == "*":
                 pos += 1
                 continue
             break
-        m = Monomial(exps.items())
         s = terms.get(m, Fraction(0)) + coef
         if s:
             terms[m] = s

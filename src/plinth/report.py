@@ -36,7 +36,7 @@ class VerificationReport:
         return self.status == PASS
 
     def to_dict(self) -> dict[str, Any]:
-        # fixed field order for byte-stable JSON
+        # fixed field order; ``ms`` changes from run to run, the rest does not
         return {
             "id": self.check_id,
             "anchor": self.anchor,

@@ -2,8 +2,8 @@
 
 Given named generators of a subalgebra of a polynomial ring, the leading
 terms generate a monomial algebra.  Membership of a monomial in that
-algebra is decided by one memoized search per generator set over
-exponents packed into integers; subduction repeatedly cancels the leading
+algebra is decided by one memoized search per generator set, run on
+``Monomial``'s packed integers; subduction repeatedly cancels the leading
 term of a polynomial by a product of generators and leaves a replayable
 certificate.  A generating set is verified to be a SAGBI basis (up to a
 degree bound) by subducting every tete-a-tete difference to zero.
@@ -60,11 +60,11 @@ class GeneratorSet:
         self._search_names = [
             name for name in self.names if not self.lt[name][0].is_one()
         ]
-        # memo of the least factorizations, keyed by packed monomial and
-        # first usable search index; see _best
+        # memo of the least factorizations, keyed by monomial and first
+        # usable search index; see _best
         self._memo: dict[int, int] = {}
         self._slots = max(len(self._search_names), 1)
-        self._set_width(0)
+        self._lts = [int(self.lt[name][0]) for name in self._search_names]
         self._prod_cache: dict[tuple[str, ...], Polynomial] = {}
 
     def __len__(self) -> int:
@@ -95,46 +95,23 @@ class GeneratorSet:
     def factorization(self, m: Monomial) -> tuple[str, ...] | None:
         """Multiset of generator names whose leading monomials multiply to m.
 
-        Memoized search over packed exponents (see ``_best``), shared by
-        every query on this generator set.  Ties break toward the fewest
+        Memoized search over the monomial algebra (see ``_best``), shared
+        by every query on this generator set.  Ties break toward the fewest
         factors, then the lexicographically smallest name sequence, so
         certificates are deterministic.
         """
-        top = max((e for _, e in m.pairs), default=0)
-        if top >> (self._width - 1):
-            self._set_width(top)
-        width, slots, memo = self._width, self._slots, self._memo
-        rem = sum(e << (width * i) for i, e in m.pairs)
+        rem, slots, memo = int(m), self._slots, self._memo
         if self._best(rem, 0) < 0:
             return None
         names, start = [], 0
         while rem:
             start = memo[rem * slots + start] % slots
             names.append(self._search_names[start])
-            rem -= self._packed_lts[start]
+            rem -= self._lts[start]
         return tuple(names)
 
-    def _set_width(self, top: int) -> None:
-        """Pack exponents up to ``top`` and those of the leading monomials
-        into one field per variable, at least 8 bits wide.
-
-        The top bit of each field is a guard bit: for packed a and b,
-        b divides a exactly when ``(a + guard - b) & guard == guard``, and
-        then a - b is the packed quotient.  The memo keys hold packed
-        monomials, so a new width clears the memo.
-        """
-        lts = [self.lt[name][0].pairs for name in self._search_names]
-        top = max([top] + [e for pairs in lts for _, e in pairs])
-        width = 8
-        while top >> (width - 1):
-            width *= 2
-        self._width = width
-        self._guard = sum(1 << (width * i + width - 1) for i in range(len(self.ambient)))
-        self._packed_lts = [sum(e << (width * i) for i, e in pairs) for pairs in lts]
-        self._memo.clear()
-
     def _best(self, rem: int, start: int) -> int:
-        """Least factorization of packed ``rem`` over search indices >= start.
+        """Least factorization of monomial ``rem`` over search indices >= start.
 
         Factorizations are ordered by (factor count, name tuple); names are
         sorted, so within one count the smallest first index decides, and
@@ -150,17 +127,16 @@ class GeneratorSet:
         got = memo.get(rem * slots + start)
         if got is not None:
             return got
-        lts, guard, n = self._packed_lts, self._guard, len(self._packed_lts)
-        # frames: [packed monomial, memo key, next index to try, best code]
+        lts, invalid, n = self._lts, self.ambient.invalid_bits, len(self._lts)
+        # frames: [monomial, memo key, next index to try, best code]
         stack = [[rem, rem * slots + start, start, -1]]
         while stack:
             frame = stack[-1]
             rem, key, k, best = frame
-            high = rem + guard
             while k < n:
-                q = high - lts[k]
-                if q & guard == guard:
-                    q -= guard
+                # lts[k] divides rem exactly when q is a monomial
+                q = rem - lts[k]
+                if not q & invalid:
                     code = memo.get(q * slots + k) if q else 0
                     if code is None:
                         # solve the quotient first, then retry index k

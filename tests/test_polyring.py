@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -23,6 +25,7 @@ from plinth.polyring import (
 from plinth.roberts import RobertsAction, _degree_box
 from plinth.sl2 import RepSum
 from util import (
+    PairsMonomial,
     brute_monomials,
     fraction_add,
     fraction_evaluate,
@@ -445,9 +448,68 @@ def test_monomial_rejects_duplicate_index():
         Monomial([(0, 1), (0, 2)])
     with pytest.raises(PolyError):
         Monomial([(2, 1), (0, 1), (2, 1)])
+    # nor does it take a non-canonical pair: a fractional, float or string
+    # exponent, a negative or non-int index, or an exponent past the limit
+    for bad in (
+        ((0, 1.5),),
+        ((0, Fraction(2)),),
+        ((0, "2"),),
+        ((-1, 2),),
+        (("a", 1),),
+        ((1.0, 1),),
+        ((0, -1),),
+        ((3, 2**31),),
+        ((0, 1), (5, 2**40)),
+    ):
+        with pytest.raises(PolyError) as err:
+            Monomial(bad)
+        assert "\n" not in str(err.value)
+    assert Monomial([(3, 2**31 - 1)]).exponent(3) == 2**31 - 1
     # a zero exponent is dropped before the check, so it cannot collide
     assert Monomial([(0, 3), (0, 0)]) == Monomial([(0, 3)])
     assert Monomial([(0, 1)]) * Monomial([(0, 2)]) == Monomial([(0, 3)])
+
+
+def test_constructor_rejects_keys_off_the_ambient():
+    R = VariableSet(("x", "y"))
+    assert str(Polynomial(R, {Monomial(((1, 2),)): 1})) == "y^2"
+    off = (Monomial(((9, 1),)), Monomial(((2, 1),)), Monomial(((0, 1), (2, 1))))
+    for key in off + (5, 0, (0, 1), "x"):
+        with pytest.raises(PolyError, match="not a monomial over") as err:
+            Polynomial(R, {key: 1})
+        assert "\n" not in str(err.value)
+    with pytest.raises(PolyError, match="variable outside"):
+        R.poly("x").sub_scaled(1, R.poly("y"), Monomial(((2, 1),)))
+
+
+def test_exponent_limit():
+    top = 2**31 - 1
+    R = VariableSet(("x", "y"))
+    for text in ("x^4000000000", f"x^{top + 1}", f"y*x^{top}*x", f"x^{top} + y^{2**32}"):
+        with pytest.raises(PolyError, match=r"limit 2\^31 - 1") as err:
+            R.poly(text)
+        assert "\n" not in str(err.value)
+    big = R.poly(f"x^{top}")
+    assert str(big) == f"x^{top}" and str(big * R.poly("y")) == f"y*x^{top}"
+    assert str(R.poly(f"y^{top}*x^{top}")) == f"y^{top}*x^{top}"
+    x1 = Monomial(((0, 1),))
+    # never a silent carry into the next variable's field
+    with pytest.raises(PolyError, match=r"limit 2\^31 - 1"):
+        Monomial(((0, top),)) * x1
+    assert (Monomial(((0, top - 1),)) * x1).pairs == ((0, top),)
+    for f, g in ((big, R.poly("x")), (R.poly("x + y"), R.poly(f"3*x^{top} - y"))):
+        with pytest.raises(PolyError, match=r"limit 2\^31 - 1"):
+            f * g
+    with pytest.raises(PolyError, match=r"limit 2\^31 - 1"):
+        R.poly(f"x^{2**30}") ** 2
+    with pytest.raises(PolyError, match=r"limit 2\^31 - 1"):
+        R.poly("y").sub_scaled(1, R.poly("x + y"), Monomial(((0, top),)))
+    assert str(R.zero().sub_scaled(-1, R.poly("y"), Monomial(((0, top),)))) == f"y*x^{top}"
+    # the piece of degree (2^31, 0) would be the one monomial x^(2^31)
+    xy = WeightSystem(R, [(1, 0), (0, 1)])
+    with pytest.raises(PolyError, match=r"limit 2\^31 - 1"):
+        xy.monomial_basis((2**31, 0))
+    assert xy.monomial_basis((top, 1)) == [Monomial(((0, top), (1, 1)))]
 
 
 def test_constructor_stores_canonical_coefficients():
@@ -537,6 +599,91 @@ def test_monomial_product_and_quotient_match_constructor():
         assert ab.pairs == monomial_product(a, b).pairs and hash(ab) == hash(monomial_product(a, b))
         assert ab.divide(b) == a and ab.divide(a) == b
         assert ab.divide(ab).pairs == ()
+
+
+def _differential_monomials(rng: random.Random) -> list[Monomial]:
+    """Monomials over up to 10 variables: small exponents, exponents near
+    the limit 2^31 - 1, and the monomial 1."""
+    top = 2**31 - 1
+    out = [Monomial(())]
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        exps = rng.choice(
+            [
+                lambda: rng.randint(1, 4),
+                lambda: top - rng.randint(0, 3),
+                lambda: rng.randint(2**30 - 2, 2**30 + 2),
+            ]
+        )
+        out.append(Monomial((i, exps()) for i in range(n) if rng.random() < 0.6))
+    return out
+
+
+def test_packed_monomial_matches_pairs_oracle():
+    top = 2**31 - 1
+    rng = random.Random(2718)
+    monos = _differential_monomials(rng)
+    cases = [(rng.choice(monos), rng.choice(monos)) for _ in range(3000)]
+    cases += [(a, a) for a in monos]
+    # pairs where b divides a, the product taken by the oracle
+    for b, c in cases[:600]:
+        bc = PairsMonomial(b.pairs) * PairsMonomial(c.pairs)
+        if all(e <= top for _, e in bc.pairs):
+            cases.append((Monomial(bc.pairs), b))
+    for a, b in cases:
+        A, B = PairsMonomial(a.pairs), PairsMonomial(b.pairs)
+        assert type(a) is Monomial and Monomial(A.pairs) == a
+        assert repr(a) == repr(A) == str(a) and eval(repr(a)) == a
+        assert a.degree() == A.degree() and a.is_one() == (A.pairs == ())
+        assert all(a.exponent(i) == A.exponent(i) for i in range(12))
+        AB = A * B
+        if any(e > top for _, e in AB.pairs):
+            with pytest.raises(PolyError, match=r"limit 2\^31 - 1"):
+                a * b
+        else:
+            assert type(a * b) is Monomial and (a * b).pairs == AB.pairs
+        assert b.divides(a) == B.divides(A)
+        if B.divides(A):
+            q = a.divide(b)
+            assert type(q) is Monomial and q.pairs == A.divide(B).pairs
+        else:
+            with pytest.raises(PolyError, match="not divisible"):
+                a.divide(b)
+        assert (a < b, a > b, a <= b, a >= b, a == b, a != b) == (
+            A < B, A > B, A <= B, A >= B, A == B, A != B
+        )
+        assert (hash(a) == hash(b)) >= (a == b)
+        assert hash(Monomial(A.pairs)) == hash(a)
+    assert len(set(monos)) == len({PairsMonomial(m.pairs) for m in monos})
+    oracle_order = sorted(PairsMonomial(m.pairs) for m in monos)
+    assert [m.pairs for m in sorted(monos)] == [A.pairs for A in oracle_order]
+    for m in monos:
+        assert pickle.loads(pickle.dumps(m)) == m and type(copy.deepcopy(m)) is Monomial
+
+
+def test_every_term_key_is_a_monomial():
+    def keys_ok(f: Polynomial) -> bool:
+        return all(type(m) is Monomial for m in f._terms)
+
+    rng = random.Random(314)
+    ext = R7.extend(("s",))
+    for f, g in _mixed_pairs(rng, 80):
+        shift = Monomial((i, rng.randint(1, 2)) for i in range(7) if rng.random() < 0.3)
+        results = (
+            f + g,
+            f - g,
+            f * g,
+            f**2,
+            -f,
+            f.scale(3),
+            f.scale(Fraction(1, 2)),
+            f.sub_scaled(2, g, shift),
+            f.lift(ext),
+            R7.poly(str(f)),
+        )
+        assert all(keys_ok(h) for h in results)
+    assert all(type(m) is Monomial for m in W7.monomial_basis((4, 4, 4)))
+    assert all(type(m) is Monomial for m in W7.monomial_basis((0, 0, 0)))
 
 
 def test_accessors_agree_with_fraction_oracle():

@@ -155,8 +155,9 @@ def test_factorization_deep_power_without_recursion():
 
 
 def test_factorization_after_width_growth_matches_fresh_set():
-    # with 8-bit fields x2 packs to 2^8, as x1^256 does with 16-bit fields,
-    # so a memo kept across the width change would answer one from the other
+    # x1^256 overflows an 8-bit exponent field; a carry out of x1's field
+    # would make it read as x2, and the shared memo would then answer one
+    # query from the other, so answers must match a fresh set in any order
     warm = fresh_copy(RA.catalog(1))
     small = [mono(x2=1), mono(x1=3, y2=1, z=2), mono(x1=2, x2=1, z=1), mono(y1=1)]
     before = [warm.factorization(m) for m in small]

@@ -7,7 +7,7 @@ back-substitution, brute-force monomial enumeration over bounded exponent
 boxes, graded enumeration that walks up from the least significant
 variable and sorts afterwards, beta(i, n) canonicalized by three
 eliminations of one system, an iterative-deepening leading-monomial factorization on
-``Monomial`` objects, point evaluation with a ``Fraction`` for every
+``Monomial`` objects, the earlier tuple-of-pairs monomial, point evaluation with a ``Fraction`` for every
 power and partial sum, the flow exp(s*D) summed term by term over the
 ring extended by its parameter, flow equations built by polynomial
 substitution into that flow, polynomial arithmetic and subduction over ``Fraction`` on plain term
@@ -63,6 +63,63 @@ def lex_key(ambient: VariableSet, m: Monomial) -> tuple[int, ...]:
     """
     exps = dict(m.pairs)
     return tuple(exps.get(i, 0) for i in reversed(range(len(ambient))))
+
+
+class PairsMonomial:
+    """The earlier tuple-of-pairs monomial, kept as an oracle for the packed
+    ``Monomial``: ascending (index, exponent) pairs with no zero exponent,
+    lex order by tuple comparison of the reversed pairs, products and
+    quotients through dicts, and no exponent limit."""
+
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        self.pairs = tuple(sorted((i, e) for i, e in pairs if e != 0))
+        assert len({i for i, _ in self.pairs}) == len(self.pairs)
+
+    def __eq__(self, other) -> bool:
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
+
+    def __repr__(self) -> str:
+        return f"Monomial({self.pairs!r})"
+
+    def __lt__(self, other) -> bool:
+        return self.pairs[::-1] < other.pairs[::-1]
+
+    def __gt__(self, other) -> bool:
+        return self.pairs[::-1] > other.pairs[::-1]
+
+    def __le__(self, other) -> bool:
+        return self.pairs[::-1] <= other.pairs[::-1]
+
+    def __ge__(self, other) -> bool:
+        return self.pairs[::-1] >= other.pairs[::-1]
+
+    def degree(self) -> int:
+        return sum(e for _, e in self.pairs)
+
+    def exponent(self, index: int) -> int:
+        return dict(self.pairs).get(index, 0)
+
+    def __mul__(self, other) -> "PairsMonomial":
+        d = dict(self.pairs)
+        for i, e in other.pairs:
+            d[i] = d.get(i, 0) + e
+        return PairsMonomial(d.items())
+
+    def divides(self, other) -> bool:
+        om = dict(other.pairs)
+        return all(om.get(i, 0) >= e for i, e in self.pairs)
+
+    def divide(self, other) -> "PairsMonomial":
+        assert other.divides(self)
+        d = dict(self.pairs)
+        for i, e in other.pairs:
+            d[i] -= e
+        return PairsMonomial(d.items())
 
 
 def naive_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
