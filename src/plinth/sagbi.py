@@ -2,11 +2,11 @@
 
 Given named generators of a subalgebra of a polynomial ring, the leading
 terms generate a monomial algebra.  Membership of a monomial in that
-algebra is decided by one memoized search per generator set, run on
-``Monomial``'s packed integers; subduction repeatedly cancels the leading
-term of a polynomial by a product of generators and leaves a replayable
-certificate.  A generating set is verified to be a SAGBI basis (up to a
-degree bound) by subducting every tete-a-tete difference to zero.
+algebra is decided by one memoized search per generator set, with one
+memo entry per ``Monomial`` packed integer; subduction repeatedly cancels
+the leading term of a polynomial by a product of generators and leaves a
+replayable certificate.  A generating set is verified to be a SAGBI basis
+(up to a degree bound) by subducting every tete-a-tete difference to zero.
 
 ``subduct`` and ``x_ideal_membership`` share one cancellation loop: the
 first with the unit prefix, the second with a variable prefix in front of
@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 
 from .polyring import (
     MONOMIAL_ONE,
+    Coefficient,
     Monomial,
     PolyError,
     Polynomial,
@@ -52,7 +53,7 @@ class GeneratorSet:
             self.names.append(name)
             self.polys[name] = g
         self.names.sort()
-        self.lt: dict[str, tuple[Monomial, Fraction]] = {
+        self.lt: dict[str, tuple[Monomial, Coefficient]] = {
             name: self.polys[name].leading_term() for name in self.names
         }
         # search order: skip generators with constant leading term (they can
@@ -60,9 +61,8 @@ class GeneratorSet:
         self._search_names = [
             name for name in self.names if not self.lt[name][0].is_one()
         ]
-        # memo of the least factorizations, keyed by monomial and first
-        # usable search index; see _best
-        self._memo: dict[int, int] = {}
+        # one least-factorization code per packed monomial (1 packs as 0)
+        self._memo: dict[int, int] = {0: 0}
         self._slots = max(len(self._search_names), 1)
         self._lts = [int(self.lt[name][0]) for name in self._search_names]
         self._prod_cache: dict[tuple[str, ...], Polynomial] = {}
@@ -84,64 +84,59 @@ class GeneratorSet:
             self._prod_cache[key] = got
         return got
 
-    def product_lt_coefficient(self, names: Sequence[str]) -> Fraction:
-        c = 1
-        for name in names:
-            c *= self.lt[name][1]
-        return Fraction(c)
-
     # -- monomial algebra membership ---------------------------------------
 
     def factorization(self, m: Monomial) -> tuple[str, ...] | None:
         """Multiset of generator names whose leading monomials multiply to m.
 
-        Memoized search over the monomial algebra (see ``_best``), shared
-        by every query on this generator set.  Ties break toward the fewest
-        factors, then the lexicographically smallest name sequence, so
-        certificates are deterministic.
+        Read off the memo of ``_best``, one lookup per factor; the memo is
+        shared by every query on this generator set.  Ties break toward the
+        fewest factors, then the lexicographically smallest name sequence,
+        so certificates are deterministic.
         """
         rem, slots, memo = int(m), self._slots, self._memo
-        if self._best(rem, 0) < 0:
+        if self._best(rem) < 0:
             return None
-        names, start = [], 0
+        names = []
         while rem:
-            start = memo[rem * slots + start] % slots
-            names.append(self._search_names[start])
-            rem -= self._lts[start]
+            k = memo[rem] % slots
+            names.append(self._search_names[k])
+            rem -= self._lts[k]
         return tuple(names)
 
-    def _best(self, rem: int, start: int) -> int:
-        """Least factorization of monomial ``rem`` over search indices >= start.
+    def _best(self, rem: int) -> int:
+        """Least factorization of monomial ``rem``, memoized per monomial.
 
         Factorizations are ordered by (factor count, name tuple); names are
         sorted, so within one count the smallest first index decides, and
         the result is coded as count * slots + first index: 0 for the empty
-        factorization of 1, -1 when there is none.  Results are memoized
-        under ``rem * slots + start``.  The search keeps its own stack, so
-        a factorization with thousands of factors stays clear of Python's
-        recursion limit.
+        factorization of 1, -1 when there is none.  No start index is kept:
+        if i is the first index for rem, no shortest factorization of
+        rem / lt[i] uses an index j < i (with i it would give rem one as
+        short containing j), so the entries of rem, rem / lt[i], ... spell
+        the least factorization in sorted order.  The search keeps its own
+        stack, so a factorization with thousands of factors stays clear of
+        Python's recursion limit.
         """
-        if not rem:
-            return 0
         memo, slots = self._memo, self._slots
-        got = memo.get(rem * slots + start)
+        got = memo.get(rem)
         if got is not None:
             return got
         lts, invalid, n = self._lts, self.ambient.invalid_bits, len(self._lts)
-        # frames: [monomial, memo key, next index to try, best code]
-        stack = [[rem, rem * slots + start, start, -1]]
+        # frames: [monomial, next index to try, best code]
+        stack = [[rem, 0, -1]]
         while stack:
             frame = stack[-1]
-            rem, key, k, best = frame
+            rem, k, best = frame
             while k < n:
                 # lts[k] divides rem exactly when q is a monomial
                 q = rem - lts[k]
                 if not q & invalid:
-                    code = memo.get(q * slots + k) if q else 0
+                    code = memo.get(q)
                     if code is None:
                         # solve the quotient first, then retry index k
-                        frame[2], frame[3] = k, best
-                        stack.append([q, q * slots + k, k, -1])
+                        frame[1], frame[2] = k, best
+                        stack.append([q, 0, -1])
                         break
                     if code >= 0:
                         code = (code // slots + 1) * slots + k
@@ -149,7 +144,7 @@ class GeneratorSet:
                             best = code
                 k += 1
             else:
-                memo[key] = best
+                memo[rem] = best
                 stack.pop()
         return best
 
@@ -281,8 +276,9 @@ def _cancel(
             return SubductionCertificate(f, steps, cur, complete=True, stuck=lm)
         if len(steps) >= max_steps:
             return SubductionCertificate(f, steps, cur, complete=False)
-        coeff = Fraction(lc) / G.product_lt_coefficient(names)
-        nxt = cur.sub_scaled(coeff, G.product(names), shift)
+        prod = G.product(names)
+        coeff = Fraction(lc) / prod.leading_term()[1]
+        nxt = cur.sub_scaled(coeff, prod, shift)
         if not nxt.is_zero() and nxt.leading_monomial() >= lm:
             raise SubductionError("subduction step failed to decrease the leading term")
         steps.append(SubductionStep(coeff, names, prefix))
@@ -335,10 +331,9 @@ def tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
 
 def tete_a_tete_difference(G: GeneratorSet, tt: TeteATete) -> Polynomial:
     """Monic-normalized difference of the two generator products."""
-    left = G.product(tt.left).scale(Fraction(1) / G.product_lt_coefficient(tt.left))
-    return left.sub_scaled(
-        Fraction(1) / G.product_lt_coefficient(tt.right), G.product(tt.right)
-    )
+    left, right = G.product(tt.left), G.product(tt.right)
+    left = left.scale(Fraction(1) / left.leading_term()[1])
+    return left.sub_scaled(Fraction(1) / right.leading_term()[1], right)
 
 
 def verify_sagbi(

@@ -78,15 +78,15 @@ def separates(
 ) -> SeparationReport:
     """Evaluate every generator at both points; first disagreement decides.
 
-    Each point is brought to integers once (``integer_point``) and every
-    generator is evaluated from that form.
+    Each point goes through ``integer_point`` once, which rejects a
+    coordinate that is not rational; every generator is evaluated there.
     """
     names = G.ambient.names
+    at_v = G.ambient.integer_point(v)
+    at_w = G.ambient.integer_point(v_prime)
     pv = {n: x if type(x := v[n]) is Fraction else Fraction(x) for n in names}
     pw = {n: x if type(x := v_prime[n]) is Fraction else Fraction(x) for n in names}
     report = SeparationReport(pv, pw, label)
-    at_v = G.ambient.integer_point(pv)
-    at_w = G.ambient.integer_point(pw)
     for name in G.names:
         g = G.polys[name]
         if g.evaluate_integer(*at_v) != g.evaluate_integer(*at_w):

@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 
 from .derivation import Derivation
 from .polyring import Monomial, PolyError, Polynomial, VariableSet, WeightSystem
+from .polyring import coefficient_value
 from .report import Checker, VerificationReport
 
 
@@ -227,12 +228,12 @@ def quadratic_invariants(n: int) -> list[Polynomial]:
 
 def nullcone_test(rep: RepSum, v: Mapping[str, Fraction | int]) -> bool:
     """Is v in the null cone (all components of nonpositive weight vanish)?"""
-    return all(Fraction(v[name]) == 0 for name in rep.nonpositive_weight_coordinates())
+    return all(coefficient_value(v[n]) == 0 for n in rep.nonpositive_weight_coordinates())
 
 
 def plinth_test(rep: RepSum, v: Mapping[str, Fraction | int]) -> bool:
     """Is v in the plinth locus (all negative-weight components vanish)?"""
-    return all(Fraction(v[name]) == 0 for name in rep.negative_weight_coordinates())
+    return all(coefficient_value(v[n]) == 0 for n in rep.negative_weight_coordinates())
 
 
 def invariants_up_to_degree(
@@ -351,11 +352,11 @@ def positive_weight_vanishing_check(
 
 def _zero_weight_values(
     rep: RepSum, v: Mapping[str, Fraction | int]
-) -> list[tuple[int, Fraction]]:
+) -> list[tuple[int, Fraction | int]]:
     out = []
     for s, space in enumerate(rep.summands):
         if space.n % 2 == 0:
-            out.append((s, Fraction(v[space.coordinates[space.n // 2]])))
+            out.append((s, coefficient_value(v[space.coordinates[space.n // 2]])))
     return out
 
 

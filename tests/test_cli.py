@@ -122,6 +122,8 @@ def test_separating_subcommand(capsys):
         ["kernel", "--ring", "roberts", "--degree", "1,2"],
         ["kernel", "--ring", "sl2:V[2]", "--degree", "2,0,1"],
         ["kernel", "--degree", "1,a"],
+        ["kernel", "--ring", "roberts", "--degree", "3000000000,0,0"],
+        ["kernel", "--ring", "sl2:V[2]", "--degree", "3000000000,0"],
         ["example1", "--json", "/nonexistent/x.json"],
     ],
 )

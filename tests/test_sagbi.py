@@ -96,13 +96,30 @@ def lt_products(G, bound):
     return found
 
 
+def assert_memo_keyed_by_monomials(G, answers):
+    # one memo entry per monomial: every key is a packed monomial over the
+    # ambient, with no search index folded in, and each queried monomial's
+    # own entry codes its factor count and first factor (-1: none)
+    assert all(not key & G.ambient.invalid_bits for key in G._memo)
+    for m, names in answers.items():
+        if names is None:
+            want = -1
+        else:
+            first = G._search_names.index(names[0]) if names else 0
+            want = len(names) * G._slots + first
+        assert G._memo[int(m)] == want, m
+
+
 def test_factorization_matches_oracle_on_lt_products():
     for n in range(3):
         G = fresh_copy(RA.catalog(n))
         products = sorted(lt_products(G, 7), key=lambda m: m.pairs)
         assert len(products) > 50
+        answers = {}
         for m in products:
-            assert G.factorization(m) == deepening_factorization(G, m), m
+            answers[m] = G.factorization(m)
+            assert answers[m] == deepening_factorization(G, m), m
+        assert_memo_keyed_by_monomials(G, answers)
 
 
 def random_monomial(rng, indices, max_exp):
@@ -130,6 +147,7 @@ def test_factorization_matches_oracle_on_random_monomials():
     for G, indices, max_exp in cases:
         names = [name for name in G.names if not G.lt[name][0].is_one()]
         solvable = unsolvable = 0
+        answers = {}
         for _ in range(300):
             if rng.random() < 0.5:
                 m = Monomial(())
@@ -139,11 +157,13 @@ def test_factorization_matches_oracle_on_random_monomials():
                 m = random_monomial(rng, indices, max_exp)
             want = deepening_factorization(G, m)
             assert G.factorization(m) == want, m
+            answers[m] = want
             if want is None:
                 unsolvable += 1
             else:
                 solvable += 1
         assert solvable > 100 and unsolvable > 20
+        assert_memo_keyed_by_monomials(G, answers)
 
 
 def test_factorization_deep_power_without_recursion():

@@ -58,7 +58,7 @@ def test_point_text_round():
         parse_point(NAMES, "1,2")
 
 
-@pytest.mark.parametrize("bad", [0.5, "1/2"])
+@pytest.mark.parametrize("bad", [0.5, "1/2", "abc"])
 def test_make_point_rejects_non_rational(bad):
     with pytest.raises(PolyError) as err:
         make_point(NAMES, (1, 2, 3, 0, 0, 0, bad))
@@ -66,6 +66,10 @@ def test_make_point_rejects_non_rational(bad):
     v = make_point(NAMES, (1, 2, 3, 0, 0, 0, 0))
     with pytest.raises(PolyError):
         flow_equations(v, dict(v, z=bad), RA.D)
+    for left, right in ((dict(v, z=bad), v), (v, dict(v, z=bad))):
+        with pytest.raises(PolyError) as err:
+            separates(left, right, RA.catalog(1))
+        assert repr(bad) in str(err.value) and "\n" not in str(err.value)
 
 
 def test_separates_diagonal():

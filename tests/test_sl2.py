@@ -110,6 +110,13 @@ def test_nullcone_and_plinth_tests():
     assert not nullcone_test(rep, e1) and plinth_test(rep, e1)
     assert nullcone_test(rep, origin) and plinth_test(rep, origin)
     assert not nullcone_test(rep, off) and not plinth_test(rep, off)
+    # a coordinate that is not rational is one PolyError, not a float's
+    # binary fraction or a bare ValueError
+    for bad in (0.5, "1/2", "abc"):
+        for test in (nullcone_test, plinth_test):
+            with pytest.raises(PolyError) as err:
+                test(rep, dict(origin, x0=bad))
+            assert repr(bad) in str(err.value) and "\n" not in str(err.value)
 
 
 def test_nullcone_points_kill_positive_degree_invariants():
@@ -178,6 +185,14 @@ def test_component_membership_requires_plinth():
     rep = RepSum([2])
     with pytest.raises(PolyError):
         component_membership(rep, {"x0": 1, "x1": 0, "x2": 0}, {"x0": 0, "x1": 0, "x2": 0})
+    # a zero-weight coordinate that is not rational is rejected, not read
+    # as a float's binary fraction (0.1 != 1/10 would say NEITHER)
+    exact = {"x0": 0, "x1": Fraction(1, 10), "x2": 1}
+    for bad in (0.1, 0.5, "1/2", "abc"):
+        for pair in ((dict(exact, x1=bad), exact), (exact, dict(exact, x1=bad))):
+            with pytest.raises(PolyError) as err:
+                component_membership(rep, *pair)
+            assert repr(bad) in str(err.value) and "\n" not in str(err.value)
 
 
 def test_component_containment_sampling():
