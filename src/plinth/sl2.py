@@ -63,6 +63,12 @@ class BinaryFormSpace:
         return self.n - 2 * i
 
 
+# Largest n accepted for a summand V[n]: far above the V[4] of the paper's
+# examples, and small enough that building the n + 1 coordinate names of
+# V[n], which happens while a --rep argument is parsed, stays instant.
+MAX_SUMMAND_DEGREE = 64
+
+
 class RepSum:
     """A direct sum of binary-form spaces with its combined coordinate ring."""
 
@@ -70,6 +76,10 @@ class RepSum:
         degrees = tuple(int(n) for n in degrees)
         if not degrees or any(n < 0 for n in degrees):
             raise PolyError(f"bad representation degrees {degrees!r}")
+        if max(degrees) > MAX_SUMMAND_DEGREE:
+            raise PolyError(
+                f"summand degree {max(degrees)} above the limit {MAX_SUMMAND_DEGREE}"
+            )
         self.degrees = degrees
         self.summands: list[BinaryFormSpace] = []
         names: list[str] = []

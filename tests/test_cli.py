@@ -117,6 +117,8 @@ def test_separating_subcommand(capsys):
         ["roberts-sagbi", "--bound", "-1"],
         ["sl2", "--rep", "V[x]"],
         ["sl2", "--rep", "V[-1]"],
+        ["sl2", "--rep", "V[2000000000]", "--degree", "1", "--samples", "1"],
+        ["kernel", "--ring", "sl2:V[2]+V[65]", "--degree", "2,0"],
         ["kernel", "--ring", "bogus", "--degree", "1"],
         ["kernel", "--ring", "sl2:W[2]", "--degree", "2,0"],
         ["kernel", "--ring", "roberts", "--degree", "1,2"],

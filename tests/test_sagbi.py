@@ -17,7 +17,10 @@ from plinth.sagbi import (
     x_ideal_membership,
 )
 from util import (
+    common_factor_certificate,
     deepening_factorization,
+    exhaustive_verify_sagbi,
+    pair_core,
     random_poly,
     fraction_mul,
     fraction_scale,
@@ -302,6 +305,72 @@ def test_verify_sagbi_reports_failure_for_non_sagbi_set():
     assert not rep.ok
     cert = subduct(R7.variable("x2") * RA.beta(1, 1) - R7.variable("x1") * RA.beta(2, 1), G)
     assert cert.remainder == R7.poly("x3^2") * RA.u12
+
+
+def _without(G, drop):
+    return GeneratorSet(R7, [(name, G.polys[name]) for name in G.names if name != drop])
+
+
+def _stable(report):
+    d = report.to_dict()
+    del d["ms"]
+    return d
+
+
+@pytest.mark.parametrize(
+    "N, bound, drop",
+    [
+        (0, 10, None),
+        (1, 10, None),
+        (2, 10, None),
+        (3, 8, None),
+        (2, 8, "b1_1"),
+        (2, 7, "u12"),
+        (1, 8, "u13"),
+        (2, 7, "b3_0"),
+    ],
+)
+def test_verify_sagbi_matches_exhaustive_oracle(N, bound, drop):
+    G = RA.catalog(N) if drop is None else _without(RA.catalog(N), drop)
+    want = exhaustive_verify_sagbi(G, bound)
+    assert want.ok == (drop is None)
+    assert _stable(verify_sagbi(G, bound)) == _stable(want)
+
+
+def test_shared_factor_pairs_have_derived_certificates():
+    # ascending product order: every core is certified before its multiples
+    G = RA.catalog(2)
+    certs = {}
+    derived = 0
+    for tt in reversed(tete_a_tetes(G, 7)):
+        left, right, shared = pair_core(tt)
+        diff = tete_a_tete_difference(G, tt)
+        if not shared:
+            cert = certs[tt.left, tt.right] = subduct(diff, G)
+            assert cert.ok
+            continue
+        core = certs[left, right]
+        cert = certs[tt.left, tt.right] = common_factor_certificate(G, tt, core)
+        derived += 1
+        assert cert.ok and len(cert.steps) == len(core.steps)
+        assert cert.input == diff and cert.replay(G) == diff
+        cur, last = diff, tt.product
+        for step in cert.steps:
+            prod = G.product(step.factors)
+            lm = prod.leading_monomial()
+            assert lm == cur.leading_monomial() and lm < last and lm < tt.product
+            cur = cur - prod.scale(step.coefficient)
+            last = lm
+        assert cur.is_zero()
+    assert len(certs) == 919 and derived == 919 - 76
+
+
+def test_max_steps_bounds_a_subduction_not_subduct_itself():
+    # S_1 at bound 7 has a pair that subduct needs more than 3 steps for,
+    # while h times its core's subduction takes at most 3
+    G = RA.catalog(1)
+    assert not exhaustive_verify_sagbi(G, 7, max_steps=3).ok
+    assert verify_sagbi(G, 7, max_steps=3).ok
 
 
 def test_x_ideal_membership_beta_square():

@@ -6,6 +6,7 @@ import pytest
 from plinth.polyring import Monomial, PolyError
 from plinth.sl2 import (
     ComponentMembership,
+    MAX_SUMMAND_DEGREE,
     RepSum,
     SigmaAction,
     build_raising_derivation,
@@ -30,6 +31,9 @@ def test_rep_parse_and_names():
     assert single.ambient.names == ("x0", "x1", "x2", "x3")
     with pytest.raises(PolyError):
         RepSum.parse("W[2]")
+    assert RepSum([MAX_SUMMAND_DEGREE]).dim() == MAX_SUMMAND_DEGREE + 1
+    with pytest.raises(PolyError, match="above the limit"):
+        RepSum.parse(f"V[2]+V[{MAX_SUMMAND_DEGREE + 1}]")
 
 
 def test_raising_derivation_scalars_locked():

@@ -7,7 +7,9 @@ back-substitution, brute-force monomial enumeration over bounded exponent
 boxes, graded enumeration that walks up from the least significant
 variable and sorts afterwards, beta(i, n) canonicalized by three
 eliminations of one system, an iterative-deepening leading-monomial factorization on
-``Monomial`` objects, the earlier tuple-of-pairs monomial, point evaluation with a ``Fraction`` for every
+``Monomial`` objects, SAGBI verification that subducts every tete-a-tete
+pair, a shared-generator multiple of a subduction certificate, the earlier
+tuple-of-pairs monomial, point evaluation with a ``Fraction`` for every
 power and partial sum, the flow exp(s*D) summed term by term over the
 ring extended by its parameter, flow equations built by polynomial
 substitution into that flow, polynomial arithmetic and subduction over ``Fraction`` on plain term
@@ -31,7 +33,16 @@ from plinth.polyring import (
     coefficient_matrix,
 )
 from plinth.roberts import RobertsAction
-from plinth.sagbi import GeneratorSet
+from plinth.report import Checker, VerificationReport
+from plinth.sagbi import (
+    GeneratorSet,
+    SubductionCertificate,
+    SubductionStep,
+    TeteATete,
+    subduct,
+    tete_a_tete_difference,
+    tete_a_tetes,
+)
 from plinth.sl2 import RepSum
 
 
@@ -382,6 +393,81 @@ def deepening_factorization(G: GeneratorSet, m: Monomial) -> tuple[str, ...] | N
         if found is not None:
             return found
     return None
+
+
+def exhaustive_verify_sagbi(
+    G: GeneratorSet,
+    total_degree_bound: int,
+    max_steps: int = 10_000,
+    check_id: str = "sagbi",
+    anchor: str = "every tete-a-tete difference subducts to remainder zero",
+) -> VerificationReport:
+    """Subduct every tete-a-tete difference up to the bound; all must reach 0.
+
+    The report records the bound (completeness is only claimed up to it)
+    and how many nonzero differences were subducted to zero.
+    """
+    checker = Checker(
+        check_id,
+        anchor,
+        {"degree_bound": total_degree_bound, "generators": len(G)},
+    )
+    pairs = tete_a_tetes(G, total_degree_bound)
+    checker.note(f"tete-a-tetes up to total degree {total_degree_bound}: {len(pairs)}")
+    nonzero = 0
+    for tt in pairs:
+        diff = tete_a_tete_difference(G, tt)
+        if diff.is_zero():
+            continue
+        cert = subduct(diff, G, max_steps)
+        if not cert.ok:
+            checker.require(
+                False,
+                {
+                    "left": list(tt.left),
+                    "right": list(tt.right),
+                    "remainder": str(cert.remainder),
+                    "complete": cert.complete,
+                },
+            )
+        else:
+            nonzero += 1
+    checker.note(f"nonzero differences subducted to zero: {nonzero}")
+    return checker.report()
+
+
+def pair_core(pair: TeteATete) -> tuple[tuple[str, ...], tuple[str, ...], list[str]]:
+    """(core left, core right, shared names): one copy of each name found on
+    both sides of the pair is removed from each side."""
+    left, right = list(pair.left), list(pair.right)
+    shared = sorted(set(left) & set(right))
+    for name in shared:
+        left.remove(name)
+        right.remove(name)
+    return tuple(left), tuple(right), shared
+
+
+def common_factor_certificate(
+    G: GeneratorSet, pair: TeteATete, core_cert: SubductionCertificate
+) -> SubductionCertificate:
+    """h times a certificate for the core of ``pair``, h = G^a / lc(G^a) for
+    the shared names a: each step gains the factors a and divides its
+    coefficient by lc(G^a); input and remainder are multiplied by h."""
+    shared = pair_core(pair)[2]
+    a = G.product(shared)
+    lc = a.leading_term()[1]
+    h = a.scale(Fraction(1) / lc)
+    steps = [
+        SubductionStep(
+            Fraction(step.coefficient) / lc,
+            tuple(sorted(shared + list(step.factors))),
+            step.prefix,
+        )
+        for step in core_cert.steps
+    ]
+    return SubductionCertificate(
+        h * core_cert.input, steps, h * core_cert.remainder, core_cert.complete
+    )
 
 
 def fraction_evaluate(f: Polynomial, point) -> Fraction:
