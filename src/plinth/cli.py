@@ -21,6 +21,10 @@ from .roberts import Y0_RELATION, Y1_GENERATORS, roberts_action
 from .sagbi import verify_sagbi
 
 DEFAULT_SEED = 1729
+# Largest roberts-sagbi --bound: the pair count, and with it the work,
+# about doubles per unit of bound (S_3 took 3.8 s at bound 12, twice that
+# at 13); the acceptance criteria use at most 10.
+MAX_SAGBI_BOUND = 12
 
 
 def run_roberts_invariants() -> list[VerificationReport]:
@@ -233,13 +237,16 @@ def run_all(seed: int) -> list[VerificationReport]:
     return reports
 
 
-def _int_at_least(minimum: int):
-    """argparse type: an integer no smaller than ``minimum``."""
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """argparse type: an integer no smaller than ``minimum`` (and no larger
+    than ``maximum``, if given)."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its messages
@@ -295,7 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     command("roberts-y1", run_roberts_y1)
     p = command("roberts-sagbi", run_roberts_sagbi)
     p.add_argument("--n", type=natural, default=2)
-    p.add_argument("--bound", type=natural, default=8)
+    p.add_argument(
+        "--bound",
+        type=_int_at_least(0, MAX_SAGBI_BOUND),
+        default=8,
+        help=f"total degree bound of the tete-a-tetes, at most {MAX_SAGBI_BOUND}",
+    )
     command("roberts-an", run_roberts_an).add_argument("--n", type=natural, default=2)
     command("roberts-radical", run_roberts_radical)
     command("roberts-fixed", run_roberts_fixed)

@@ -82,6 +82,9 @@ class Derivation:
         self.images = {name: images[name] for name in ambient.names}
         self._witness: NilpotencyWitness | None = None
         self._flow_coeffs: dict[str, list[Polynomial]] = {}
+        # the last weight system ``graded_kernel`` found D homogeneous for;
+        # the images are never changed after construction
+        self._homogeneous_for: WeightSystem | None = None
 
     def __repr__(self) -> str:
         parts = ", ".join(f"D({n}) = {g}" for n, g in self.images.items())
@@ -267,9 +270,12 @@ class Derivation:
     def graded_kernel(self, ws: WeightSystem, degree: Sequence[int]) -> GradedKernelBasis:
         """Basis of the kernel in one graded piece (exact linear algebra).
 
-        Requires D weight-homogeneous for ``ws`` and a finite graded piece.
+        Requires D weight-homogeneous for ``ws`` and a finite graded piece;
+        homogeneity is checked once per weight system (``weight_shift``).
         """
-        self.weight_shift(ws)  # validates homogeneity
+        if ws is not self._homogeneous_for:
+            self.weight_shift(ws)
+            self._homogeneous_for = ws
         basis = self.kernel_on_monomials(ws.monomial_basis(degree))
         return GradedKernelBasis(tuple(int(x) for x in degree), basis)
 

@@ -28,7 +28,8 @@ the top bits, that is integer order.
 Everything is exact; no floating point appears anywhere.  All values are
 immutable after construction and safe to share between threads.  Point
 evaluation runs over Python integers (the point and the coefficients each
-brought to one common denominator) and builds one ``Fraction`` per call.
+brought to one common denominator) and builds one ``Fraction`` per call;
+``Polynomial.agrees`` compares the values at two points with none.
 
 Text grammar (both input and canonical output)::
 
@@ -491,9 +492,20 @@ class Polynomial:
     def evaluate_integer(self, nums: Sequence[int], den: int) -> Fraction:
         """Exact value at the point ``nums / den`` from ``integer_point``.
 
+        The value is ``integer_total(nums, den)`` over the fixed
+        denominator q * den ** top (see ``integer_total``), the one
+        ``Fraction`` built.
+        """
+        total = self.integer_total(nums, den)
+        return Fraction(total, self._integral[0] * den ** self._integral[1])
+
+    def integer_total(self, nums: Sequence[int], den: int) -> int:
+        """The integer numerator of the value at ``nums / den``.
+
         With the coefficients over one common denominator q and top the
-        largest term degree, the value is the integer
-        sum c * prod(nums[i] ** e) * den ** (top - deg) over q * den ** top.
+        largest term degree, the value is this integer,
+        sum q * c * prod(nums[i] ** e) * den ** (top - deg) over the terms,
+        divided by q * den ** top.  Every evaluation runs this loop.
         """
         if self._integral is None:
             q = lcm(*(c.denominator for c in self._terms.values()))
@@ -505,15 +517,31 @@ class Polynomial:
                     for m, c in self._terms.items()
                 ],
             )
-        q, top, terms = self._integral
+        _, top, terms = self._integral
         total = 0
         for c, pairs, deg in terms:
             for i, e in pairs:
-                c *= nums[i] ** e
+                c *= nums[i] if e == 1 else nums[i] ** e
             if deg != top and den != 1:
                 c *= den ** (top - deg)
             total += c
-        return Fraction(total, q * den**top)
+        return total
+
+    def agrees(self, a: tuple[Sequence[int], int], b: tuple[Sequence[int], int]) -> bool:
+        """Whether the values at two ``integer_point`` results are equal.
+
+        The two values share the denominator factor q, so they are equal
+        exactly when T_a * db ** top == T_b * da ** top for the totals T of
+        ``integer_total``; with equal point denominators the totals are
+        compared directly.  No ``Fraction`` is built.
+        """
+        (nums_a, da), (nums_b, db) = a, b
+        total_a = self.integer_total(nums_a, da)
+        total_b = self.integer_total(nums_b, db)
+        if da == db:
+            return total_a == total_b
+        top = self._integral[1]
+        return total_a * db**top == total_b * da**top
 
     def substitute(
         self, images: Mapping[str, "Polynomial"], target: VariableSet | None = None
@@ -591,7 +619,7 @@ def coefficient_matrix(
 class WeightSystem:
     """Integer multigrading: a weight vector of fixed rank per variable."""
 
-    __slots__ = ("ambient", "rank", "weights")
+    __slots__ = ("ambient", "rank", "weights", "_plan")
 
     def __init__(self, ambient: VariableSet, weights: Sequence[Sequence[int]]):
         weights = tuple(tuple(int(x) for x in w) for w in weights)
@@ -607,6 +635,7 @@ class WeightSystem:
         if self.rank < 1:
             raise PolyError("weight system rank must be positive")
         self.weights = weights
+        self._plan: tuple | None = None
 
     def weight_of(self, name: str) -> tuple[int, ...]:
         return self.weights[self.ambient.index(name)]
@@ -636,29 +665,19 @@ class WeightSystem:
                 return INHOMOGENEOUS
         return deg
 
-    def monomial_basis(self, degree: Sequence[int]) -> list[Monomial]:
-        """All monomials of exactly the given multidegree, descending order.
+    def _walk_plan(self) -> tuple:
+        """(positive, closes, windows, unreached) for ``monomial_basis``.
 
-        The walk fixes the exponents from the most significant variable down,
-        each from its largest feasible value to 0, so the monomials come out
-        in descending order without a sort.  A variable that is the last one
-        with positive weight on some coordinate has a forced exponent: the
-        remainder on that coordinate over its weight there.  A branch stops
-        at once where that weight does not divide the remainder, where the
-        quotient exceeds what the other coordinates leave, or where two
-        coordinates the variable closes disagree, so every leaf of the walk
-        is an output.  When each closing variable has weight 1 on the one
-        coordinate it closes and 0 elsewhere, as x1, x2, x3 do for Roberts,
-        no branch stops early and the walk is linear in its output.
-
-        Finiteness requires every weight entry to be nonnegative and every
-        variable to have at least one strictly positive weight coordinate;
-        otherwise InfiniteGradedPieceError is raised.  A degree entry above
-        MAX_EXPONENT raises PolyError.
+        positive[i]: the coordinates where variable i has positive weight;
+        closes[i]: those where it is the last such variable of the walk;
+        windows[i]: (j, k, lo_num, lo_den, hi_num, hi_den) for the ratio
+        windows checked on entering variable i; unreached: the coordinates
+        no variable has weight on.  Built once per weight system.  Raises
+        InfiniteGradedPieceError, and caches nothing, if a graded piece
+        can be infinite.
         """
-        degree = tuple(int(x) for x in degree)
-        if len(degree) != self.rank:
-            raise PolyError(f"degree of rank {len(degree)}, expected {self.rank}")
+        if self._plan is not None:
+            return self._plan
         weights = self.weights
         for i in range(len(weights) - 1, -1, -1):
             w = weights[i]
@@ -670,16 +689,74 @@ class WeightSystem:
                 raise InfiniteGradedPieceError(
                     f"variable {self.ambient.names[i]!r} has zero weight vector"
                 )
-        # positive[i]: coordinates where variable i has positive weight;
-        # closes[i]: those where it is the last such variable of the walk
         positive = [[j for j, x in enumerate(w) if x > 0] for w in weights]
         closes: list[list[int]] = [[] for _ in weights]
+        unreached = []
         for j in range(self.rank):
             last = next((i for i, p in enumerate(positive) if j in p), None)
-            if last is not None:
+            if last is None:
+                unreached.append(j)
+            else:
                 closes[last].append(j)
-            elif degree[j]:
-                return []
+        # Variable 0 closes every coordinate it has weight on, so its own
+        # check is exact and it needs no window.  A coordinate k on which
+        # no variable 0..i has weight is already 0 there, and the (k, j)
+        # window is the reciprocal of the (j, k) one: both are skipped.
+        windows: list[tuple] = [()]
+        for i in range(1, len(weights)):
+            prefix = weights[: i + 1]
+            common = [j for j in range(self.rank) if all(w[j] for w in prefix)]
+            level = []
+            for j in common:
+                for k in range(self.rank):
+                    if k == j or k in common and k < j or not any(w[k] for w in prefix):
+                        continue
+                    ratios = [Fraction(w[k], w[j]) for w in prefix]
+                    lo, hi = min(ratios), max(ratios)
+                    level.append(
+                        (j, k, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+                    )
+            windows.append(tuple(level))
+        self._plan = (positive, closes, windows, unreached)
+        return self._plan
+
+    def monomial_basis(self, degree: Sequence[int]) -> list[Monomial]:
+        """All monomials of exactly the given multidegree, descending order.
+
+        The walk fixes the exponents from the most significant variable down,
+        each from its largest feasible value to 0, so the monomials come out
+        in descending order without a sort.  A variable that is the last one
+        with positive weight on some coordinate has a forced exponent: the
+        remainder on that coordinate over its weight there.  A branch stops
+        at once where that weight does not divide the remainder, where the
+        quotient exceeds what the other coordinates leave, or where two
+        coordinates the variable closes disagree.  When each closing
+        variable has weight 1 on the one coordinate it closes and 0
+        elsewhere, as x1, x2, x3 do for Roberts, no branch stops early and
+        the walk is linear in its output.
+
+        Ratio windows prune the rest.  Entering variable i with remainder r,
+        for coordinates j, k where every variable 0..i has positive weight
+        on j, r[k] / r[j] is an average of w[k] / w[j] over those variables,
+        so it must lie between their least and greatest ratio; the test is
+        made by integer cross-multiplication.  The windows depend on the
+        weights only and are built once per weight system.  For the rank-2
+        sl2 grading (total degree, shifted torus weight) they bound the
+        torus weight left per remaining degree, which the search alone does
+        not see until its leaves.
+
+        Finiteness requires every weight entry to be nonnegative and every
+        variable to have at least one strictly positive weight coordinate;
+        otherwise InfiniteGradedPieceError is raised.  A degree entry above
+        MAX_EXPONENT raises PolyError.
+        """
+        degree = tuple(int(x) for x in degree)
+        if len(degree) != self.rank:
+            raise PolyError(f"degree of rank {len(degree)}, expected {self.rank}")
+        weights = self.weights
+        positive, closes, windows, unreached = self._walk_plan()
+        if any(degree[j] for j in unreached):
+            return []
         if any(x < 0 for x in degree):
             return []
         if max(degree) > MAX_EXPONENT:  # no exponent can exceed max(degree)
@@ -690,6 +767,10 @@ class WeightSystem:
             if i < 0:
                 out.append(_packed(packed))
                 return
+            for j, k, lo_num, lo_den, hi_num, hi_den in windows[i]:
+                rj, rk = remaining[j], remaining[k]
+                if lo_num * rj > lo_den * rk or hi_den * rk > hi_num * rj:
+                    return
             w = weights[i]
             if closes[i]:
                 j, *others = closes[i]

@@ -354,7 +354,9 @@ def verify_sagbi(
     is that each difference has *a* subduction to zero of at most
     ``max_steps`` steps, not that ``subduct`` itself reaches zero on it
     within that budget.  If a coprime pair fails, every pair is subducted
-    in the original order, so failure details list every failing pair.
+    in the original order, so failure details list every failing pair; the
+    coprime pairs subducted before the failure keep their outcomes
+    (``subduct`` is deterministic), so no difference is subducted twice.
     The report records the bound (completeness is only claimed up to it)
     and how many nonzero differences were subducted to zero.
     """
@@ -365,32 +367,46 @@ def verify_sagbi(
     )
     pairs = tete_a_tetes(G, total_degree_bound)
     checker.note(f"tete-a-tetes up to total degree {total_degree_bound}: {len(pairs)}")
-    nonzero = _coprime_nonzero(G, pairs, max_steps)
+    # (left, right) -> ``_outcome`` of each coprime pair subducted so far,
+    # kept for the rerun after a failure
+    outcomes: dict[tuple[tuple[str, ...], tuple[str, ...]], int | SubductionCertificate] = {}
+    nonzero = _coprime_nonzero(G, pairs, max_steps, outcomes)
     if nonzero is None:
         nonzero = 0
         for tt in pairs:
-            diff = tete_a_tete_difference(G, tt)
-            if diff.is_zero():
+            key = tt.left, tt.right
+            got = outcomes[key] if key in outcomes else _outcome(G, tt, max_steps)
+            if type(got) is int:
+                nonzero += got
                 continue
-            cert = subduct(diff, G, max_steps)
-            if not cert.ok:
-                checker.require(
-                    False,
-                    {
-                        "left": list(tt.left),
-                        "right": list(tt.right),
-                        "remainder": str(cert.remainder),
-                        "complete": cert.complete,
-                    },
-                )
-            else:
-                nonzero += 1
+            checker.require(
+                False,
+                {
+                    "left": list(tt.left),
+                    "right": list(tt.right),
+                    "remainder": str(got.remainder),
+                    "complete": got.complete,
+                },
+            )
     checker.note(f"nonzero differences subducted to zero: {nonzero}")
     return checker.report()
 
 
+def _outcome(G: GeneratorSet, tt: TeteATete, max_steps: int) -> int | SubductionCertificate:
+    """0 if the pair's difference is zero, 1 if it subducts to zero, else
+    the certificate of the subduction that does not."""
+    diff = tete_a_tete_difference(G, tt)
+    if diff.is_zero():
+        return 0
+    cert = subduct(diff, G, max_steps)
+    return 1 if cert.ok else cert
+
+
 def _coprime_nonzero(
-    G: GeneratorSet, pairs: Sequence[TeteATete], max_steps: int
+    G: GeneratorSet,
+    pairs: Sequence[TeteATete],
+    max_steps: int,
+    outcomes: dict[tuple[tuple[str, ...], tuple[str, ...]], int | SubductionCertificate],
 ) -> int | None:
     """Count the nonzero differences, subducting only the coprime pairs.
 
@@ -401,10 +417,11 @@ def _coprime_nonzero(
     term.  With h = G^a / lc(G^a) the pair's monic difference is h times
     the core's, and h times each step of the core's subduction cancels
     the leading monomial lm(h) * lm(r_i) of the pair's running remainder,
-    so the pair subducts to zero in as many steps.  Returns None as soon
-    as a coprime pair does not subduct to zero.
+    so the pair subducts to zero in as many steps.  Each coprime pair's
+    ``_outcome`` goes into ``outcomes``.  Returns None as soon as a coprime
+    pair does not subduct to zero.
     """
-    nonzero: dict[tuple[tuple[str, ...], tuple[str, ...]], bool] = {}
+    nonzero: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
     for tt in reversed(pairs):
         shared = set(tt.left).intersection(tt.right)
         if shared:
@@ -414,9 +431,8 @@ def _coprime_nonzero(
                 right.remove(name)
             got = nonzero[tuple(left), tuple(right)]
         else:
-            diff = tete_a_tete_difference(G, tt)
-            got = not diff.is_zero()
-            if got and not subduct(diff, G, max_steps).ok:
+            got = outcomes[tt.left, tt.right] = _outcome(G, tt, max_steps)
+            if type(got) is not int:
                 return None
         nonzero[tt.left, tt.right] = got
     return sum(nonzero.values())

@@ -67,7 +67,11 @@ class SeparationReport:
 
     @property
     def verdict(self) -> str:
-        return "separated" if self.separated else "not separated"
+        return _verdict(self.witness)
+
+
+def _verdict(witness: str | None) -> str:
+    return "not separated" if witness is None else "separated"
 
 
 def separates(
@@ -79,20 +83,24 @@ def separates(
     """Evaluate every generator at both points; first disagreement decides.
 
     Each point goes through ``integer_point`` once, which rejects a
-    coordinate that is not rational; every generator is evaluated there.
+    coordinate that is not rational; the witness is the first generator,
+    in ``G.names`` order, whose values differ (``Polynomial.agrees``).
     """
     names = G.ambient.names
     at_v = G.ambient.integer_point(v)
     at_w = G.ambient.integer_point(v_prime)
     pv = {n: x if type(x := v[n]) is Fraction else Fraction(x) for n in names}
     pw = {n: x if type(x := v_prime[n]) is Fraction else Fraction(x) for n in names}
-    report = SeparationReport(pv, pw, label)
+    return SeparationReport(pv, pw, label, _witness(G, at_v, at_w))
+
+
+def _witness(G: GeneratorSet, at_v: tuple, at_w: tuple) -> str | None:
+    """The first generator of G whose values at two ``integer_point``
+    results differ, or None."""
     for name in G.names:
-        g = G.polys[name]
-        if g.evaluate_integer(*at_v) != g.evaluate_integer(*at_w):
-            report.witness = name
-            return report
-    return report
+        if not G.polys[name].agrees(at_v, at_w):
+            return name
+    return None
 
 
 # -- exact solution of the univariate flow equations -----------------------
@@ -232,31 +240,32 @@ def graph_vs_separation_sampling(
             rep = separates(v, vp, G_ref)
             if not rep.separated and not plinth_indicator(v) and not plinth_indicator(vp):
                 graph_pairs += 1
-                solved = solve_group_element(v, vp, D)
-                checker.require(
-                    solved is not None,
-                    {
-                        "mode": "random",
-                        "v": point_text(v),
-                        "vp": point_text(vp),
-                        "detail": "unseparated non-plinth pair off the orbit",
-                    },
-                )
+                if solve_group_element(v, vp, D) is None:
+                    checker.require(
+                        False,
+                        {
+                            "mode": "random",
+                            "v": point_text(v),
+                            "vp": point_text(vp),
+                            "detail": "unseparated non-plinth pair off the orbit",
+                        },
+                    )
         elif plinth_sampler is not None:
             v = plinth_sampler(rng)
             vp = plinth_sampler(rng)
             plinth_pairs += 1
             if plinth_unseparated:
                 rep = separates(v, vp, G_ref)
-                checker.require(
-                    not rep.separated,
-                    {
-                        "mode": "plinth",
-                        "v": point_text(v),
-                        "vp": point_text(vp),
-                        "witness": rep.witness,
-                    },
-                )
+                if rep.separated:
+                    checker.require(
+                        False,
+                        {
+                            "mode": "plinth",
+                            "v": point_text(v),
+                            "vp": point_text(vp),
+                            "witness": rep.witness,
+                        },
+                    )
     checker.note(
         f"flow pairs: {flow_pairs}, unseparated random pairs resolved: "
         f"{graph_pairs}, plinth pairs: {plinth_pairs}"
@@ -311,19 +320,20 @@ def separating_set_equivalence(
             vp = dict(v)
             name = names[rng.randrange(len(names))]
             vp[name] = vp[name] + Fraction(rng.randint(1, 5))
-        small = separates(v, vp, G_small, "small")
-        big = separates(v, vp, G_big, "big")
-        if small.separated != big.separated:
+        at_v, at_w = D.ambient.integer_point(v), D.ambient.integer_point(vp)
+        small = _witness(G_small, at_v, at_w)
+        big = _witness(G_big, at_v, at_w)
+        if (small is None) != (big is None):
             disagreements += 1
             checker.require(
                 False,
                 {
                     "trial": trial,
-                    "v": point_text(small.v),
-                    "vp": point_text(small.v_prime),
-                    "small": small.verdict,
-                    "big": big.verdict,
-                    "witness": small.witness or big.witness,
+                    "v": point_text(v),
+                    "vp": point_text(vp),
+                    "small": _verdict(small),
+                    "big": _verdict(big),
+                    "witness": small or big,
                 },
             )
     checker.note(f"verdicts agreed on {trials - disagreements} of {trials} pairs")

@@ -127,6 +127,7 @@ def test_separating_subcommand(capsys):
         ["kernel", "--ring", "roberts", "--degree", "3000000000,0,0"],
         ["kernel", "--ring", "sl2:V[2]", "--degree", "3000000000,0"],
         ["example1", "--json", "/nonexistent/x.json"],
+        ["roberts-sagbi", "--n", "3", "--bound", "16"],
     ],
 )
 def test_usage_errors_exit_2_with_one_line(argv, capsys):

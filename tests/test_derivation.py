@@ -228,6 +228,27 @@ def test_weight_shift_inferred():
         bad.weight_shift(RA.weights)
 
 
+def test_graded_kernel_checks_homogeneity_once_per_weight_system(monkeypatch):
+    E = Derivation(R7, D.images)
+    calls = []
+    real = Derivation.weight_shift
+    monkeypatch.setattr(
+        Derivation, "weight_shift", lambda self, ws: calls.append(ws) or real(self, ws)
+    )
+    first = E.graded_kernel(RA.weights, (3, 2, 2))
+    assert E.graded_kernel(RA.weights, (3, 2, 2)) == first
+    E.graded_kernel(RA.weights, (1, 1, 1))
+    assert calls == [RA.weights]
+    same_weights = WeightSystem(R7, RA.weights.weights)
+    assert E.graded_kernel(same_weights, (3, 2, 2)).basis == first.basis
+    assert calls == [RA.weights, same_weights]
+    # a derivation that is not homogeneous fails on every call
+    bad = Derivation(R7, {**D.images, "y1": R7.poly("x1^2")})
+    for _ in range(2):
+        with pytest.raises(PolyError, match="not weight-homogeneous"):
+            bad.graded_kernel(RA.weights, (3, 2, 2))
+
+
 def test_graded_kernel_322_xy():
     got = xy_graded_kernel(RA, (3, 2, 2))
     assert got == [R7.poly("x1^3*x2^2*x3^2")]

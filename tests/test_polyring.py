@@ -4,6 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -172,6 +173,34 @@ def test_monomial_basis_matches_sorted_walk_oracle():
             assert got == sorted_walk_monomial_basis(ws, rep.piece(d, w))
             sizes.append(len(got))
     assert max(sizes) > 10
+    # the ratio windows prune the sl2 walks: every torus weight, out of
+    # range ones included, on sums with equal, mixed-parity and tiny summands
+    for spec in ("V[4]+V[4]", "V[3]+V[5]+V[2]", "V[1]+V[1]+V[1]"):
+        rep = RepSum.parse(spec)
+        ws = rep.weight_system()
+        found = 0
+        for d in range(5):
+            span = d * rep.max_weight
+            for w in range(-span - 2, span + 3):
+                got = ws.monomial_basis(rep.piece(d, w))
+                assert got == sorted_walk_monomial_basis(ws, rep.piece(d, w)), (spec, d, w)
+                found += len(got)
+        # every monomial of degree <= 4 falls in exactly one piece
+        assert found == comb(len(rep.ambient) + 4, 4)
+
+
+def test_ratio_windows_are_built_once_and_skip_what_the_walk_implies():
+    roberts = RobertsAction().weights
+    plan = roberts._walk_plan()
+    assert roberts._walk_plan() is plan
+    # x1, x2, x3 close the three coordinates: no window is left to check
+    assert all(level == () for level in plan[2])
+    # sl2: only (degree, torus) pairs, so no reciprocal (torus, degree) pair,
+    # and no window on variable 0
+    _, _, windows, _ = RepSum([4, 2]).weight_system()._walk_plan()
+    assert windows[0] == ()
+    assert all(j == 0 and k == 1 for level in windows for j, k, *_ in level)
+    assert all(level for level in windows[1:])
 
 
 def _random_weights(rng, rank, n, hole):

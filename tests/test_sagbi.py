@@ -337,6 +337,29 @@ def test_verify_sagbi_matches_exhaustive_oracle(N, bound, drop):
     assert _stable(verify_sagbi(G, bound)) == _stable(want)
 
 
+@pytest.mark.parametrize(
+    "N, bound, drop", [(2, 8, "b1_1"), (2, 7, "u12"), (1, 8, "u13"), (2, 7, "b3_0")]
+)
+def test_failing_verify_sagbi_subducts_each_difference_once(N, bound, drop, monkeypatch):
+    import plinth.sagbi as sagbi_module
+
+    G = _without(RA.catalog(N), drop)
+    nonzero = sum(
+        not tete_a_tete_difference(G, tt).is_zero() for tt in tete_a_tetes(G, bound)
+    )
+    subducted = []
+    real = sagbi_module.subduct
+
+    def counting(f, G, max_steps=10_000):
+        subducted.append(f)
+        return real(f, G, max_steps)
+
+    monkeypatch.setattr(sagbi_module, "subduct", counting)
+    assert not verify_sagbi(G, bound).ok
+    # the coprime pairs subducted before the failure are not subducted again
+    assert len(subducted) == nonzero
+
+
 def test_shared_factor_pairs_have_derived_certificates():
     # ascending product order: every core is certified before its multiples
     G = RA.catalog(2)

@@ -19,8 +19,8 @@ from plinth.separating import (
     separating_set_equivalence,
     solve_group_element,
 )
-from plinth.sl2 import RepSum, build_raising_derivation
-from util import fraction_evaluate, substitute_flow_equations
+from plinth.sl2 import RepSum, build_raising_derivation, invariants_up_to_degree
+from util import fraction_evaluate, random_poly, substitute_flow_equations
 
 RA = roberts_action()
 R7 = RA.ring
@@ -357,6 +357,62 @@ def test_separates_converts_each_point_once_and_matches_oracle():
         assert list(rep.v_prime) == list(NAMES)
         assert all(type(x) is Fraction for x in rep.v_prime.values())
         assert point_text(rep.v_prime) == ",".join(str(Fraction(vp[n])) for n in NAMES)
+
+
+def _rational(rng, bound=6):
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+
+
+def _oracle_witness(G, v, vp):
+    for name in G.names:
+        g = G.polys[name]
+        if fraction_evaluate(g, v) != fraction_evaluate(g, vp):
+            return name
+    return None
+
+
+def test_agrees_and_witness_match_fraction_oracle():
+    rng = random.Random(31337)
+    rep = RepSum([4, 2])
+    D_sl2 = build_raising_derivation(rep)
+    sl2_invariants = [f for _, _, f in invariants_up_to_degree(rep, D_sl2, 3)]
+    fraction_polys = []
+    while len(fraction_polys) < 12:
+        f = random_poly(rng, R7, max_terms=3, max_exp=3, coef_range=7)
+        if not f.is_constant():
+            fraction_polys.append(f.scale(Fraction(rng.randint(1, 5), rng.randint(2, 9))))
+    cases = [
+        (RA.catalog(4), RA.D),
+        (GeneratorSet(rep.ambient, [(f"f{k:02}", f) for k, f in enumerate(sl2_invariants)]), D_sl2),
+        (GeneratorSet(R7, [(f"r{k:02}", f) for k, f in enumerate(fraction_polys)]), RA.D),
+    ]
+    agreed_across_denominators = separated = 0
+    for G, D in cases:
+        names = G.ambient.names
+        for trial in range(40):
+            v = {n: _rational(rng) if rng.random() < 0.5 else rng.randint(-6, 6) for n in names}
+            mode = trial % 4
+            if mode == 0:  # one orbit, and mostly other denominators
+                vp = D.flow_point(v, Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+            elif mode == 1:
+                vp = {n: _rational(rng) for n in names}
+            elif mode == 2:  # one coordinate moved to a new rational
+                vp = dict(v)
+                vp[names[rng.randrange(len(names))]] = _rational(rng, 9)
+            else:  # the same values, every one written as a Fraction
+                vp = {n: Fraction(x) for n, x in v.items()}
+            at_v, at_vp = G.ambient.integer_point(v), G.ambient.integer_point(vp)
+            for name in G.names:
+                g = G.polys[name]
+                same = fraction_evaluate(g, v) == fraction_evaluate(g, vp)
+                assert g.agrees(at_v, at_vp) is same, (name, v, vp)
+                assert g.agrees(at_vp, at_v) is same
+                assert g.agrees(at_v, at_v)
+                agreed_across_denominators += same and at_v[1] != at_vp[1]
+            witness = separates(v, vp, G).witness
+            assert witness == _oracle_witness(G, v, vp), (v, vp)
+            separated += witness is not None
+    assert agreed_across_denominators > 200 and 40 < separated < 100
 
 
 def test_poly_mod_exact_on_int_coefficients():
