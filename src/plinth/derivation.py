@@ -20,12 +20,14 @@ from typing import Mapping, Sequence
 from . import linalg
 from .polyring import (
     INHOMOGENEOUS,
+    Coefficient,
     Monomial,
     PolyError,
     Polynomial,
     VariableMismatchError,
     VariableSet,
     WeightSystem,
+    _packed,
     coefficient_matrix,
     coefficient_value,
 )
@@ -80,6 +82,12 @@ class Derivation:
                 )
         self.ambient = ambient
         self.images = {name: images[name] for name in ambient.names}
+        # (index, the variable, the image's terms) for each nonzero image
+        self._leibniz = [
+            (i, Monomial(((i, 1),)), g.terms())
+            for i, g in enumerate(self.images.values())
+            if g
+        ]
         self._witness: NilpotencyWitness | None = None
         self._flow_coeffs: dict[str, list[Polynomial]] = {}
         # the last weight system ``graded_kernel`` found D homogeneous for;
@@ -93,19 +101,38 @@ class Derivation:
     # -- core action -----------------------------------------------------
 
     def apply(self, f: Polynomial) -> Polynomial:
-        """Leibniz-linear extension of the variable images (exact)."""
+        """Leibniz-linear extension of the variable images (exact).
+
+        D(c*m) = sum_i c * e_i * (m / x_i) * D(x_i) over the variables x_i
+        of m with exponent e_i and a nonzero image.  Every product term is
+        added into one dict keyed by its packed monomial, m - x_i + (image
+        monomial), and the result is built once from it.  An exponent
+        pushed above MAX_EXPONENT raises PolyError.
+        """
         if f.ambient != self.ambient:
             raise VariableMismatchError("polynomial over a different variable set")
-        names = self.ambient.names
-        x = [Monomial(((i, 1),)) for i in range(len(names))]
-        total = self.ambient.zero()
-        for m, c in f.terms():
-            for i, e in m.pairs:
-                g = self.images[names[i]]
-                if g.is_zero():
-                    continue
-                total = total.sub_scaled(-c * e, g, m.divide(x[i]))
-        return total
+        acc: dict[int, Coefficient] = {}
+        get = acc.get
+        for m, c in f._terms.items():
+            for i, x, image in self._leibniz:
+                e = m.exponent(i)
+                if e:
+                    base, ce = m - x, c * e
+                    for g, v in image:
+                        k = base + g
+                        acc[k] = get(k, 0) + ce * v
+        # a field overflows into its own guard bit, never into the next field
+        made = 0
+        terms: dict[Monomial, Coefficient] = {}
+        for k, v in acc.items():
+            made |= k
+            if v:
+                if type(v) is not int and v.denominator == 1:
+                    v = v.numerator
+                terms[_packed(k)] = v
+        if made & self.ambient.invalid_bits:
+            raise PolyError("derivation image makes an exponent above the limit 2^31 - 1")
+        return Polynomial._raw(self.ambient, terms)
 
     def is_invariant(self, f: Polynomial) -> bool:
         """True iff D(f) = 0, i.e. f is constant along the flow."""
@@ -260,7 +287,7 @@ class Derivation:
         reduced-echelon nullspace basis is canonical.
         """
         cols = sorted(monomials, reverse=True)
-        images = [self.apply(Polynomial(self.ambient, {m: 1})) for m in cols]
+        images = [self.apply(Polynomial._raw(self.ambient, {m: 1})) for m in cols]
         vectors = linalg.nullspace(coefficient_matrix(images), len(cols))
         return [
             Polynomial(self.ambient, {m: c for m, c in zip(cols, vec) if c})

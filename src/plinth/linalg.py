@@ -1,62 +1,107 @@
 """Exact linear algebra over the rationals.
 
-One integer Gauss-Jordan elimination serves every call.  Each row is
-brought once to a primitive integer row: its denominators are cleared and
-its content is divided out.  For each pivot column, taking the row with the
-smallest nonzero |pivot|, every other row with a nonzero entry v there
-becomes a*row - b*pivot_row with a, b = p/g, v/g (p the pivot, g = gcd(p, v))
-and is made primitive again.  At the end every pivot column is zero outside
-its pivot row, so answers are read off the integer rows as ``Fraction``s;
-rows are plain lists.
+One integer Gauss-Jordan elimination serves every call.  Callers pass dense
+rows; each is read once into a sparse row, a dict {column: int} of its
+nonzero entries, brought to a primitive integer row: its denominators are
+cleared and its content is divided out.  For each pivot column, left to
+right, taking the row with the smallest nonzero |pivot|, every other row
+with a nonzero entry v there becomes a*row - b*pivot_row with a, b = p/g,
+v/g (p the pivot, g = gcd(p, v)) and is made primitive again; a row
+operation touches only the pivot row's nonzero entries.  At the end every
+pivot column is zero outside its pivot row, so answers are read off the
+integer rows as ``Fraction``s; they depend on the column order alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
 
 from .polyring import coefficient_value
 
 Row = list[Fraction]
+SparseRow = dict[int, int]
 
 
-def _reduce(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[int]], list[int]]:
-    """Integer reduced rows, one per pivot, and their ascending pivot columns."""
-    m: list[list[int]] = []
-    for row in rows:
-        vals = [coefficient_value(x) for x in row]
-        den = lcm(*(v.denominator for v in vals if type(v) is not int))
-        ints = [v.numerator * (den // v.denominator) for v in vals]
-        g = gcd(*ints)
-        if g:  # a zero row constrains nothing
-            m.append([v // g for v in ints] if g > 1 else ints)
+def _primitive(row: Sequence[Fraction | int]) -> SparseRow:
+    """The nonzero entries of a dense row as a primitive integer sparse row."""
+    if set(map(type, row)) == {int}:
+        vals = dict(compress(enumerate(row), row))
+    else:
+        vals = {}
+        for j, x in enumerate(row):
+            x = coefficient_value(x)
+            if x:
+                vals[j] = x
+        den = lcm(*(v.denominator for v in vals.values() if type(v) is not int))
+        if den > 1:
+            vals = {j: v.numerator * (den // v.denominator) for j, v in vals.items()}
+    g = gcd(*vals.values())
+    return {j: v // g for j, v in vals.items()} if g > 1 else vals
+
+
+def _reduce(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[SparseRow], list[int]]:
+    """Integer reduced sparse rows, one per pivot, and their ascending pivot
+    columns.
+
+    ``order`` lists row ids by position; the pivot search takes the first
+    row by position among those of least |pivot|, and the pivot row swaps
+    positions with the row at the next pivot position.  ``holders`` maps
+    each column to the ids of the rows with a nonzero entry there, so a
+    pivot step visits only the rows it changes.
+    """
+    store = [r for r in map(_primitive, rows) if r]  # a zero row constrains nothing
+    order = list(range(len(store)))
+    pos = list(order)
+    holders: dict[int, set[int]] = {}
+    for k, row in enumerate(store):
+        for j in row:
+            holders.setdefault(j, set()).add(k)
     pivots: list[int] = []
-    for c in range(len(m[0]) if m else 0):
+    for c in sorted(holders):
         r = len(pivots)
-        candidates = [i for i in range(r, len(m)) if m[i][c]]
+        candidates = [k for k in holders[c] if pos[k] >= r]
         if not candidates:
             continue
-        best = min(candidates, key=lambda i: abs(m[i][c]))
-        m[r], m[best] = m[best], m[r]
-        prow = m[r]
+        best = min(candidates, key=lambda k: (abs(store[k][c]), pos[k]))
+        other = order[r]
+        order[r], order[pos[best]] = best, other
+        pos[best], pos[other] = r, pos[best]
+        prow = store[best]
         p = prow[c]
-        for i, row in enumerate(m):
+        for k in list(holders[c]):
+            if k == best:
+                continue
+            row = store[k]
             v = row[c]
-            if v and i != r:
-                g = gcd(p, v)
-                a, b = p // g, v // g
-                new = [a * x - b * y for x, y in zip(row, prow)]
-                h = gcd(*new)
-                m[i] = [x // h for x in new] if h > 1 else new
+            g = gcd(p, v)
+            a, b = p // g, v // g
+            new = {j: a * x for j, x in row.items()} if a != 1 else row
+            for j, y in prow.items():
+                x = new.get(j, 0) - b * y
+                if x:
+                    if j not in new:
+                        holders[j].add(k)
+                    new[j] = x
+                else:
+                    del new[j]
+                    holders[j].discard(k)
+            h = gcd(*new.values())
+            store[k] = {j: x // h for j, x in new.items()} if h > 1 else new
         pivots.append(c)
-    return m[: len(pivots)], pivots
+    return [store[k] for k in order[: len(pivots)]], pivots
 
 
 def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Row], list[int]]:
     """Reduced row echelon form over Fraction, plus the pivot columns."""
     reduced, pivots = _reduce(rows)
-    return [[Fraction(x, row[c]) for x in row] for row, c in zip(reduced, pivots)], pivots
+    ncols = len(rows[0]) if reduced else 0
+    return [
+        [Fraction(row.get(j, 0), row[c]) for j in range(ncols)]
+        for row, c in zip(reduced, pivots)
+    ], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
@@ -73,17 +118,17 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[Row]
     """
     reduced, pivots = _reduce(rows)
     pivot_set = set(pivots)
-    basis: list[Row] = []
+    basis: dict[int, Row] = {}
     for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for row, c in zip(reduced, pivots):
-            if row[f]:
-                vec[c] = Fraction(-row[f], row[c])
-        basis.append(vec)
-    return basis
+        if f not in pivot_set:
+            basis[f] = [Fraction(0)] * ncols
+            basis[f][f] = Fraction(1)
+    for row, c in zip(reduced, pivots):
+        p = row[c]
+        for f, x in row.items():
+            if f != c:  # every other pivot column is 0 in this row
+                basis[f][c] = Fraction(-x, p)
+    return list(basis.values())
 
 
 def solve(
@@ -102,7 +147,7 @@ def solve(
         return None  # pivot in the augmented column: inconsistent
     x = [Fraction(0)] * ncols
     for row, c in zip(reduced, pivots):
-        x[c] = Fraction(row[ncols], row[c])
+        x[c] = Fraction(row.get(ncols, 0), row[c])
     return x
 
 

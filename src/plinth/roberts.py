@@ -172,33 +172,37 @@ class RobertsAction:
         """The unique invariant with the pinned slices that vanishes on every
         leading monomial of the invariants that vanish on those slices.
 
-        The columns run in ascending order, so a column is free exactly when
-        it is a combination of smaller monomials, that is, when it is such a
-        leading monomial; ``linalg.solve`` sets the free columns to 0.
+        A pinned monomial's coefficient is known, so its column moves to the
+        right-hand side: the system is D(sum c_m m) = -D(pinned part) over
+        the unpinned monomials.  The columns run in ascending order, so an
+        unpinned column is free exactly when it is a combination of the
+        unpinned columns to its left, that is, when it is such a leading
+        monomial; ``linalg.solve`` sets the free columns to 0.
         """
         R = self.ring
         z_index = R.index("z")
         degree = self.beta_degree(i, n)
-        cols = self.weights.monomial_basis(degree)[::-1]  # ascending
         targets = self._slice_targets(i, n)
-        # D(sum c_m m) = 0, one equation per image monomial
-        rows = coefficient_matrix([self.D.apply(Polynomial(R, {m: 1})) for m in cols])
-        rhs: list[Fraction | int] = [0] * len(rows)
-        for c, m in enumerate(cols):
+        pinned: dict[Monomial, Fraction | int] = {}
+        cols: list[Monomial] = []
+        for m in reversed(self.weights.monomial_basis(degree)):  # ascending
             t = m.exponent(z_index)
             if t in targets:
-                unit = [0] * len(cols)
-                unit[c] = 1
-                rows.append(unit)
-                rhs.append(targets[t].coefficient(m.divide(Monomial(((z_index, t),)))))
-
-        solution = linalg.solve(rows, rhs)
+                pinned[m] = targets[t].coefficient(m.divide(Monomial(((z_index, t),))))
+            else:
+                cols.append(m)
+        # one equation per image monomial; the last column is the right-hand side
+        rows = coefficient_matrix(
+            [self.D.apply(Polynomial._raw(R, {m: 1})) for m in cols]
+            + [-self.D.apply(Polynomial(R, pinned))]
+        )
+        solution = linalg.solve([row[:-1] for row in rows], [row[-1] for row in rows])
         if solution is None:
             raise PolyError(
                 f"no invariant of multidegree {degree} with canonical slices; "
                 f"beta({i},{n}) construction failed"
             )
-        return Polynomial(R, {m: c for m, c in zip(cols, solution) if c})
+        return Polynomial(R, {**pinned, **{m: c for m, c in zip(cols, solution) if c}})
 
     def generator_name(self, i: int, n: int) -> str:
         return f"b{i}_{n}"

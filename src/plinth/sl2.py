@@ -254,13 +254,19 @@ def invariants_up_to_degree(
     Returns (degree, torus weight, basis element) triples; only weights
     with nonzero kernel appear.  Kernel elements of the raising derivation
     are highest-weight vectors, whose weight is >= 0, so the pieces of
-    negative weight are never built.
+    negative weight are never built.  Each coordinate of V[n] has weight
+    n - 2i, of the parity of n; when every summand's n has one parity p, a
+    piece of degree d and weight w is empty unless w = d*p mod 2, so only
+    those weights are walked.
     """
     ws = rep.weight_system()
+    p = rep.degrees[0] % 2
+    one_parity = all(n % 2 == p for n in rep.degrees)
     out: list[tuple[int, int, Polynomial]] = []
     for d in range(1, degree_bound + 1):
         span = d * rep.max_weight
-        for w in range(0, span + 1):
+        weights = range(d * p % 2, span + 1, 2) if one_parity else range(span + 1)
+        for w in weights:
             mons = ws.monomial_basis(rep.piece(d, w))
             if not mons:
                 continue

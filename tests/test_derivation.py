@@ -1,15 +1,25 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from plinth.casebook import danielewski_derivation
 from plinth.derivation import Derivation, NotCertifiedError, extend_by_zero
-from plinth.polyring import PolyError, Polynomial, VariableSet, WeightSystem
+from plinth.polyring import (
+    MAX_EXPONENT,
+    Monomial,
+    PolyError,
+    Polynomial,
+    VariableSet,
+    WeightSystem,
+)
 from plinth.roberts import roberts_action
 from plinth.sl2 import RepSum, build_raising_derivation
 from util import (
     brute_monomials,
+    chained_apply,
     fraction_evaluate,
     is_canonical,
     lex_key,
@@ -55,6 +65,83 @@ def test_leibniz_rule_randomized():
         f = random_poly(rng, R7)
         g = random_poly(rng, R7)
         assert D.apply(f * g) == D.apply(f) * g + f * D.apply(g)
+
+
+def _random_derivation(rng, ambient):
+    """Random images, about a third of them zero, with Fraction coefficients."""
+    return Derivation(
+        ambient,
+        {
+            name: random_poly(rng, ambient, 3, 2) if rng.random() > 0.35 else ambient.zero()
+            for name in ambient.names
+        },
+    )
+
+
+def test_apply_matches_chained_oracle():
+    rng = random.Random(1517)
+    R3 = VariableSet(("a", "b", "c"))
+    derivations = [D, danielewski_derivation(), build_raising_derivation(RepSum([4, 2]))]
+    derivations += [_random_derivation(rng, R) for R in (R3, R7) for _ in range(6)]
+    derivations.append(Derivation(R3, {name: R3.zero() for name in R3.names}))
+    inputs = 0
+    for Dx in derivations:
+        R = Dx.ambient
+        polys = [random_poly(rng, R, 8) for _ in range(12)]
+        # the flow series, scaled by 1/k, and a polynomial D kills outright
+        polys += [c for series in Dx._flow_coeffs.values() for c in series]
+        polys += [R.zero(), R.one()]
+        for f in polys:
+            got = Dx.apply(f)
+            assert got == chained_apply(Dx, f) and is_canonical(got)
+            inputs += 1
+    assert inputs > 250
+    # terms that cancel to zero, and Fraction sums that become integers
+    R2 = VariableSet(("x", "y"))
+    rot = Derivation(R2, {"x": R2.variable("y"), "y": -R2.variable("x")})
+    assert rot.apply(R2.poly("x^2 + y^2")).is_zero()
+    half = Derivation(R2, {"x": R2.poly("1/2*y"), "y": R2.zero()})
+    got = half.apply(R2.poly("2*x^2 + 1/3*x"))
+    assert got == chained_apply(half, R2.poly("2*x^2 + 1/3*x")) and is_canonical(got)
+    assert str(got) == "2*y*x + 1/6*y"
+
+
+def test_apply_exponent_overflow_is_one_line_error():
+    Rxyz = VariableSet(("x", "y", "z"))
+    x = Rxyz.variable("x")
+    Dx = Derivation(Rxyz, {"x": Rxyz.zero(), "y": x, "z": -x})
+    top = Polynomial(Rxyz, {Monomial(((0, MAX_EXPONENT), (1, 1))): 1})
+    # the second input's overflowing terms cancel; it is rejected all the same
+    cancel = top + Polynomial(Rxyz, {Monomial(((0, MAX_EXPONENT), (2, 1))): 1})
+    for f in (top, cancel):
+        with pytest.raises(PolyError, match="above the limit") as err:
+            Dx.apply(f)
+        assert "\n" not in str(err.value)
+        with pytest.raises(PolyError):
+            chained_apply(Dx, f)
+    below = Polynomial(Rxyz, {Monomial(((0, MAX_EXPONENT - 1), (1, 1))): 1})
+    assert Dx.apply(below) == Polynomial(Rxyz, {Monomial(((0, MAX_EXPONENT),)): 1})
+
+
+def test_apply_on_ten_thousand_terms_is_fast():
+    rng = random.Random(1518)
+    f = Polynomial(
+        R7,
+        {
+            Monomial(enumerate(e)): Fraction(rng.randint(1, 9), rng.randint(1, 3))
+            for e in product(range(4), repeat=7)
+            if rng.random() < 0.6
+        },
+    )
+    assert 9_500 < len(f) < 10_500
+    start = time.perf_counter()
+    image = D.apply(f)
+    assert time.perf_counter() - start < 1.0
+    # linearity against the images of two halves
+    terms = f.terms()
+    first = Polynomial(R7, dict(terms[::2]))
+    second = Polynomial(R7, dict(terms[1::2]))
+    assert image == D.apply(first) + D.apply(second)
 
 
 def test_certify_roberts_witness():

@@ -8,7 +8,7 @@ import pytest
 from plinth import linalg
 from plinth.polyring import PolyError, Polynomial, coefficient_matrix
 from plinth.roberts import RobertsAction, _degree_box
-from util import bareiss_rref, beta_system, naive_nullspace
+from util import bareiss_rref, beta_system, dense_reduce, naive_nullspace
 
 
 def random_matrix(rng, nrows, ncols, density=0.6):
@@ -233,7 +233,93 @@ def test_elimination_growth_stays_small():
     # minors, so Hadamard's bound caps its entries
     hadamard = prod(isqrt(sum(x * x for x in row)) + 1 for row in dense)
     reduced, _ = linalg._reduce(dense)
-    assert max(abs(x) for row in reduced for x in row) <= hadamard
+    assert max(abs(x) for row in reduced for x in row.values()) <= hadamard
+
+
+# -- differential tests against the dense integer sweep ----------------------
+
+
+def _dense_answers(rows, ncols, rhs):
+    """rank, nullspace and solve read off ``dense_reduce`` as the dense
+    elimination read them."""
+    reduced, pivots = dense_reduce(rows)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = [Fraction(0)] * ncols
+            vec[f] = Fraction(1)
+            for row, c in zip(reduced, pivots):
+                if row[f]:
+                    vec[c] = Fraction(-row[f], row[c])
+            basis.append(vec)
+    solution = None if any(map(Fraction, rhs)) else []
+    if rows:
+        aug, aug_pivots = dense_reduce([[*r, b] for r, b in zip(rows, rhs)])
+        if not aug_pivots or aug_pivots[-1] != ncols:
+            solution = [Fraction(0)] * ncols
+            for row, c in zip(aug, aug_pivots):
+                solution[c] = Fraction(row[ncols], row[c])
+    return len(pivots), basis, solution
+
+
+def sparse_shapes(seed, count):
+    """Seeded sparse matrices, wide, tall and square, with int, Fraction or
+    mixed entries, zero rows, duplicate and scaled duplicate rows; every
+    other right-hand side is consistent and the rest are perturbed."""
+    rng = random.Random(seed)
+    for k in range(count):
+        kind = ("int", "fraction", "mixed")[k % 3]
+        small, mid, large = rng.randint(1, 6), rng.randint(8, 24), rng.randint(12, 50)
+        nrows, ncols = ((small, large), (large, small), (mid, mid))[k // 3 % 3]
+        density = rng.choice((0.05, 0.15, 0.4))
+        rows = [
+            [_random_entry(rng, kind) if rng.random() < density else 0 for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+        for _ in range(rng.randint(0, 2)):
+            rows.append([0] * ncols)
+        for _ in range(rng.randint(1, 3)):
+            dup = rng.choice(rows)
+            scale = rng.choice((1, -1, Fraction(-3, 2)))
+            rows.append(list(dup) if scale == 1 else [scale * x for x in dup])
+        rng.shuffle(rows)
+        x = [_random_entry(rng, kind) for _ in range(ncols)]
+        rhs = [sum(r * v for r, v in zip(row, x)) for row in rows]
+        if k % 2:
+            rhs[rng.randrange(len(rhs))] += Fraction(1, rng.randint(1, 3))
+        yield rows, ncols, rhs
+
+
+def assert_matches_dense_reduce(rows, ncols, rhs):
+    reduced, pivots = linalg._reduce(rows)
+    assert all(x and type(x) is int for row in reduced for x in row.values())
+    dense = [[row.get(j, 0) for j in range(ncols)] for row in reduced]
+    assert (dense, pivots) == dense_reduce(rows)
+    rank, basis, solution = _dense_answers(rows, ncols, rhs)
+    assert linalg.rank(rows) == rank
+    assert linalg.nullspace(rows, ncols) == basis
+    assert linalg.solve(rows, rhs) == solution
+
+
+def test_sparse_reduce_matches_dense_sweep():
+    shapes = set()
+    inconsistent = 0
+    for rows, ncols, rhs in sparse_shapes(1515, 90):
+        assert_matches_dense_reduce(rows, ncols, rhs)
+        shapes.add((len(rows) > ncols, len(rows) < ncols))
+        inconsistent += linalg.solve(rows, rhs) is None
+    assert shapes == {(True, False), (False, True)} and inconsistent >= 20
+
+
+def test_sparse_reduce_edge_matrices():
+    edges = (([], 0), ([[]], 0), ([[0, 0], [0, 0]], 2), ([[0, Fraction(3, 2)]], 2))
+    for rows, ncols in edges:
+        assert_matches_dense_reduce(rows, ncols, [0] * len(rows))
+    assert linalg._reduce([]) == ([], [])
+    assert linalg._reduce([[0, 0, 0]]) == ([], [])
+    # an inconsistent augmented column and a row that cancels to zero
+    assert_matches_dense_reduce([[1, 1], [2, 2], [1, 2]], 2, [1, 3, 0])
+    assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2"])

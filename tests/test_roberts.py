@@ -66,6 +66,15 @@ def test_beta_matches_three_elimination_oracle():
             assert RA.beta(i, n) == three_elimination_beta(RA, i, n)
 
 
+def test_beta_text_matches_three_elimination_oracle_up_to_six():
+    """Pinned columns on the right-hand side give the text of the full system
+    with one unit row per pinned monomial."""
+    fresh = RobertsAction()
+    for n in (5, 6):
+        for i in (1, 2, 3):
+            assert str(fresh.beta(i, n)) == str(three_elimination_beta(fresh, i, n))
+
+
 def test_beta_vanishes_on_leading_monomials_of_slice_free_invariants():
     """The canonical property of beta(i, n), checked without its system.
 

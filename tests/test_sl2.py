@@ -263,7 +263,9 @@ def test_quadratic_invariant_normalization_matches_fraction_oracle():
     assert -3 in int_leads
 
 
-@pytest.mark.parametrize("spec", ["V[4]+V[2]", "V[4]+V[4]", "V[3]+V[1]", "V[2]+V[2]+V[2]"])
+@pytest.mark.parametrize(
+    "spec", ["V[4]+V[2]", "V[4]+V[4]", "V[3]+V[1]", "V[2]+V[2]+V[2]", "V[3]+V[2]"]
+)
 def test_invariants_skip_negative_weights_matches_all_weight_oracle(spec):
     rep = RepSum.parse(spec)
     D = build_raising_derivation(rep)

@@ -3,7 +3,9 @@
 The oracles here deliberately avoid the library's own code paths: a lex
 sort key built from the exponents, naive textbook Gaussian elimination
 over Fraction, the earlier dense Bareiss elimination with a ``Fraction``
-back-substitution, brute-force monomial enumeration over bounded exponent
+back-substitution, the earlier dense integer Gauss-Jordan sweep on
+full-width rows, the earlier Leibniz apply that chains one ``sub_scaled``
+per term and variable, brute-force monomial enumeration over bounded exponent
 boxes, graded enumeration that walks up from the least significant
 variable and sorts afterwards, beta(i, n) canonicalized by three
 eliminations of one system, an iterative-deepening leading-monomial factorization on
@@ -21,7 +23,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from plinth import linalg
 from plinth.derivation import Derivation
@@ -31,6 +33,7 @@ from plinth.polyring import (
     VariableSet,
     WeightSystem,
     coefficient_matrix,
+    coefficient_value,
 )
 from plinth.roberts import RobertsAction
 from plinth.report import Checker, VerificationReport
@@ -239,6 +242,40 @@ def bareiss_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     return reduced, pivots
 
 
+def dense_reduce(rows) -> tuple[list[list[int]], list[int]]:
+    """``linalg._reduce`` by the earlier dense route: the same integer
+    Gauss-Jordan sweep (left to right, smallest |pivot|, content cleared
+    after every row operation) on full-width lists of ``int``."""
+    m: list[list[int]] = []
+    for row in rows:
+        vals = [coefficient_value(x) for x in row]
+        den = lcm(*(v.denominator for v in vals if type(v) is not int))
+        ints = [v.numerator * (den // v.denominator) for v in vals]
+        g = gcd(*ints)
+        if g:  # a zero row constrains nothing
+            m.append([v // g for v in ints] if g > 1 else ints)
+    pivots: list[int] = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        candidates = [i for i in range(r, len(m)) if m[i][c]]
+        if not candidates:
+            continue
+        best = min(candidates, key=lambda i: abs(m[i][c]))
+        m[r], m[best] = m[best], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i, row in enumerate(m):
+            v = row[c]
+            if v and i != r:
+                g = gcd(p, v)
+                a, b = p // g, v // g
+                new = [a * x - b * y for x, y in zip(row, prow)]
+                h = gcd(*new)
+                m[i] = [x // h for x in new] if h > 1 else new
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
 def brute_monomials(
     weights: list[tuple[int, ...]], degree: tuple[int, ...], indices: list[int]
 ) -> set[tuple[tuple[int, int], ...]]:
@@ -307,7 +344,7 @@ def xy_graded_kernel(action: RobertsAction, degree: tuple[int, ...]) -> list[Pol
 
 
 def beta_system(action: RobertsAction, i: int, n: int):
-    """The system that ``RobertsAction._construct_beta`` solves: D = 0 on the
+    """beta(i, n)'s system with every monomial unknown: D = 0 on the
     ascending monomial columns plus one unit row per pinned slice coefficient.
     """
     R = action.ring
@@ -479,6 +516,19 @@ def fraction_evaluate(f: Polynomial, point) -> Fraction:
         for i, e in m.pairs:
             v *= values[i] ** e
         total += v
+    return total
+
+
+def chained_apply(D: Derivation, f: Polynomial) -> Polynomial:
+    """``Derivation.apply`` by the earlier route: one ``sub_scaled`` of the
+    image per (term, variable), each copying the running total."""
+    x = [Monomial(((i, 1),)) for i in range(len(D.ambient))]
+    total = D.ambient.zero()
+    for m, c in f.terms():
+        for i, e in m.pairs:
+            g = D.images[D.ambient.names[i]]
+            if not g.is_zero():
+                total = total.sub_scaled(-c * e, g, m.divide(x[i]))
     return total
 
 
