@@ -182,9 +182,6 @@ class QuadricRing:
             out = out + rest * (alpha * self.ambient.variable("y") + beta)
         return out
 
-    def is_normal(self, f: Polynomial) -> bool:
-        return f.max_exponent("y") <= 1
-
 
 def divide_out(f: Polynomial, g: Polynomial) -> Polynomial:
     """Remainder of f on division by the single polynomial g (exact)."""

@@ -152,20 +152,24 @@ class RobertsAction:
         """Pinned z-slices of the canonical form, keyed by z-exponent."""
         R = self.ring
         j, k = sorted({1, 2, 3} - {i})
-        x = lambda a: f"x{a}"
-        y = lambda a: f"y{a}"
+        at = [R.index(f"{v}{a}") for v in "xy" for a in (i, j, k)]
+        # exponents of x_i, x_j, x_k, y_i, y_j, y_k
+        mono = lambda *exps: Monomial(zip(at, exps))
         targets: dict[int, Polynomial] = {
-            n: R.variable(x(i)),
+            n: R.variable(f"x{i}"),
         }
         if n >= 1:
-            targets[n - 1] = R.poly(f"{x(j)}^2*{x(k)}^2*{y(i)}").scale(-n)
+            targets[n - 1] = Polynomial(R, {mono(0, 2, 2, 1, 0, 0): -n})
         if n >= 2:
             c = comb(n, 2)
-            targets[n - 2] = (
-                R.poly(f"{x(i)}^2*{x(j)}^4*{x(k)}*{y(i)}*{y(k)}")
-                + R.poly(f"{x(i)}^2*{x(j)}*{x(k)}^4*{y(i)}*{y(j)}")
-                - R.poly(f"{x(i)}^5*{x(j)}*{x(k)}*{y(j)}*{y(k)}")
-            ).scale(c)
+            targets[n - 2] = Polynomial(
+                R,
+                {
+                    mono(2, 4, 1, 1, 0, 1): c,
+                    mono(2, 1, 4, 1, 1, 0): c,
+                    mono(5, 1, 1, 0, 1, 1): -c,
+                },
+            )
         return targets
 
     def _construct_beta(self, i: int, n: int) -> Polynomial:

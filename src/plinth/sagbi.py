@@ -2,15 +2,19 @@
 
 Given named generators of a subalgebra of a polynomial ring, the leading
 terms generate a monomial algebra.  Membership of a monomial in that
-algebra is decided by one memoized search per generator set, with one
-memo entry per ``Monomial`` packed integer; subduction repeatedly cancels
-the leading term of a polynomial by a product of generators and leaves a
-replayable certificate.  A generating set is verified to be a SAGBI basis
-(up to a degree bound) by showing that every tete-a-tete difference has a
-subduction to zero within a step budget.  Only coprime pairs are
-subducted: a pair that shares a generator has a smaller pair's difference
-times a generator product, and the same multiple of the smaller pair's
-subduction subducts it.
+algebra is decided by one memoized search per generator set: the memo
+holds the least factor count of each ``Monomial`` packed integer, the
+search from a monomial branches only on the generators whose leading
+monomial has the same top variable, and the least factorization is read
+off the counts.  Generator products are cached by prefix of their sorted
+names, so a new product costs one multiplication.  Subduction repeatedly
+cancels the leading term of a polynomial by a product of generators and
+leaves a replayable certificate.  A generating set is verified to be a
+SAGBI basis (up to a degree bound) by showing that every tete-a-tete
+difference has a subduction to zero within a step budget.  Only coprime
+pairs are subducted: a pair that shares a generator has a smaller pair's
+difference times a generator product, and the same multiple of the
+smaller pair's subduction subducts it.
 
 ``subduct`` and ``x_ideal_membership`` share one cancellation loop: the
 first with the unit prefix, the second with a variable prefix in front of
@@ -26,6 +30,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .polyring import (
+    FIELD_BITS,
     MONOMIAL_ONE,
     Coefficient,
     Monomial,
@@ -41,7 +46,12 @@ class SubductionError(PolyError):
 
 
 class GeneratorSet:
-    """Named nonzero generators of a subalgebra, with leading-term caches."""
+    """Named nonzero generators of a subalgebra, with leading-term caches.
+
+    Two caches only grow: the count memo of ``factorization``, one entry
+    per packed monomial, and a prefix tree of generator products read by
+    ``product``.
+    """
 
     def __init__(self, ambient: VariableSet, generators: Iterable[tuple[str, Polynomial]]):
         self.ambient = ambient
@@ -65,11 +75,15 @@ class GeneratorSet:
         self._search_names = [
             name for name in self.names if not self.lt[name][0].is_one()
         ]
-        # one least-factorization code per packed monomial (1 packs as 0)
-        self._memo: dict[int, int] = {0: 0}
-        self._slots = max(len(self._search_names), 1)
         self._lts = [int(self.lt[name][0]) for name in self._search_names]
-        self._prod_cache: dict[tuple[str, ...], Polynomial] = {}
+        # the distinct leading monomials, grouped by their top variable
+        self._by_top: list[list[int]] = [[] for _ in ambient.names]
+        for lt in sorted(set(self._lts)):
+            self._by_top[_top(lt)].append(lt)
+        # least factor count per packed monomial (1 packs as 0), -1 for none
+        self._memo: dict[int, int] = {0: 0}
+        # prefix tree of products: name -> (product so far, subtree)
+        self._prod_cache: dict[str, tuple[Polynomial, dict]] = {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -78,79 +92,109 @@ class GeneratorSet:
         return name in self.polys
 
     def product(self, names: Sequence[str]) -> Polynomial:
-        """Product of generators for a multiset of names (cached)."""
-        key = tuple(sorted(names))
-        got = self._prod_cache.get(key)
-        if got is None:
-            got = self.ambient.one()
-            for name in key:
-                got = got * self.polys[name]
-            self._prod_cache[key] = got
-        return got
+        """Product of generators for a multiset of names (cached).
+
+        The sorted names are a path in the prefix tree: the longest cached
+        prefix is looked up, and each further name costs one multiplication
+        whose product is cached under its own prefix.
+        """
+        node, got, built = self._prod_cache, None, 0
+        key = sorted(names)
+        for name in key:
+            entry = node.get(name)
+            if entry is None:
+                break
+            got, node = entry
+            built += 1
+        for name in key[built:]:
+            g = self.polys[name]
+            got = g if got is None else got * g
+            child: dict = {}
+            node[name] = got, child
+            node = child
+        return self.ambient.one() if got is None else got
 
     # -- monomial algebra membership ---------------------------------------
 
     def factorization(self, m: Monomial) -> tuple[str, ...] | None:
         """Multiset of generator names whose leading monomials multiply to m.
 
-        Read off the memo of ``_best``, one lookup per factor; the memo is
-        shared by every query on this generator set.  Ties break toward the
-        fewest factors, then the lexicographically smallest name sequence,
-        so certificates are deterministic.
+        Ties break toward the fewest factors, then the lexicographically
+        smallest name sequence, so certificates are deterministic.  The
+        answer is read off the least factor counts of ``_count``: each step
+        takes the first generator whose leading monomial divides the rest
+        and leaves a quotient with one factor fewer.  The chosen indices
+        never decrease: if index i is taken for rem, a shortest
+        factorization of rem / lt[i] that used j < i would give rem one as
+        short containing j, and j would have been taken.  So the scan goes
+        on from the last index taken and spells the least sorted sequence.
         """
-        rem, slots, memo = int(m), self._slots, self._memo
-        if self._best(rem) < 0:
+        rem, invalid = int(m), self.ambient.invalid_bits
+        if rem & invalid:  # not a monomial over the ambient
             return None
-        names = []
-        while rem:
-            k = memo[rem] % slots
-            names.append(self._search_names[k])
-            rem -= self._lts[k]
+        count = self._count(rem)
+        if count < 0:
+            return None
+        memo, lts = self._memo, self._lts
+        names, k = [], 0
+        while count:
+            # lts[k] divides rem exactly when q is a monomial
+            q = rem - lts[k]
+            if not q & invalid:
+                got = memo.get(q)
+                if got is None:
+                    got = self._count(q)
+                if got == count - 1:
+                    names.append(self._search_names[k])
+                    rem, count = q, got
+                    continue
+            k += 1
         return tuple(names)
 
-    def _best(self, rem: int) -> int:
-        """Least factorization of monomial ``rem``, memoized per monomial.
+    def _count(self, rem: int) -> int:
+        """Least number of factors of monomial ``rem``, memoized per monomial
+        (-1 when there is none).
 
-        Factorizations are ordered by (factor count, name tuple); names are
-        sorted, so within one count the smallest first index decides, and
-        the result is coded as count * slots + first index: 0 for the empty
-        factorization of 1, -1 when there is none.  No start index is kept:
-        if i is the first index for rem, no shortest factorization of
-        rem / lt[i] uses an index j < i (with i it would give rem one as
-        short containing j), so the entries of rem, rem / lt[i], ... spell
-        the least factorization in sorted order.  The search keeps its own
-        stack, so a factorization with thousands of factors stays clear of
-        Python's recursion limit.
+        Only generators whose leading monomial has the same top variable as
+        rem are tried: some factor of any factorization of rem != 1
+        contains rem's top variable, and no factor contains a variable
+        above it.  The search keeps its own stack, so a factorization with
+        thousands of factors stays clear of Python's recursion limit.
         """
-        memo, slots = self._memo, self._slots
+        memo = self._memo
         got = memo.get(rem)
         if got is not None:
             return got
-        lts, invalid, n = self._lts, self.ambient.invalid_bits, len(self._lts)
-        # frames: [monomial, next index to try, best code]
-        stack = [[rem, 0, -1]]
+        by_top, invalid = self._by_top, self.ambient.invalid_bits
+        # frames: [monomial, candidate leading monomials, next position,
+        # least quotient count so far]
+        stack = [[rem, by_top[_top(rem)], 0, -1]]
         while stack:
             frame = stack[-1]
-            rem, k, best = frame
+            rem, lts, k, best = frame
+            n = len(lts)
             while k < n:
-                # lts[k] divides rem exactly when q is a monomial
                 q = rem - lts[k]
                 if not q & invalid:
-                    code = memo.get(q)
-                    if code is None:
-                        # solve the quotient first, then retry index k
-                        frame[1], frame[2] = k, best
-                        stack.append([q, 0, -1])
+                    got = memo.get(q)
+                    if got is None:
+                        # solve the quotient first, then retry position k
+                        frame[2], frame[3] = k, best
+                        stack.append([q, by_top[_top(q)], 0, -1])
                         break
-                    if code >= 0:
-                        code = (code // slots + 1) * slots + k
-                        if best < 0 or code < best:
-                            best = code
+                    if got >= 0 and (best < 0 or got < best):
+                        best = got
                 k += 1
             else:
+                best = best + 1 if best >= 0 else -1
                 memo[rem] = best
                 stack.pop()
         return best
+
+
+def _top(m: int) -> int:
+    """Index of the most significant variable of a packed monomial m != 1."""
+    return (m.bit_length() - 1) // FIELD_BITS
 
 
 def monomial_algebra_member(

@@ -38,20 +38,6 @@ def point_text(point: Mapping[str, Fraction]) -> str:
     return ",".join(str(point[name]) for name in point)
 
 
-def parse_point(ambient_names: Sequence[str], text: str) -> Point:
-    """Inverse of point_text: comma-separated rationals in ambient order.
-
-    PolyError on a field that is empty, not a number or has denominator 0.
-    """
-    values = []
-    for part in text.split(","):
-        try:
-            values.append(Fraction(part))
-        except (ValueError, ZeroDivisionError):
-            raise PolyError(f"coordinate is not a rational: {part!r}") from None
-    return make_point(ambient_names, values)
-
-
 @dataclass
 class SeparationReport:
     """Outcome of evaluating a generator set on a pair of points."""

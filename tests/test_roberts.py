@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -64,6 +65,26 @@ def test_beta_matches_three_elimination_oracle():
     for n in range(5):
         for i in (1, 2, 3):
             assert RA.beta(i, n) == three_elimination_beta(RA, i, n)
+
+
+def test_slice_targets_match_the_parsed_canonical_slices():
+    """The pinned slices built from monomials equal the text in the module
+    docstring, parsed; the beta oracles read the same slices, so this pins
+    them independently."""
+    for i in (1, 2, 3):
+        j, k = sorted({1, 2, 3} - {i})
+        for n in range(5):
+            want = {n: R7.poly(f"x{i}")}
+            if n >= 1:
+                want[n - 1] = R7.poly(f"-{n}*x{j}^2*x{k}^2*y{i}")
+            if n >= 2:
+                want[n - 2] = R7.poly(
+                    f"x{i}^2*x{j}^4*x{k}*y{i}*y{k} + x{i}^2*x{j}*x{k}^4*y{i}*y{j}"
+                    f" - x{i}^5*x{j}*x{k}*y{j}*y{k}"
+                ).scale(comb(n, 2))
+            got = RA._slice_targets(i, n)
+            assert got == want, (i, n)
+            assert {t: str(f) for t, f in got.items()} == {t: str(f) for t, f in want.items()}
 
 
 def test_beta_text_matches_three_elimination_oracle_up_to_six():

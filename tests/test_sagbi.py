@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from plinth.polyring import Monomial, VariableSet
+from plinth.polyring import Monomial, Polynomial, VariableSet
 from plinth.roberts import roberts_action
 from plinth.sagbi import (
     GeneratorSet,
@@ -19,6 +19,7 @@ from plinth.sagbi import (
 from util import (
     common_factor_certificate,
     deepening_factorization,
+    FirstIndexSearch,
     exhaustive_verify_sagbi,
     pair_core,
     random_poly,
@@ -63,6 +64,10 @@ def test_factorization_trivial_cases():
         R7, [("m12", R7.poly("x1^3*y2")), ("b", R7.poly("x1*z"))]
     )
     assert monomial_algebra_member(mono(x2=1), small) is None
+    # a monomial in a variable past the ambient has no factorization
+    beyond = Monomial(((len(R7), 1),))
+    assert small.factorization(beyond) is None
+    assert int(beyond) not in small._memo
 
 
 def test_factorization_prefers_fewest_factors():
@@ -101,16 +106,11 @@ def lt_products(G, bound):
 
 def assert_memo_keyed_by_monomials(G, answers):
     # one memo entry per monomial: every key is a packed monomial over the
-    # ambient, with no search index folded in, and each queried monomial's
-    # own entry codes its factor count and first factor (-1: none)
+    # ambient, and each queried monomial's own entry is its least factor
+    # count (-1: none)
     assert all(not key & G.ambient.invalid_bits for key in G._memo)
     for m, names in answers.items():
-        if names is None:
-            want = -1
-        else:
-            first = G._search_names.index(names[0]) if names else 0
-            want = len(names) * G._slots + first
-        assert G._memo[int(m)] == want, m
+        assert G._memo[int(m)] == (-1 if names is None else len(names)), m
 
 
 def test_factorization_matches_oracle_on_lt_products():
@@ -189,6 +189,51 @@ def test_factorization_after_width_growth_matches_fresh_set():
         assert got is not None
         assert got == fresh_copy(RA.catalog(1)).factorization(big)
     assert [warm.factorization(m) for m in small] == before
+
+
+def random_generator_set(rng):
+    """Monomial-led generators over 2 to 4 variables, always with a pair of
+    tied leading monomials and a generator with constant leading term."""
+    V = VariableSet([f"v{i}" for i in range(rng.randint(2, 4))])
+    gens = []
+    for k in range(rng.randint(2, 5)):
+        m = random_monomial(rng, range(len(V)), 2)
+        if m.is_one():
+            m = Monomial(((rng.randrange(len(V)), 1),))
+        gens.append((f"g{k}", Polynomial(V, {m: rng.randint(1, 3), Monomial(()): 1})))
+    tied = gens[rng.randrange(len(gens))][1].leading_monomial()
+    gens.append(("t", Polynomial(V, {tied: -1})))
+    gens.append(("c", Polynomial(V, {Monomial(()): 5})))
+    return GeneratorSet(V, gens)
+
+
+def test_factorization_matches_first_index_search_on_random_sets():
+    rng = random.Random(1616)
+    solvable = unsolvable = 0
+    for _ in range(60):
+        G = random_generator_set(rng)
+        oracle = FirstIndexSearch(G)
+        names = G._search_names
+        answers = {}
+        for _ in range(25):
+            if rng.random() < 0.5:
+                m = Monomial(())
+                for name in rng.choices(names, k=rng.randint(1, 4)):
+                    m = m * G.lt[name][0]
+            else:
+                m = random_monomial(rng, range(len(G.ambient)), 4)
+            got = G.factorization(m)
+            assert got == oracle.factorization(m) == deepening_factorization(G, m), m
+            answers[m] = got
+            if got is None:
+                unsolvable += 1
+            else:
+                solvable += 1
+        assert_memo_keyed_by_monomials(G, answers)
+        # every monomial the count search visits, the first-index search
+        # visits too
+        assert len(G._memo) <= len(oracle.memo)
+    assert solvable > 500 and unsolvable > 200
 
 
 def test_subduct_generator_single_step():
@@ -577,3 +622,35 @@ def test_failed_step_message_is_shared():
     ):
         with pytest.raises(SubductionError, match="^subduction step failed to decrease"):
             run()
+
+
+def test_product_is_a_left_fold_of_sorted_generators():
+    G = fresh_copy(RA.catalog(1))
+    rng = random.Random(1729)
+    for _ in range(60):
+        key = rng.choices(G.names, k=rng.randint(0, 5))
+        want = R7.one()
+        for name in sorted(key):
+            want = want * G.polys[name]
+        assert G.product(key) == want, key
+
+
+def test_product_miss_multiplies_once_past_its_cached_prefix(monkeypatch):
+    G = fresh_copy(RA.catalog(1))
+    G.product(("u12", "b1_1", "b1_0"))
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    G.product(("b1_0", "b1_1", "u12", "u23"))
+    assert len(calls) == 1
+    G.product(("b1_1", "b1_0"))
+    assert len(calls) == 1
+    assert G.product(("u13",)) is G.polys["u13"]
+
+
+def test_product_of_5000_factors_without_recursion():
+    G = GeneratorSet(XYZ, [("x", XYZ.poly("x"))])
+    t0 = time.perf_counter()
+    got = G.product(("x",) * 5000)
+    assert time.perf_counter() - t0 < 1.0
+    assert got == XYZ.poly("x^5000")

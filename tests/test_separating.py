@@ -20,7 +20,7 @@ from plinth.separating import (
     solve_group_element,
 )
 from plinth.sl2 import RepSum, build_raising_derivation, invariants_up_to_degree
-from util import fraction_evaluate, random_poly, substitute_flow_equations
+from util import fraction_evaluate, parse_point, random_poly, substitute_flow_equations
 
 RA = roberts_action()
 R7 = RA.ring
@@ -39,8 +39,6 @@ def in_roberts_plinth(p):
 
 
 def test_point_text_round():
-    from plinth.separating import parse_point
-
     v = make_point(NAMES, (1, 2, 3, 0, 0, 0, Fraction(1, 2)))
     assert point_text(v) == "1,2,3,0,0,0,1/2"
     assert parse_point(NAMES, point_text(v)) == v

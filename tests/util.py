@@ -9,7 +9,8 @@ per term and variable, brute-force monomial enumeration over bounded exponent
 boxes, graded enumeration that walks up from the least significant
 variable and sorts afterwards, beta(i, n) canonicalized by three
 eliminations of one system, an iterative-deepening leading-monomial factorization on
-``Monomial`` objects, SAGBI verification that subducts every tete-a-tete
+``Monomial`` objects, the earlier memoized factorization search that tries
+every generator and codes each monomial's first factor, SAGBI verification that subducts every tete-a-tete
 pair, a shared-generator multiple of a subduction certificate, the earlier
 tuple-of-pairs monomial, point evaluation with a ``Fraction`` for every
 power and partial sum, the flow exp(s*D) summed term by term over the
@@ -29,6 +30,7 @@ from plinth import linalg
 from plinth.derivation import Derivation
 from plinth.polyring import (
     Monomial,
+    PolyError,
     Polynomial,
     VariableSet,
     WeightSystem,
@@ -46,6 +48,7 @@ from plinth.sagbi import (
     tete_a_tete_difference,
     tete_a_tetes,
 )
+from plinth.separating import Point, make_point
 from plinth.sl2 import RepSum
 
 
@@ -432,6 +435,62 @@ def deepening_factorization(G: GeneratorSet, m: Monomial) -> tuple[str, ...] | N
     return None
 
 
+class FirstIndexSearch:
+    """The earlier memoized least-factorization search of ``GeneratorSet``.
+
+    Every generator whose leading monomial divides the remainder is tried,
+    whatever its variables, and the memo codes the least factorization of
+    each monomial as count * slots + first search index (0 for 1, -1 for
+    none), so the answer is read off one entry per factor.
+    """
+
+    def __init__(self, G: GeneratorSet):
+        self.names = [name for name in G.names if not G.lt[name][0].is_one()]
+        self.lts = [int(G.lt[name][0]) for name in self.names]
+        self.slots = max(len(self.names), 1)
+        self.invalid = G.ambient.invalid_bits
+        self.memo: dict[int, int] = {0: 0}
+
+    def factorization(self, m: Monomial) -> tuple[str, ...] | None:
+        rem = int(m)
+        if self._best(rem) < 0:
+            return None
+        names = []
+        while rem:
+            k = self.memo[rem] % self.slots
+            names.append(self.names[k])
+            rem -= self.lts[k]
+        return tuple(names)
+
+    def _best(self, rem: int) -> int:
+        memo, slots, lts, n = self.memo, self.slots, self.lts, len(self.lts)
+        got = memo.get(rem)
+        if got is not None:
+            return got
+        # frames: [monomial, next index to try, best code]
+        stack = [[rem, 0, -1]]
+        while stack:
+            frame = stack[-1]
+            rem, k, best = frame
+            while k < n:
+                q = rem - lts[k]
+                if not q & self.invalid:
+                    code = memo.get(q)
+                    if code is None:
+                        frame[1], frame[2] = k, best
+                        stack.append([q, 0, -1])
+                        break
+                    if code >= 0:
+                        code = (code // slots + 1) * slots + k
+                        if best < 0 or code < best:
+                            best = code
+                k += 1
+            else:
+                memo[rem] = best
+                stack.pop()
+        return best
+
+
 def exhaustive_verify_sagbi(
     G: GeneratorSet,
     total_degree_bound: int,
@@ -766,3 +825,23 @@ def all_weight_invariants(rep: RepSum, D: Derivation, degree_bound: int):
             if mons:
                 out.extend((d, w, f) for f in D.kernel_on_monomials(mons))
     return out
+
+
+def parse_point(ambient_names, text: str) -> Point:
+    """Inverse of ``separating.point_text``: comma-separated rationals in
+    ambient order.
+
+    PolyError on a field that is empty, not a number or has denominator 0.
+    """
+    values = []
+    for part in text.split(","):
+        try:
+            values.append(Fraction(part))
+        except (ValueError, ZeroDivisionError):
+            raise PolyError(f"coordinate is not a rational: {part!r}") from None
+    return make_point(ambient_names, values)
+
+
+def is_quadric_normal(f: Polynomial) -> bool:
+    """True when f is in ``casebook.QuadricRing`` normal form: y-degree <= 1."""
+    return f.max_exponent("y") <= 1
