@@ -19,6 +19,7 @@ from fractions import Fraction
 from . import linalg
 from .derivation import Derivation
 from .polyring import Monomial, PolyError, Polynomial, VariableSet, coefficient_matrix
+from .polyring import combination
 from .report import Checker, VerificationReport
 from .separating import solve_group_element
 
@@ -84,20 +85,13 @@ def example1_conductor_check(f: Polynomial, degree_bound: int = 6) -> Verificati
     rows = _membership_constraint_rows(f, h_monomials)
     solution = linalg.nullspace(rows, len(h_monomials))
     x_index = f.ambient.index("x")
-
-    def unit(m: Monomial) -> list[Fraction]:
-        return [Fraction(1 if mm == m else 0) for mm in h_monomials]
-
-    if case == "case_m0":
-        claimed = [unit(m) for m in h_monomials]
-    elif case == "case_R_minus_m0":
-        claimed = [
-            unit(m)
-            for m in h_monomials
-            if m.is_one() or m.exponent(x_index) >= 1
-        ]
-    else:
-        claimed = [unit(m) for m in h_monomials if m.exponent(x_index) >= 1]
+    claimed = [
+        {j: 1}
+        for j, m in enumerate(h_monomials)
+        if case == "case_m0"
+        or m.exponent(x_index) >= 1
+        or case == "case_R_minus_m0" and m.is_one()
+    ]
     checker.require(
         linalg.same_span(solution, claimed),
         {
@@ -167,38 +161,39 @@ class QuadricRing:
         return self._alpha_beta[e]
 
     def reduce(self, f: Polynomial) -> Polynomial:
-        """The unique normal form of f modulo the quadric relation."""
+        """The unique normal form of f modulo the quadric relation: a term
+        c * m * y^e, m free of y and e >= 2, becomes c * m * (alpha_e y + beta_e)."""
         y_index = self.ambient.index("y")
-        out = self.ambient.zero()
+        y = Monomial(((y_index, 1),))
+        one = self.ambient.one()
+        parts = []
         for m, c in f.terms():
             e = m.exponent(y_index)
             if e <= 1:
-                out = out + Polynomial(self.ambient, {m: c})
+                parts.append((c, m, one))
                 continue
-            rest = Polynomial(
-                self.ambient, {m.divide(Monomial(((y_index, e),))): c}
-            )
+            rest = m.divide(Monomial(((y_index, e),)))
             alpha, beta = self._powers(e)
-            out = out + rest * (alpha * self.ambient.variable("y") + beta)
-        return out
+            parts += ((c, rest * y, alpha), (c, rest, beta))
+        return combination(self.ambient, parts)
 
 
 def divide_out(f: Polynomial, g: Polynomial) -> Polynomial:
     """Remainder of f on division by the single polynomial g (exact)."""
     lt_m, lt_c = g.leading_term()
-    remainder = f.ambient.zero()
+    one = f.ambient.one()
+    remainder = []
     cur = f
     while not cur.is_zero():
         m, c = cur.leading_term()
         if lt_m.divides(m):
             cur = cur.sub_scaled(Fraction(c) / lt_c, g, m.divide(lt_m))
         else:
-            head = Polynomial(f.ambient, {m: c})
-            remainder = remainder + head
-            cur = cur - head
+            remainder.append((c, m, one))
+            cur = cur.sub_scaled(c, one, m)
         if not cur.is_zero() and cur.leading_monomial() >= m:
             raise PolyError("division failed to decrease the leading term")
-    return remainder
+    return combination(f.ambient, remainder)
 
 
 def danielewski_derivation() -> Derivation:
@@ -427,34 +422,18 @@ def sl2_mod_n_checks(degree_bound: int = 6) -> VerificationReport:
     rows = coefficient_matrix([D.apply(p) for p in basis])
     rows += coefficient_matrix([sigma_hat(p) - p for p in basis])
     combos = linalg.nullspace(rows, len(monos))
-    nf_monos: dict[Monomial, int] = {}
-    reduced_polys = []
-    for vec in combos:
-        p = Polynomial(R, {m: c for m, c in zip(monos, vec) if c})
-        nf = Q.reduce(p)
-        reduced_polys.append(nf)
-        for m in nf.monomials():
-            nf_monos.setdefault(m, len(nf_monos))
-    even_z = [
-        Q.reduce(R.poly("1" if k == 0 else f"z^{2 * k}"))
-        for k in range(degree_bound // 2 + 1)
+    reduced_polys = [
+        Q.reduce(Polynomial(R, {m: c for m, c in zip(monos, vec) if c})) for vec in combos
     ]
-    for p in even_z:
-        for m in p.monomials():
-            nf_monos.setdefault(m, len(nf_monos))
-
-    def vecs(polys):
-        return [
-            [p.coefficient(m) for m in nf_monos] for p in polys
-        ]
-
+    even_z = [Q.reduce(R.poly(f"z^{2 * k}")) for k in range(degree_bound // 2 + 1)]
+    # the normal forms as columns: two spans agree when both have the rank
+    # of their union
+    observed = linalg.rank(coefficient_matrix(reduced_polys))
     checker.require(
-        linalg.same_span(vecs(reduced_polys), vecs(even_z)),
-        {
-            "part": "quotient-ring",
-            "observed_dim": linalg.rank(vecs(reduced_polys)),
-            "expected_dim": len(even_z),
-        },
+        observed
+        == linalg.rank(coefficient_matrix(even_z))
+        == linalg.rank(coefficient_matrix(reduced_polys + even_z)),
+        {"part": "quotient-ring", "observed_dim": observed, "expected_dim": len(even_z)},
     )
     checker.note(
         f"invariant normal forms span the even z-powers up to degree {degree_bound}"

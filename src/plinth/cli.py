@@ -185,21 +185,16 @@ def run_kernel(ring: str, degree: tuple[int, ...]) -> list[VerificationReport]:
         "graded kernel basis computed by exact elimination",
         {"ring": ring, "degree": list(degree)},
     )
-    try:
-        if ring == "roberts":
-            if len(degree) != 3:
-                raise argparse.ArgumentTypeError(
-                    "roberts kernel needs a 3-component degree"
-                )
-            basis = roberts_action().graded_invariants(degree)
-        else:
-            if len(degree) != 2:
-                raise argparse.ArgumentTypeError("sl2 kernel needs degree,weight")
-            rep = sl2.RepSum.parse(ring[4:])
-            D = sl2.build_raising_derivation(rep)
-            basis = D.graded_kernel(rep.weight_system(), rep.piece(*degree)).basis
-    except PolyError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    if ring == "roberts":
+        if len(degree) != 3:
+            raise argparse.ArgumentTypeError("roberts kernel needs a 3-component degree")
+        basis = roberts_action().graded_invariants(degree)
+    else:
+        if len(degree) != 2:
+            raise argparse.ArgumentTypeError("sl2 kernel needs degree,weight")
+        rep = sl2.RepSum.parse(ring[4:])
+        D = sl2.build_raising_derivation(rep)
+        basis = D.graded_kernel(rep.weight_system(), rep.piece(*degree)).basis
     for p in basis:
         print(p)
     checker.note(f"dimension {len(basis)} at degree {degree}")
@@ -342,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
             usage_error(f"cannot write --json file: {exc}")
     try:
         reports = run(**args)
-    except argparse.ArgumentTypeError as exc:
+    except (argparse.ArgumentTypeError, PolyError) as exc:
         usage_error(str(exc))
     for r in reports:
         print(r.text_line())

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .polyring import (
     INHOMOGENEOUS,
+    MONOMIAL_ONE,
     Coefficient,
     Monomial,
     PolyError,
@@ -27,9 +28,10 @@ from .polyring import (
     VariableMismatchError,
     VariableSet,
     WeightSystem,
-    _packed,
+    _from_sums,
     coefficient_matrix,
     coefficient_value,
+    combination,
 )
 
 
@@ -106,8 +108,9 @@ class Derivation:
         D(c*m) = sum_i c * e_i * (m / x_i) * D(x_i) over the variables x_i
         of m with exponent e_i and a nonzero image.  Every product term is
         added into one dict keyed by its packed monomial, m - x_i + (image
-        monomial), and the result is built once from it.  An exponent
-        pushed above MAX_EXPONENT raises PolyError.
+        monomial), and the result is finished once from it by
+        ``polyring._from_sums``.  An exponent pushed above MAX_EXPONENT
+        raises PolyError.
         """
         if f.ambient != self.ambient:
             raise VariableMismatchError("polynomial over a different variable set")
@@ -121,18 +124,7 @@ class Derivation:
                     for g, v in image:
                         k = base + g
                         acc[k] = get(k, 0) + ce * v
-        # a field overflows into its own guard bit, never into the next field
-        made = 0
-        terms: dict[Monomial, Coefficient] = {}
-        for k, v in acc.items():
-            made |= k
-            if v:
-                if type(v) is not int and v.denominator == 1:
-                    v = v.numerator
-                terms[_packed(k)] = v
-        if made & self.ambient.invalid_bits:
-            raise PolyError("derivation image makes an exponent above the limit 2^31 - 1")
-        return Polynomial._raw(self.ambient, terms)
+        return _from_sums(self.ambient, acc, "derivation image")
 
     def is_invariant(self, f: Polynomial) -> bool:
         """True iff D(f) = 0, i.e. f is constant along the flow."""
@@ -228,7 +220,7 @@ class Derivation:
         if s is None:
             return _in_parameter(series, self._with_parameter(param))
         s = coefficient_value(s)
-        return sum((c.scale(s**k) for k, c in enumerate(series)), self.ambient.zero())
+        return combination(self.ambient, [(s**k, MONOMIAL_ONE, c) for k, c in enumerate(series)])
 
     def flow_at(self, point: Mapping[str, Fraction | int]) -> dict[str, list[Fraction]]:
         """The flow of a rational point as polynomials in s.
@@ -351,10 +343,9 @@ def extend_by_zero(D: Derivation, extended: VariableSet) -> Derivation:
 def _in_parameter(series: Sequence[Polynomial], extended: VariableSet) -> Polynomial:
     """sum_k series[k] * s^k over ``extended``, whose last variable is s."""
     s = len(extended) - 1
-    total = extended.zero()
-    for k, c in enumerate(series):
-        total = total.sub_scaled(-1, c.lift(extended), Monomial(((s, k),)))
-    return total
+    return combination(
+        extended, [(1, Monomial(((s, k),)), c.lift(extended)) for k, c in enumerate(series)]
+    )
 
 
 def horner(coeffs: Sequence[Fraction | int], s: Fraction | int) -> Fraction:

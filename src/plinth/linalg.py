@@ -1,48 +1,50 @@
 """Exact linear algebra over the rationals.
 
-One integer Gauss-Jordan elimination serves every call.  Callers pass dense
-rows; each is read once into a sparse row, a dict {column: int} of its
-nonzero entries, brought to a primitive integer row: its denominators are
-cleared and its content is divided out.  For each pivot column, left to
-right, taking the row with the smallest nonzero |pivot|, every other row
-with a nonzero entry v there becomes a*row - b*pivot_row with a, b = p/g,
-v/g (p the pivot, g = gcd(p, v)) and is made primitive again; a row
-operation touches only the pivot row's nonzero entries.  At the end every
-pivot column is zero outside its pivot row, so answers are read off the
-integer rows as ``Fraction``s; they depend on the column order alone.
+One integer Gauss-Jordan elimination serves every call.  A row comes as a
+dict {column: value}, the form ``polyring.coefficient_matrix`` builds, or
+as a dense list.  Each is read once into a sparse row, a dict {column: int}
+of its nonzero entries, brought to a primitive integer row: its
+denominators are cleared and its content is divided out.  For each pivot
+column, left to right, taking the row with the smallest nonzero |pivot|,
+every other row with a nonzero entry v there becomes a*row - b*pivot_row
+with a, b = p/g, v/g (p the pivot, g = gcd(p, v)) and is made primitive
+again; a row operation touches only the pivot row's nonzero entries.  At
+the end every pivot column is zero outside its pivot row, so answers are
+read off the integer rows as ``Fraction``s; they depend on the column
+order alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .polyring import coefficient_value
 
 Row = list[Fraction]
 SparseRow = dict[int, int]
+# an input row: {column: value} or a dense list
+InRow = Mapping[int, Fraction | int] | Sequence[Fraction | int]
 
 
-def _primitive(row: Sequence[Fraction | int]) -> SparseRow:
-    """The nonzero entries of a dense row as a primitive integer sparse row."""
-    if set(map(type, row)) == {int}:
-        vals = dict(compress(enumerate(row), row))
-    else:
-        vals = {}
-        for j, x in enumerate(row):
+def _primitive(row: InRow) -> SparseRow:
+    """The nonzero entries of a row, a dict {column: value} or a dense list,
+    as a primitive integer sparse row."""
+    vals = {}
+    for j, x in row.items() if isinstance(row, dict) else enumerate(row):
+        if type(x) is not int:
             x = coefficient_value(x)
-            if x:
-                vals[j] = x
-        den = lcm(*(v.denominator for v in vals.values() if type(v) is not int))
-        if den > 1:
-            vals = {j: v.numerator * (den // v.denominator) for j, v in vals.items()}
+        if x:
+            vals[j] = x
+    den = lcm(*(v.denominator for v in vals.values() if type(v) is not int))
+    if den > 1:
+        vals = {j: v.numerator * (den // v.denominator) for j, v in vals.items()}
     g = gcd(*vals.values())
     return {j: v // g for j, v in vals.items()} if g > 1 else vals
 
 
-def _reduce(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[SparseRow], list[int]]:
+def _reduce(rows: Sequence[InRow]) -> tuple[list[SparseRow], list[int]]:
     """Integer reduced sparse rows, one per pivot, and their ascending pivot
     columns.
 
@@ -95,7 +97,8 @@ def _reduce(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[SparseRow], 
 
 
 def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form over Fraction, plus the pivot columns."""
+    """Reduced row echelon form of dense rows over Fraction, plus the pivot
+    columns."""
     reduced, pivots = _reduce(rows)
     ncols = len(rows[0]) if reduced else 0
     return [
@@ -104,12 +107,12 @@ def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Row], list[int]
     ], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+def rank(rows: Sequence[InRow]) -> int:
     """Dimension of the span of the rows."""
     return len(_reduce(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[Row]:
+def nullspace(rows: Sequence[InRow], ncols: int) -> list[Row]:
     """Canonical basis of {x : Ax = 0}.
 
     One basis vector per free column, carrying 1 there; entries on pivot
@@ -131,18 +134,15 @@ def nullspace(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[Row]
     return list(basis.values())
 
 
-def solve(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> Row | None:
+def solve(rows: Sequence[InRow], ncols: int) -> Row | None:
     """One exact solution of Ax = b with free variables set to 0, or None.
 
-    The free columns are those that are linear combinations of the columns
-    to their left, so the solution is the unique one that vanishes on them.
+    Each row is one augmented equation: the entries of A in the columns
+    0 .. ncols - 1 and b in the column ``ncols``.  The free columns are
+    those that are linear combinations of the columns to their left, so the
+    solution is the unique one that vanishes on them.
     """
-    if not rows:
-        return None if any(coefficient_value(x) for x in rhs) else []
-    ncols = len(rows[0])
-    reduced, pivots = _reduce([[*r, b] for r, b in zip(rows, rhs)])
+    reduced, pivots = _reduce(rows)
     if pivots and pivots[-1] == ncols:
         return None  # pivot in the augmented column: inconsistent
     x = [Fraction(0)] * ncols
@@ -151,14 +151,12 @@ def solve(
     return x
 
 
-def in_span(vectors: Sequence[Sequence[Fraction | int]], target: Sequence[Fraction | int]) -> bool:
+def in_span(vectors: Sequence[InRow], target: InRow) -> bool:
     """Is the target a linear combination of the given vectors?"""
     return rank([*vectors, target]) == rank(vectors)
 
 
-def same_span(
-    a: Sequence[Sequence[Fraction | int]], b: Sequence[Sequence[Fraction | int]]
-) -> bool:
+def same_span(a: Sequence[InRow], b: Sequence[InRow]) -> bool:
     """Do the two vector lists span the same subspace?"""
     return rank(a) == rank(b) == rank([*a, *b])
 

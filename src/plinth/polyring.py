@@ -9,9 +9,12 @@ Coefficients are stored in one canonical form: an integral value as a
 plain ``int``, any other as a ``fractions.Fraction``, and no zero term.
 The public ``Polynomial(ambient, terms)`` brings every value to that form,
 rejects anything that is not rational (a ``float`` above all) and any key
-that is not a ``Monomial`` over the ambient's variables;
-arithmetic keeps it and builds its results through the trusted
-``Polynomial._raw``, which skips the check.  Integer-coefficient
+that is not a ``Monomial`` over the ambient's variables; arithmetic keeps
+it and builds its results through the trusted ``Polynomial._raw``, which
+skips the check.  Every sum of scaled, shifted polynomials is built by one
+accumulator, ``combination``, which adds c * shift * g over its parts into
+one dict on packed-int keys; it shares its finishing step, ``_from_sums``,
+with ``Polynomial.__mul__`` and ``Derivation.apply``.  Integer-coefficient
 polynomials, the common case, so run entirely over Python ints.  Since
 ``3 == Fraction(3)``, ``hash(3) == hash(Fraction(3))`` and
 ``str(3) == str(Fraction(3))``, a stored ``int`` compares, hashes and
@@ -79,6 +82,10 @@ INHOMOGENEOUS = "inhomogeneous"
 FIELD_BITS = 32  # bits per exponent field; the top one is a guard bit
 MAX_EXPONENT = (1 << FIELD_BITS - 1) - 1
 _FIELD_MASK = (1 << FIELD_BITS) - 1
+
+# Largest graded piece ``monomial_basis`` enumerates: over ten times the
+# largest the tests, ``plinth all`` and the benchmark build (5,746 monomials).
+MAX_PIECE_MONOMIALS = 60_000
 
 
 @cache
@@ -380,16 +387,14 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self.sub_scaled(1, other)
 
-    # The loops below keep their results canonical: an int stays an int,
-    # and a Fraction result with denominator 1 goes back to its numerator.
-
     def sub_scaled(
         self, c, g: "Polynomial", shift: Monomial | None = None
     ) -> "Polynomial":
         """self - c * shift * g in one pass, building no scaled copy of g.
 
         ``c`` is any rational; ``shift`` defaults to the monomial 1.  A
-        shifted exponent above MAX_EXPONENT raises PolyError.
+        shifted exponent above MAX_EXPONENT raises PolyError.  Each term of
+        g is patched into a copy of self and made canonical as it is written.
         """
         self._check(g)
         if type(c) is not int:
@@ -420,40 +425,19 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        if not self._terms or not other._terms:
-            return Polynomial._raw(self.ambient, {})
-        a, b = self._terms, other._terms
+        a, b = self._terms.items(), other._terms.items()
         if len(a) > len(b):
             a, b = b, a
-        invalid = self.ambient.invalid_bits
-        d: dict[Monomial, Coefficient] = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = _packed(m1 + m2)
-                if m & invalid:
-                    raise PolyError(f"{m1!r} * {m2!r}: exponent above the limit 2^31 - 1")
-                s = d.get(m, 0) + c1 * c2
-                if type(s) is not int and s.denominator == 1:
-                    s = s.numerator
-                if s:
-                    d[m] = s
-                else:
-                    d.pop(m, None)
-        return Polynomial._raw(self.ambient, d)
+        acc: dict[int, Coefficient] = {}
+        get = acc.get
+        for m1, c1 in a:
+            for m2, c2 in b:
+                k = m1 + m2
+                acc[k] = get(k, 0) + c1 * c2
+        return _from_sums(self.ambient, acc, "product")
 
     def scale(self, c) -> "Polynomial":
-        if type(c) is not int:
-            c = coefficient_value(c)
-        if c == 1:
-            return self
-        d: dict[Monomial, Coefficient] = {}
-        if c:
-            for m, v in self._terms.items():
-                s = c * v
-                if type(s) is not int and s.denominator == 1:
-                    s = s.numerator
-                d[m] = s
-        return Polynomial._raw(self.ambient, d)
+        return combination(self.ambient, ((c, MONOMIAL_ONE, self),))
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
@@ -569,13 +553,13 @@ class Polynomial:
                 power_cache[(i, e)] = got
             return got
 
-        total = target.zero()
+        parts = []
         for m, c in self._terms.items():
-            piece = target.constant(c)
+            piece = target.one()
             for i, e in m.pairs:
                 piece = piece * var_power(i, e)
-            total = total + piece
-        return total
+            parts.append((c, MONOMIAL_ONE, piece))
+        return combination(target, parts)
 
     def lift(self, target: VariableSet) -> "Polynomial":
         """Reinterpret over a larger variable set (matching by name)."""
@@ -594,26 +578,64 @@ class Polynomial:
         return f"<poly {format_polynomial(self)}>"
 
 
+def _from_sums(ambient: VariableSet, acc: dict[int, Coefficient], what: str) -> Polynomial:
+    """The polynomial of the sums in ``acc``, keyed by packed monomials.
+
+    The keys are checked once, on their OR (an overflowing field sets its own
+    guard bit); each sum is made canonical once, and zero sums are dropped.
+    """
+    made, new = 0, int.__new__
+    terms: dict[Monomial, Coefficient] = {}
+    for k, v in acc.items():
+        made |= k
+        if v:
+            if type(v) is not int and v.denominator == 1:
+                v = v.numerator
+            terms[new(Monomial, k)] = v
+    if made & ambient.invalid_bits:
+        raise PolyError(
+            f"{what} makes an exponent above the limit 2^31 - 1"
+            f" or a variable outside {ambient!r}"
+        )
+    return Polynomial._raw(ambient, terms)
+
+
+def combination(
+    ambient: VariableSet, parts: Iterable[tuple[Rational, Monomial, Polynomial]]
+) -> Polynomial:
+    """sum c * shift * g over the parts (c, shift, g), summed in one dict.
+
+    c is any rational and every g must live over ``ambient``
+    (VariableMismatchError otherwise).  A shifted exponent above
+    MAX_EXPONENT, or a shift by a variable outside ``ambient``, raises
+    PolyError.
+    """
+    acc: dict[int, Coefficient] = {}
+    get = acc.get
+    for c, shift, g in parts:
+        if g.ambient is not ambient and g.ambient != ambient:
+            raise VariableMismatchError(f"term over {g.ambient!r}, expected {ambient!r}")
+        if type(c) is not int:
+            c = coefficient_value(c)
+        for m, v in g._terms.items():
+            k = m + shift
+            acc[k] = get(k, 0) + c * v
+    return _from_sums(ambient, acc, "combination")
+
+
 def coefficient_matrix(
     images: Sequence[Polynomial], keep: Callable[[Monomial], bool] | None = None
-) -> list[list[Coefficient]]:
-    """The matrix whose columns are the coefficient vectors of ``images``.
-
-    One row per monomial occurring in any image (only those that ``keep``
-    accepts, if given), descending in the monomial order; stored
-    coefficients are kept as they are and absent ones are 0.
+) -> list[dict[int, Coefficient]]:
+    """The matrix whose columns are the coefficient vectors of ``images``,
+    as sparse rows: one {column: stored coefficient} per monomial occurring
+    in any image (that ``keep`` accepts, if given), descending, with no zero.
     """
-    monos = sorted(
-        {m for g in images for m in g._terms if keep is None or keep(m)}, reverse=True
-    )
-    row_of = {m: r for r, m in enumerate(monos)}
-    matrix: list[list[Coefficient]] = [[0] * len(images) for _ in monos]
+    rows: dict[Monomial, dict[int, Coefficient]] = {}
     for c, g in enumerate(images):
         for m, coef in g._terms.items():
-            r = row_of.get(m)
-            if r is not None:
-                matrix[r][c] = coef
-    return matrix
+            if keep is None or keep(m):
+                rows.setdefault(m, {})[c] = coef
+    return [rows[m] for m in sorted(rows, reverse=True)]
 
 
 class WeightSystem:
@@ -748,7 +770,8 @@ class WeightSystem:
         Finiteness requires every weight entry to be nonnegative and every
         variable to have at least one strictly positive weight coordinate;
         otherwise InfiniteGradedPieceError is raised.  A degree entry above
-        MAX_EXPONENT raises PolyError.
+        MAX_EXPONENT raises PolyError, and so does a piece of more than
+        MAX_PIECE_MONOMIALS monomials, as soon as the walk passes that count.
         """
         degree = tuple(int(x) for x in degree)
         if len(degree) != self.rank:
@@ -766,6 +789,8 @@ class WeightSystem:
         def walk(i: int, remaining: tuple[int, ...], packed: int) -> None:
             if i < 0:
                 out.append(_packed(packed))
+                if len(out) > MAX_PIECE_MONOMIALS:
+                    raise PolyError(f"graded piece {degree}: over {MAX_PIECE_MONOMIALS} monomials")
                 return
             for j, k, lo_num, lo_den, hi_num, hi_den in windows[i]:
                 rj, rk = remaining[j], remaining[k]

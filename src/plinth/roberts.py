@@ -38,12 +38,14 @@ from . import linalg
 from .derivation import Derivation
 from .polyring import (
     INHOMOGENEOUS,
+    MONOMIAL_ONE,
     Monomial,
     PolyError,
     Polynomial,
     VariableSet,
     WeightSystem,
     coefficient_matrix,
+    combination,
 )
 from .report import Checker, VerificationReport
 from .sagbi import (
@@ -200,7 +202,7 @@ class RobertsAction:
             [self.D.apply(Polynomial._raw(R, {m: 1})) for m in cols]
             + [-self.D.apply(Polynomial(R, pinned))]
         )
-        solution = linalg.solve([row[:-1] for row in rows], [row[-1] for row in rows])
+        solution = linalg.solve(rows, len(cols))
         if solution is None:
             raise PolyError(
                 f"no invariant of multidegree {degree} with canonical slices; "
@@ -250,7 +252,7 @@ class RobertsAction:
         if not rows:
             return full
         return [
-            sum((p.scale(c) for c, p in zip(combo, full) if c), self.ring.zero())
+            combination(self.ring, [(c, MONOMIAL_ONE, p) for c, p in zip(combo, full) if c])
             for combo in linalg.nullspace(rows, len(full))
         ]
 
@@ -593,7 +595,8 @@ class RobertsAction:
         stay algebraically independent modulo the radical; (ii) no power of
         a u has a leading-term factorization using a bare x_j, so the u's
         stay outside the radical; (iii) each beta(i, n), n >= 1, has its
-        square certified inside (x1, x2, x3).
+        square certified inside (x1, x2, x3), by a certificate that replays
+        to the square.
         """
         checker = Checker(
             "roberts.radical",
@@ -652,6 +655,10 @@ class RobertsAction:
                         "remainder": str(cert.remainder),
                         "stuck": str(cert.stuck),
                     },
+                )
+                checker.require(
+                    cert.replay(self.catalog(2 * n)) == cert.input,
+                    {"part": "replay", "i": i, "n": n},
                 )
         checker.note(f"beta squares certified in (x1,x2,x3): {squares}")
         return checker.report()

@@ -37,6 +37,7 @@ from .polyring import (
     PolyError,
     Polynomial,
     VariableSet,
+    combination,
 )
 from .report import Checker, VerificationReport
 
@@ -229,13 +230,13 @@ class SubductionCertificate:
 
     def replay(self, G: GeneratorSet) -> Polynomial:
         """Reconstruct the input from the steps and the remainder."""
-        total = self.remainder
+        parts = [(1, MONOMIAL_ONE, self.remainder)]
         for step in self.steps:
-            piece = G.product(step.factors).scale(step.coefficient)
+            shift = MONOMIAL_ONE
             if step.prefix is not None:
-                piece = piece * G.ambient.variable(step.prefix)
-            total = total + piece
-        return total
+                shift = Monomial(((G.ambient.index(step.prefix), 1),))
+            parts.append((step.coefficient, shift, G.product(step.factors)))
+        return combination(G.ambient, parts)
 
     def to_text(self) -> str:
         lines = []
@@ -380,8 +381,13 @@ def tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
 def tete_a_tete_difference(G: GeneratorSet, tt: TeteATete) -> Polynomial:
     """Monic-normalized difference of the two generator products."""
     left, right = G.product(tt.left), G.product(tt.right)
-    left = left.scale(Fraction(1) / left.leading_term()[1])
-    return left.sub_scaled(Fraction(1) / right.leading_term()[1], right)
+    return combination(
+        G.ambient,
+        (
+            (Fraction(1, left.leading_term()[1]), MONOMIAL_ONE, left),
+            (Fraction(-1, right.leading_term()[1]), MONOMIAL_ONE, right),
+        ),
+    )
 
 
 def verify_sagbi(

@@ -3,8 +3,8 @@
 V[n] is the space of degree-n forms in two variables; its coordinate ring
 is k[x_0, ..., x_n] where x_i (the coefficient of X^(n-i) Y^i) carries
 torus weight n - 2i.  The unipotent subgroup acts through the substitution
-X -> X + s Y; the induced derivation on coordinates is derived here
-symbolically rather than hard-coded, and raises the weight by 2:
+X -> X + s Y; the induced derivation on coordinates is the s-linear part
+of that substitution, which raises the weight by 2:
 
     D(x_0) = 0,   D(x_i) = (n - i + 1) x_(i-1).
 
@@ -157,33 +157,22 @@ class RepSum:
 
 
 def build_raising_derivation(rep: RepSum) -> Derivation:
-    """The derivation of the unipotent flow, derived from the substitution.
+    """The derivation of the unipotent flow, in its closed form.
 
-    For each summand the action X -> X + s Y on a general form is expanded
-    symbolically; the s-linear part of the flowed coefficients gives the
-    variable images.  The result kills x_0 and raises the weight by 2.
+    On each summand V[n], D(x_0) = 0 and D(x_i) = (n - i + 1) x_(i-1): in
+    the form sum_j a_j X^(n-j) Y^j under X -> X + s Y, the s-linear part of
+    a_(i-1) (X + s Y)^(n-i+1) Y^(i-1) is (n - i + 1) a_(i-1) X^(n-i) Y^i s,
+    and no other term reaches X^(n-i) Y^i s.  The result kills x_0 and
+    raises the weight by 2.
     """
-    scratch_names = ("X", "Y", "s") + tuple(f"a{i}" for i in range(rep.max_weight + 1))
-    scratch = VariableSet(scratch_names)
-    x_idx, y_idx, s_idx = (scratch.index(name) for name in ("X", "Y", "s"))
+    R = rep.ambient
     images: dict[str, Polynomial] = {}
     for space in rep.summands:
-        n = space.n
-        X, Y, s = scratch.variable("X"), scratch.variable("Y"), scratch.variable("s")
-        flowed = scratch.zero()
-        for i in range(n + 1):
-            flowed = flowed + scratch.variable(f"a{i}") * (X + s * Y) ** (n - i) * Y**i
-        for i in range(n + 1):
-            image = rep.ambient.zero()
-            target = Monomial(((x_idx, n - i), (y_idx, i), (s_idx, 1)))
-            for m, c in flowed.terms():
-                # every term carries exactly one a_j, so m = target * a_j
-                if m.degree() == target.degree() + 1 and target.divides(m):
-                    ((k, _),) = m.divide(target).pairs
-                    j = int(scratch.names[k][1:])
-                    image = image + rep.ambient.variable(space.coordinates[j]).scale(c)
-            images[space.coordinates[i]] = image
-    D = Derivation(rep.ambient, images)
+        coords = space.coordinates
+        images[coords[0]] = R.zero()
+        for i in range(1, space.n + 1):
+            images[coords[i]] = R.variable(coords[i - 1]).scale(space.n - i + 1)
+    D = Derivation(R, images)
     D.certify_locally_nilpotent(bound=rep.max_weight + 2)
     return D
 
@@ -200,6 +189,7 @@ def quadratic_invariants(n: int) -> list[Polynomial]:
     rep = RepSum([n])
     D = build_raising_derivation(rep)
     ws = rep.weight_system()
+    x = [Monomial(((rep.ambient.index(f"x{i}"), 1),)) for i in range(n + 1)]
     out: list[Polynomial] = []
     for k in range(n // 2 + 1):
         piece = rep.piece(2, 2 * n - 4 * k)
@@ -209,28 +199,11 @@ def quadratic_invariants(n: int) -> list[Polynomial]:
                 f"quadratic invariant of weight {2 * n - 4 * k} in V[{n}]: "
                 f"kernel dimension {len(basis)}, expected 1"
             )
-        f = basis[0]
-        top = Monomial(
-            ((rep.ambient.index("x0"), 1), (rep.ambient.index(f"x{2 * k}"), 1))
-        ) if k > 0 else Monomial(((rep.ambient.index("x0"), 2),))
-        lead = f.coefficient(top)
+        lead = basis[0].coefficient(x[0] * x[2 * k])
         if lead == 0:
             raise PolyError(f"f_{k} of V[{n}] misses the x0*x{2 * k} monomial")
-        f = f.scale(Fraction(1) / lead)
-        expected_support = set()
-        for j in range(k + 1):
-            if j == 2 * k - j:
-                expected_support.add(Monomial(((rep.ambient.index(f"x{j}"), 2),)))
-            else:
-                expected_support.add(
-                    Monomial(
-                        (
-                            (rep.ambient.index(f"x{j}"), 1),
-                            (rep.ambient.index(f"x{2 * k - j}"), 1),
-                        )
-                    )
-                )
-        if set(f.monomials()) != expected_support:
+        f = basis[0].scale(Fraction(1) / lead)
+        if set(f.monomials()) != {x[j] * x[2 * k - j] for j in range(k + 1)}:
             raise PolyError(f"f_{k} of V[{n}] has unexpected support: {f}")
         out.append(f)
     return out

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 from plinth.cli import build_parser, main
+from plinth.polyring import MAX_PIECE_MONOMIALS, PolyError, VariableSet, WeightSystem
 from plinth.report import reports_from_json, reports_to_json
 
 
@@ -179,3 +181,22 @@ def test_all_reports_a_raising_suite_and_keeps_going(monkeypatch, capsys, tmp_pa
     assert "in broken)" in detail and "\n" not in detail
     out = capsys.readouterr().out
     assert out.count("[FAIL]") == 1 and "[FAIL] all.roberts-y1" in out
+
+
+def test_oversized_graded_piece_is_a_quick_usage_error(capsys):
+    # plinth kernel --ring 'sl2:V[64]' --degree 6,0 once ran out of memory
+    # enumerating a piece of over 100,000 monomials; the walk now stops
+    # as soon as it passes MAX_PIECE_MONOMIALS
+    start = time.perf_counter()
+    ws = WeightSystem(VariableSet(("a", "b", "c", "d")), [(1,)] * 4)
+    with pytest.raises(PolyError, match=f"over {MAX_PIECE_MONOMIALS} monomials"):
+        ws.monomial_basis((70,))  # 62,196 monomials
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--ring", "roberts", "--degree", "60,60,60"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        f"plinth kernel: error: graded piece (60, 60, 60): over {MAX_PIECE_MONOMIALS} monomials"
+    )
+    assert time.perf_counter() - start < 1.0

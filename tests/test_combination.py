@@ -1,0 +1,180 @@
+"""Differential tests of ``polyring.combination`` and the sums built on it.
+
+Every sum of scaled, shifted polynomials in the library goes through
+``combination``.  The oracles are the ``Fraction``-only term dicts and the
+earlier summation loops of ``util``, which add one polynomial at a time to
+a running total, and, for the sl2 raising derivation, its symbolic
+expansion from the substitution X -> X + s Y.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from plinth.casebook import QuadricRing, divide_out
+from plinth.polyring import (
+    MAX_EXPONENT,
+    MONOMIAL_ONE,
+    Monomial,
+    PolyError,
+    Polynomial,
+    VariableMismatchError,
+    VariableSet,
+    combination,
+)
+from plinth.roberts import _degree_box, roberts_action
+from plinth.sagbi import subduct, x_ideal_membership
+from plinth.sl2 import RepSum, build_raising_derivation
+from util import (
+    fraction_combination,
+    is_canonical,
+    looped_combination,
+    looped_divide_out,
+    looped_quadric_reduce,
+    looped_replay,
+    looped_substitute,
+    looped_z_capped,
+    random_poly,
+    symbolic_raising_derivation,
+)
+
+R4 = VariableSet(("w", "x", "y", "z"))
+SCALARS = (1, -1, 3, 0, Fraction(1, 2), Fraction(-3, 4), Fraction(6, 3))
+
+
+def _random_shift(rng: random.Random, ambient: VariableSet) -> Monomial:
+    return Monomial((i, rng.randint(1, 3)) for i in range(len(ambient)) if rng.random() < 0.4)
+
+
+def _random_parts(rng: random.Random) -> list:
+    """One to six parts with Fraction coefficients; some cancel each other
+    exactly, and some pairs sum to integral coefficients."""
+    parts = []
+    for _ in range(rng.randint(1, 6)):
+        c, g = rng.choice(SCALARS), random_poly(rng, R4, max_terms=5)
+        shift = _random_shift(rng, R4)
+        parts.append((c, shift, g))
+        kind = rng.randrange(4)
+        if kind == 0:
+            parts.append((-c, shift, g))
+        elif kind == 1:
+            parts.append((c, shift, -g))
+        elif kind == 2:
+            parts.append((Fraction(1, 2), shift, g.scale(2)))
+    rng.shuffle(parts)
+    return parts
+
+
+def test_combination_matches_fraction_oracle_and_earlier_loop():
+    rng = random.Random(1717)
+    zero = fractional = 0
+    for _ in range(400):
+        parts = _random_parts(rng)
+        got = combination(R4, parts)
+        assert got._terms == fraction_combination(parts)
+        assert got == looped_combination(R4, parts)
+        assert is_canonical(got) and all(type(m) is Monomial for m in got._terms)
+        zero += got.is_zero()
+        fractional += any(type(c) is Fraction for c in got._terms.values())
+    assert zero >= 40 and fractional >= 100
+    assert combination(R4, []) == R4.zero()
+    assert combination(R4, iter([(Fraction(4, 2), MONOMIAL_ONE, R4.one())])) == R4.constant(2)
+
+
+def test_combination_rejects_overflow_foreign_ambient_and_bad_scalars():
+    x = R4.variable("x")
+    near = Monomial(((1, MAX_EXPONENT),))
+    assert combination(R4, [(1, Monomial(((1, MAX_EXPONENT - 1),)), x)]) == Polynomial(
+        R4, {near: 1}
+    )
+    # above 2^31 - 1, even where the overflowing terms cancel
+    for parts in (
+        [(1, near, x)],
+        [(1, near, x), (-1, near, x)],
+        [(2, MONOMIAL_ONE, R4.poly("w + y")), (Fraction(1, 3), near, R4.poly("x*z - 1"))],
+    ):
+        with pytest.raises(PolyError, match=r"limit 2\^31 - 1") as err:
+            combination(R4, parts)
+        assert "\n" not in str(err.value)
+        with pytest.raises(PolyError):
+            Polynomial(R4, fraction_combination(parts))
+    with pytest.raises(PolyError, match="variable outside"):
+        combination(R4, [(1, Monomial(((4, 1),)), x)])
+    R3 = VariableSet(("w", "x", "y"))
+    for ambient in (R3, VariableSet(("w", "x", "y", "t"))):
+        with pytest.raises(VariableMismatchError):
+            combination(R4, [(1, MONOMIAL_ONE, x), (1, MONOMIAL_ONE, ambient.variable("x"))])
+    for bad in (0.5, "1/2"):
+        with pytest.raises(PolyError, match="not rational"):
+            combination(R4, [(bad, MONOMIAL_ONE, x)])
+
+
+def test_substitute_matches_earlier_loop():
+    rng = random.Random(1718)
+    T = VariableSet(("p", "q", "r"))
+    for _ in range(120):
+        f = random_poly(rng, R4, max_terms=4, max_exp=3)
+        images = {name: random_poly(rng, T, max_terms=3, max_exp=2) for name in R4.names}
+        got = f.substitute(images, T)
+        assert got == looped_substitute(f, images, T) and is_canonical(got)
+    with pytest.raises(VariableMismatchError):
+        R4.poly("x").substitute({**images, "z": R4.variable("z")}, T)
+
+
+def test_quadric_reduce_and_divide_out_match_earlier_loops():
+    rng = random.Random(1719)
+    Q = QuadricRing()
+    R = Q.ambient
+    divisors = [Q.quadric, R.poly("2*y^2 - x"), R.poly("1/3*z*x + y"), R.poly("x - 1")]
+    for _ in range(200):
+        f = random_poly(rng, R, max_terms=6, max_exp=6)
+        nf = Q.reduce(f)
+        assert nf == looped_quadric_reduce(Q, f) and is_canonical(nf)
+        assert nf.max_exponent("y") <= 1
+        g = rng.choice(divisors)
+        rem = divide_out(f, g)
+        assert rem == looped_divide_out(f, g) and is_canonical(rem)
+        assert divide_out(f * g, g).is_zero()
+
+
+def test_replay_matches_earlier_loop():
+    RA = roberts_action()
+    checked = prefixed = 0
+    rng = random.Random(1720)
+    for N in (1, 2):
+        G = RA.catalog(N)
+        names = sorted(G.polys)
+        for _ in range(25):
+            f = G.product(rng.sample(names, 2)) - G.product(rng.sample(names, 2)).scale(
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            )
+            for cert in (subduct(f, G), x_ideal_membership(f, G, ("x1", "x2", "x3"))):
+                assert cert.replay(G) == looped_replay(cert, G) == f
+                checked += 1
+                prefixed += any(step.prefix for step in cert.steps)
+    assert checked == 100 and prefixed >= 10
+
+
+def test_z_capped_invariants_match_earlier_loop():
+    RA = roberts_action()
+    capped = 0
+    for degree in _degree_box(3):
+        for z_cap in (0, 1, 2):
+            got = RA.graded_invariants_z_capped(degree, z_cap)
+            assert got == looped_z_capped(RA, degree, z_cap)
+            capped += got != RA.graded_invariants(degree)
+    assert capped >= 5
+
+
+@pytest.mark.parametrize(
+    "degrees",
+    [[n] for n in range(9)] + [[64], [4, 2], [3, 1, 0], [2, 2], [0, 5, 1], [6, 3]],
+)
+def test_raising_derivation_closed_form_matches_symbolic(degrees):
+    rep = RepSum(degrees)
+    D, oracle = build_raising_derivation(rep), symbolic_raising_derivation(rep)
+    assert D.ambient == oracle.ambient
+    assert D.images == oracle.images
+    assert all(is_canonical(g) for g in D.images.values())
+    assert D.witness == oracle.witness

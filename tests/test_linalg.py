@@ -8,7 +8,14 @@ import pytest
 from plinth import linalg
 from plinth.polyring import PolyError, Polynomial, coefficient_matrix
 from plinth.roberts import RobertsAction, _degree_box
-from util import bareiss_rref, beta_system, dense_reduce, naive_nullspace
+from util import (
+    augmented,
+    bareiss_rref,
+    beta_system,
+    dense_coefficient_matrix,
+    dense_reduce,
+    naive_nullspace,
+)
 
 
 def random_matrix(rng, nrows, ncols, density=0.6):
@@ -66,7 +73,7 @@ def test_solve_round_trip():
         m = random_matrix(rng, nrows, ncols)
         x = [Fraction(rng.randint(-5, 5)) for _ in range(ncols)]
         b = [sum(r[j] * x[j] for j in range(ncols)) for r in m]
-        got = linalg.solve(m, b)
+        got = linalg.solve(augmented(m, b), ncols)
         assert got is not None
         check = [sum(r[j] * got[j] for j in range(ncols)) for r in m]
         assert check == b
@@ -74,7 +81,7 @@ def test_solve_round_trip():
 
 def test_solve_detects_inconsistency():
     m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert linalg.solve(m, [Fraction(1), Fraction(2)]) is None
+    assert linalg.solve(augmented(m, [Fraction(1), Fraction(2)]), 2) is None
 
 
 def test_in_span_and_same_span():
@@ -126,7 +133,7 @@ def assert_matches_bareiss(rows, ncols, rhs=None):
             expected = [Fraction(0)] * ncols
             for row, c in zip(aug_reduced, aug_pivots):
                 expected[c] = row[ncols]
-        got = linalg.solve(rows, rhs)
+        got = linalg.solve(augmented(rows, rhs), ncols)
         assert got == expected
         assert got is None or _all_fractions([got])
     return reduced, pivots
@@ -138,7 +145,7 @@ def test_beta_systems_match_bareiss():
         for n in range(5):
             rows, rhs = beta_system(action, i, n)
             assert_matches_bareiss(rows, len(rows[0]), rhs)
-            assert linalg.solve(rows, rhs) is not None
+            assert linalg.solve(augmented(rows, rhs), len(rows[0])) is not None
 
 
 def test_roberts_kernel_matrices_match_bareiss():
@@ -147,7 +154,13 @@ def test_roberts_kernel_matrices_match_bareiss():
     for degree in _degree_box(4):
         cols = action.weights.monomial_basis(degree)
         images = [action.D.apply(Polynomial(action.ring, {m: 1})) for m in cols]
-        assert_matches_bareiss(coefficient_matrix(images), len(cols))
+        dense = dense_coefficient_matrix(images)
+        reduced, pivots = assert_matches_bareiss(dense, len(cols))
+        # the sparse rows the library builds hold the same entries
+        sparse = coefficient_matrix(images)
+        assert [[row.get(j, 0) for j in range(len(cols))] for row in sparse] == dense
+        assert linalg.nullspace(sparse, len(cols)) == linalg.nullspace(dense, len(cols))
+        assert linalg.rank(sparse) == len(pivots)
         widest = max(widest, len(cols))
     assert widest >= 10
 
@@ -189,7 +202,7 @@ def test_random_sparse_systems_match_bareiss():
     inconsistent = deficient = 0
     for rows, ncols, rhs in random_sparse_systems(2024, 60):
         reduced, pivots = assert_matches_bareiss(rows, ncols, rhs)
-        inconsistent += linalg.solve(rows, rhs) is None
+        inconsistent += linalg.solve(augmented(rows, rhs), ncols) is None
         deficient += len(pivots) < min(len(rows), ncols)
     assert inconsistent >= 5 and deficient >= 20
 
@@ -199,7 +212,8 @@ def test_empty_matrix():
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0
     assert linalg.nullspace([], 2) == [[1, 0], [0, 1]]
-    assert linalg.solve([], []) == []
+    assert linalg.solve([], 0) == []
+    assert linalg.solve([], 2) == [0, 0]
     assert linalg.in_span([], [0, 0]) and not linalg.in_span([], [0, 1])
 
 
@@ -222,7 +236,7 @@ def test_elimination_growth_stays_small():
     ones = [Fraction(1)] * 24
     assert linalg.rank(hilbert) == 24
     assert linalg.nullspace(hilbert, 24) == []
-    assert linalg.solve(hilbert, [sum(row) for row in hilbert]) == ones
+    assert linalg.solve(augmented(hilbert, [sum(row) for row in hilbert]), 24) == ones
     rng = random.Random(7)
     dense = [[rng.randint(-99, 99) for _ in range(41)] for _ in range(40)]
     (vec,) = linalg.nullspace(dense, 41)
@@ -293,12 +307,18 @@ def sparse_shapes(seed, count):
 def assert_matches_dense_reduce(rows, ncols, rhs):
     reduced, pivots = linalg._reduce(rows)
     assert all(x and type(x) is int for row in reduced for x in row.values())
+    # a row given as a dict {column: value} reads as the dense row does
+    assert linalg._reduce([dict(enumerate(row)) for row in rows]) == (reduced, pivots)
+    assert linalg._reduce([{j: x for j, x in enumerate(row) if x} for row in rows]) == (
+        reduced,
+        pivots,
+    )
     dense = [[row.get(j, 0) for j in range(ncols)] for row in reduced]
     assert (dense, pivots) == dense_reduce(rows)
     rank, basis, solution = _dense_answers(rows, ncols, rhs)
     assert linalg.rank(rows) == rank
     assert linalg.nullspace(rows, ncols) == basis
-    assert linalg.solve(rows, rhs) == solution
+    assert linalg.solve(augmented(rows, rhs), ncols) == solution
 
 
 def test_sparse_reduce_matches_dense_sweep():
@@ -307,7 +327,7 @@ def test_sparse_reduce_matches_dense_sweep():
     for rows, ncols, rhs in sparse_shapes(1515, 90):
         assert_matches_dense_reduce(rows, ncols, rhs)
         shapes.add((len(rows) > ncols, len(rows) < ncols))
-        inconsistent += linalg.solve(rows, rhs) is None
+        inconsistent += linalg.solve(augmented(rows, rhs), ncols) is None
     assert shapes == {(True, False), (False, True)} and inconsistent >= 20
 
 
@@ -319,7 +339,7 @@ def test_sparse_reduce_edge_matrices():
     assert linalg._reduce([[0, 0, 0]]) == ([], [])
     # an inconsistent augmented column and a row that cancels to zero
     assert_matches_dense_reduce([[1, 1], [2, 2], [1, 2]], 2, [1, 3, 0])
-    assert linalg.solve([[1, 1], [2, 2]], [1, 3]) is None
+    assert linalg.solve([[1, 1, 1], [2, 2, 3]], 2) is None
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2"])
@@ -329,6 +349,8 @@ def test_non_rational_entries_rejected(bad):
     with pytest.raises(PolyError, match="not rational"):
         linalg.rank([[bad, 1]])
     with pytest.raises(PolyError, match="not rational"):
-        linalg.solve([[1, bad]], [1])
+        linalg.solve([[1, bad, 1]], 2)
     with pytest.raises(PolyError, match="not rational"):
-        linalg.solve([[1, 2]], [bad])
+        linalg.solve([[1, 2, bad]], 2)
+    with pytest.raises(PolyError, match="not rational"):
+        linalg.nullspace([{0: 1, 1: bad}], 2)

@@ -28,6 +28,7 @@ from plinth.sl2 import RepSum
 from util import (
     PairsMonomial,
     brute_monomials,
+    dense_coefficient_matrix,
     fraction_add,
     fraction_evaluate,
     fraction_mul,
@@ -438,21 +439,23 @@ def test_coefficient_matrix():
     f = R7.poly("3*z - x1^2 + 1/2*x2")
     g = R7.poly("x1^2 + 5")
     matrix = coefficient_matrix([f, R7.zero(), g])
-    # rows descending: z > x2 > x1^2 > 1
-    assert matrix == [
-        [3, 0, 0],
-        [Fraction(1, 2), 0, 0],
-        [-1, 0, 1],
-        [0, 0, 5],
+    # rows descending: z > x2 > x1^2 > 1, each {column: coefficient}
+    assert matrix == [{0: 3}, {0: Fraction(1, 2)}, {0: -1, 2: 1}, {2: 5}]
+    # stored coefficients are kept, and a row holds no zero
+    assert [[type(x) for x in row.values()] for row in matrix] == [
+        [int],
+        [Fraction],
+        [int, int],
+        [int],
     ]
-    # stored coefficients are kept and the fill is the int 0
-    assert [[type(x) for x in row] for row in matrix] == [
-        [int, int, int],
-        [Fraction, int, int],
-        [int, int, int],
-        [int, int, int],
-    ]
-
+    z = R7.index("z")
+    assert coefficient_matrix([f, R7.zero(), g], lambda m: not m.exponent(z)) == matrix[1:]
+    rng = random.Random(436)
+    for _ in range(40):
+        images = [random_poly(rng, R7) for _ in range(rng.randint(0, 5))]
+        dense = dense_coefficient_matrix(images)
+        sparse = coefficient_matrix(images)
+        assert [[row.get(c, 0) for c in range(len(images))] for row in sparse] == dense
 
 def test_lift_and_extend():
     ext = R7.extend(("s",))

@@ -16,7 +16,10 @@ tuple-of-pairs monomial, point evaluation with a ``Fraction`` for every
 power and partial sum, the flow exp(s*D) summed term by term over the
 ring extended by its parameter, flow equations built by polynomial
 substitution into that flow, polynomial arithmetic and subduction over ``Fraction`` on plain term
-dicts, and sl2 invariants searched over every torus weight.
+dicts, sl2 invariants searched over every torus weight, the earlier
+summation loops that add one polynomial at a time to a running total, a
+dense coefficient-matrix builder, and the sl2 raising derivation expanded
+symbolically from the substitution X -> X + s Y.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from plinth.polyring import (
     Polynomial,
     VariableSet,
     WeightSystem,
-    coefficient_matrix,
     coefficient_value,
 )
 from plinth.roberts import RobertsAction
@@ -346,6 +348,21 @@ def xy_graded_kernel(action: RobertsAction, degree: tuple[int, ...]) -> list[Pol
     return action.D.kernel_on_monomials(mons)
 
 
+def dense_coefficient_matrix(images, keep=None) -> list[list]:
+    """``polyring.coefficient_matrix`` as dense rows: one full-width list per
+    occurring monomial (that ``keep`` accepts), descending, with int 0 for
+    an absent coefficient."""
+    monos = sorted(
+        {m for g in images for m in g.monomials() if keep is None or keep(m)}, reverse=True
+    )
+    return [[g.coefficient(m) for g in images] for m in monos]
+
+
+def augmented(rows, rhs) -> list[list]:
+    """Dense rows with the right-hand side appended, as ``linalg.solve`` takes them."""
+    return [[*r, b] for r, b in zip(rows, rhs)]
+
+
 def beta_system(action: RobertsAction, i: int, n: int):
     """beta(i, n)'s system with every monomial unknown: D = 0 on the
     ascending monomial columns plus one unit row per pinned slice coefficient.
@@ -354,7 +371,7 @@ def beta_system(action: RobertsAction, i: int, n: int):
     z_index = R.index("z")
     cols = action.weights.monomial_basis(action.beta_degree(i, n))[::-1]
     targets = action._slice_targets(i, n)
-    rows = coefficient_matrix([action.D.apply(Polynomial(R, {m: 1})) for m in cols])
+    rows = dense_coefficient_matrix([action.D.apply(Polynomial(R, {m: 1})) for m in cols])
     rhs = [0] * len(rows)
     for c, m in enumerate(cols):
         t = m.exponent(z_index)
@@ -385,7 +402,7 @@ def three_elimination_beta(action: RobertsAction, i: int, n: int) -> Polynomial:
         if t in targets:
             rows.append([Fraction(1 if k == c else 0) for k in range(len(cols))])
             rhs.append(Fraction(targets[t].coefficient(m.divide(Monomial([(z_index, t)])))))
-    particular = linalg.solve(rows, rhs)
+    particular = linalg.solve(augmented(rows, rhs), len(cols))
     assert particular is not None
     homogeneous = linalg.nullspace(rows, len(cols))
     if homogeneous:
@@ -840,6 +857,130 @@ def parse_point(ambient_names, text: str) -> Point:
         except (ValueError, ZeroDivisionError):
             raise PolyError(f"coordinate is not a rational: {part!r}") from None
     return make_point(ambient_names, values)
+
+
+# -- the earlier summation loops -----------------------------------------------
+#
+# Each builds its sum by adding one polynomial at a time to a running total,
+# as the library did before every such sum went through
+# ``polyring.combination``.
+
+
+def fraction_combination(parts) -> Terms:
+    """sum c * shift * g over the parts (c, shift, g), on ``Fraction`` term
+    dicts through ``fraction_sub_scaled`` and the validating ``Monomial``."""
+    out: Terms = {}
+    for c, shift, g in parts:
+        out = fraction_sub_scaled(out, -Fraction(c), shift, fraction_terms(g))
+    return out
+
+
+def looped_combination(ambient: VariableSet, parts) -> Polynomial:
+    """sum c * shift * g, one scaled and shifted copy added per part."""
+    total = ambient.zero()
+    for c, shift, g in parts:
+        total = total + g.scale(c) * Polynomial(ambient, {shift: 1})
+    return total
+
+
+def looped_substitute(f: Polynomial, images, target: VariableSet) -> Polynomial:
+    """``Polynomial.substitute`` by the earlier route: each term's image
+    built as a product of powers and added to the total."""
+    total = target.zero()
+    for m, c in f.terms():
+        piece = target.constant(c)
+        for i, e in m.pairs:
+            piece = piece * images[f.ambient.names[i]] ** e
+        total = total + piece
+    return total
+
+
+def looped_quadric_reduce(Q, f: Polynomial) -> Polynomial:
+    """``casebook.QuadricRing.reduce`` by the earlier route: each reduced
+    term added to the total as it is made."""
+    y_index = Q.ambient.index("y")
+    out = Q.ambient.zero()
+    for m, c in f.terms():
+        e = m.exponent(y_index)
+        if e <= 1:
+            out = out + Polynomial(Q.ambient, {m: c})
+            continue
+        rest = Polynomial(Q.ambient, {m.divide(Monomial(((y_index, e),))): c})
+        alpha, beta = Q._powers(e)
+        out = out + rest * (alpha * Q.ambient.variable("y") + beta)
+    return out
+
+
+def looped_divide_out(f: Polynomial, g: Polynomial) -> Polynomial:
+    """``casebook.divide_out`` by the earlier route: the remainder grows by
+    one head term at a time."""
+    lt_m, lt_c = g.leading_term()
+    remainder = f.ambient.zero()
+    cur = f
+    while not cur.is_zero():
+        m, c = cur.leading_term()
+        if lt_m.divides(m):
+            cur = cur.sub_scaled(Fraction(c) / lt_c, g, m.divide(lt_m))
+        else:
+            head = Polynomial(f.ambient, {m: c})
+            remainder = remainder + head
+            cur = cur - head
+    return remainder
+
+
+def looped_replay(cert: SubductionCertificate, G: GeneratorSet) -> Polynomial:
+    """``SubductionCertificate.replay`` by the earlier route: each step's
+    scaled product, times its prefix variable, added to the remainder."""
+    total = cert.remainder
+    for step in cert.steps:
+        piece = G.product(step.factors).scale(step.coefficient)
+        if step.prefix is not None:
+            piece = piece * G.ambient.variable(step.prefix)
+        total = total + piece
+    return total
+
+
+def looped_z_capped(action: RobertsAction, degree, z_cap: int) -> list[Polynomial]:
+    """``RobertsAction.graded_invariants_z_capped`` by the earlier route: the
+    capped combinations solved on dense rows and summed with ``sum``."""
+    full = action.graded_invariants(degree)
+    z_index = action.ring.index("z")
+    rows = dense_coefficient_matrix(full, lambda m: m.exponent(z_index) > z_cap)
+    if not rows:
+        return full
+    return [
+        sum((p.scale(c) for c, p in zip(combo, full) if c), action.ring.zero())
+        for combo in naive_nullspace(rows, len(full))
+    ]
+
+
+def symbolic_raising_derivation(rep: RepSum) -> Derivation:
+    """``sl2.build_raising_derivation`` derived symbolically: X -> X + s Y is
+    applied to a general form in a scratch ring, and the s-linear part of
+    each flowed coefficient is read off as the image of that coordinate."""
+    scratch_names = ("X", "Y", "s") + tuple(f"a{i}" for i in range(rep.max_weight + 1))
+    scratch = VariableSet(scratch_names)
+    x_idx, y_idx, s_idx = (scratch.index(name) for name in ("X", "Y", "s"))
+    images: dict[str, Polynomial] = {}
+    for space in rep.summands:
+        n = space.n
+        X, Y, s = scratch.variable("X"), scratch.variable("Y"), scratch.variable("s")
+        flowed = scratch.zero()
+        for i in range(n + 1):
+            flowed = flowed + scratch.variable(f"a{i}") * (X + s * Y) ** (n - i) * Y**i
+        for i in range(n + 1):
+            image = rep.ambient.zero()
+            target = Monomial(((x_idx, n - i), (y_idx, i), (s_idx, 1)))
+            for m, c in flowed.terms():
+                # every term carries exactly one a_j, so m = target * a_j
+                if m.degree() == target.degree() + 1 and target.divides(m):
+                    ((k, _),) = m.divide(target).pairs
+                    j = int(scratch.names[k][1:])
+                    image = image + rep.ambient.variable(space.coordinates[j]).scale(c)
+            images[space.coordinates[i]] = image
+    D = Derivation(rep.ambient, images)
+    D.certify_locally_nilpotent(bound=rep.max_weight + 2)
+    return D
 
 
 def is_quadric_normal(f: Polynomial) -> bool:
