@@ -276,9 +276,7 @@ def danielewski_checks(samples: int = 50, seed: int = 1729) -> VerificationRepor
         )
 
     # (iv) the fiber over z = 0
-    at_z0 = Q.quadric.substitute(
-        {"x": Rq.variable("x"), "y": Rq.variable("y"), "z": Rq.zero()}, Rq
-    )
+    at_z0 = Q.quadric.restrict_to_zero(["z"])
     expected = -(Rq.variable("y") * (Rq.variable("y") - Rq.one()))
     checker.require(
         at_z0 == expected,

@@ -25,6 +25,11 @@ DEFAULT_SEED = 1729
 # about doubles per unit of bound (S_3 took 3.8 s at bound 12, twice that
 # at 13); the acceptance criteria use at most 10.
 MAX_SAGBI_BOUND = 12
+# Largest --n of roberts-beta, roberts-sagbi and roberts-an: cold beta(1, n)
+# grows about threefold per 2 added to n (1.0 s at 14, 2.6 s at 16, 6.5 s
+# at 18) and catalog(n) builds every beta(i, n' <= n).  At 12, cold:
+# roberts-beta 2.3 s, roberts-an 9.6 s, roberts-sagbi (bound 8) 10.7 s.
+MAX_CATALOG_N = 12
 
 
 def run_roberts_invariants() -> list[VerificationReport]:
@@ -104,10 +109,9 @@ def run_roberts_fixed() -> list[VerificationReport]:
     )
     collapsed = ra.fixed_point_collapse(4)
     # the flow fixes x = 0 when every c_k, k >= 1, of exp(s*D) vanishes there
-    R = ra.ring
-    x_zero = {n: R.zero() if n.startswith("x") else R.variable(n) for n in R.names}
+    xs = [name for name in ra.ring.names if name.startswith("x")]
     fixed = all(
-        c.substitute(x_zero, R).is_zero()
+        c.restrict_to_zero(xs).is_zero()
         for series in ra.D.flow_coefficients().values()
         for c in series[1:]
     )
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="also write reports as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
-    natural, positive = _int_at_least(0), _int_at_least(1)
+    level, positive = _int_at_least(0, MAX_CATALOG_N), _int_at_least(1)
 
     def command(name: str, run) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common])
@@ -293,17 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("roberts-invariants", run_roberts_invariants)
     p = command("roberts-beta", run_roberts_beta)
-    p.add_argument("--n", type=natural, default=3)
+    p.add_argument("--n", type=level, default=3)
     command("roberts-y1", run_roberts_y1)
     p = command("roberts-sagbi", run_roberts_sagbi)
-    p.add_argument("--n", type=natural, default=2)
+    p.add_argument("--n", type=level, default=2)
     p.add_argument(
         "--bound",
         type=_int_at_least(0, MAX_SAGBI_BOUND),
         default=8,
         help=f"total degree bound of the tete-a-tetes, at most {MAX_SAGBI_BOUND}",
     )
-    command("roberts-an", run_roberts_an).add_argument("--n", type=natural, default=2)
+    command("roberts-an", run_roberts_an).add_argument("--n", type=level, default=2)
     command("roberts-radical", run_roberts_radical)
     command("roberts-fixed", run_roberts_fixed)
     p = command("sl2", run_sl2)

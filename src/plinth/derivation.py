@@ -310,23 +310,6 @@ class Derivation:
             raise DerivationError("slice denominator must be nonzero")
         return self.apply(s).is_zero() and self.apply(f) == s
 
-    # -- serialization -------------------------------------------------------
-
-    def to_text(self) -> str:
-        """One `variable = polynomial` line per variable."""
-        return "\n".join(f"{n} = {g}" for n, g in self.images.items())
-
-    @classmethod
-    def from_text(cls, ambient: VariableSet, text: str) -> "Derivation":
-        images: dict[str, Polynomial] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            name, _, rhs = line.partition("=")
-            images[name.strip()] = ambient.poly(rhs)
-        return cls(ambient, images)
-
 
 def extend_by_zero(D: Derivation, extended: VariableSet) -> Derivation:
     """Lift D to a larger variable set, killing the new variables."""

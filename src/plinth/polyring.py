@@ -561,6 +561,15 @@ class Polynomial:
             parts.append((c, MONOMIAL_ONE, piece))
         return combination(target, parts)
 
+    def restrict_to_zero(self, names: Iterable[str]) -> "Polynomial":
+        """The restriction to the locus where the named variables vanish:
+        the terms whose monomial has no factor among ``names``."""
+        fields = 0
+        for name in names:
+            fields |= _FIELD_MASK << FIELD_BITS * self.ambient.index(name)
+        kept = {m: c for m, c in self._terms.items() if not m & fields}
+        return Polynomial._raw(self.ambient, kept)
+
     def lift(self, target: VariableSet) -> "Polynomial":
         """Reinterpret over a larger variable set (matching by name)."""
         mapping = {name: target.index(name) for name in self.ambient.names}

@@ -46,17 +46,6 @@ class VerificationReport:
             "ms": round(self.ms, 3),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "VerificationReport":
-        return cls(
-            check_id=d["id"],
-            anchor=d["anchor"],
-            status=d["status"],
-            params=d.get("params", {}),
-            details=d.get("details", ""),
-            ms=d.get("ms", 0.0),
-        )
-
     def text_line(self) -> str:
         tag = "PASS" if self.ok else "FAIL"
         return f"[{tag}] {self.check_id} — {self.anchor} ({self.ms:.0f} ms)"
@@ -95,7 +84,3 @@ class Checker:
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
-
-
-def reports_from_json(text: str) -> list[VerificationReport]:
-    return [VerificationReport.from_dict(d) for d in json.loads(text)]

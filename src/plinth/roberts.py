@@ -669,14 +669,10 @@ class RobertsAction:
         All the non-constant invariants vanish there, so the quotient map
         sends the whole fixed-point locus to the image of the origin.
         """
-        R = self.ring
-        zero_x = {
-            name: (R.zero() if name.startswith("x") else R.variable(name))
-            for name in R.names
-        }
+        xs = [name for name in self.ring.names if name.startswith("x")]
         G = self.catalog(N)
         for name in G.names:
-            restricted = G.polys[name].substitute(zero_x, R)
+            restricted = G.polys[name].restrict_to_zero(xs)
             if not restricted.is_constant():
                 return False
         return True

@@ -238,16 +238,6 @@ class SubductionCertificate:
             parts.append((step.coefficient, shift, G.product(step.factors)))
         return combination(G.ambient, parts)
 
-    def to_text(self) -> str:
-        lines = []
-        for step in self.steps:
-            prefix = f"{step.prefix} * " if step.prefix else ""
-            factors = " * ".join(step.factors) if step.factors else "1"
-            lines.append(f"step {step.coefficient} * {prefix}{factors}")
-        lines.append(f"remainder {self.remainder}")
-        lines.append(f"complete {str(self.complete).lower()}")
-        return "\n".join(lines)
-
     def to_dict(self) -> dict:
         return {
             "steps": [
@@ -346,7 +336,7 @@ class TeteATete:
 
 def tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
     """All pairs of distinct generator multisets, up to the bound, whose
-    leading monomials have equal products (deduplicated)."""
+    leading monomials have equal products; the walk meets each multiset once."""
     if total_degree_bound < 0:
         raise SubductionError("degree bound must be nonnegative")
     names = G._search_names
@@ -371,7 +361,6 @@ def tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
     for mono, group in sorted(by_product.items(), key=itemgetter(0), reverse=True):
         if len(group) < 2:
             continue
-        group = sorted(set(group))
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
                 out.append(TeteATete(group[a], group[b], mono))

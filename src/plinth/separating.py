@@ -51,10 +51,6 @@ class SeparationReport:
     def separated(self) -> bool:
         return self.witness is not None
 
-    @property
-    def verdict(self) -> str:
-        return _verdict(self.witness)
-
 
 def _verdict(witness: str | None) -> str:
     return "not separated" if witness is None else "separated"

@@ -4,7 +4,8 @@ Every sum of scaled, shifted polynomials in the library goes through
 ``combination``.  The oracles are the ``Fraction``-only term dicts and the
 earlier summation loops of ``util``, which add one polynomial at a time to
 a running total, and, for the sl2 raising derivation, its symbolic
-expansion from the substitution X -> X + s Y.
+expansion from the substitution X -> X + s Y.  ``restrict_to_zero`` is
+checked against the zero-or-identity substitution it replaced.
 """
 
 import random
@@ -120,6 +121,27 @@ def test_substitute_matches_earlier_loop():
         assert got == looped_substitute(f, images, T) and is_canonical(got)
     with pytest.raises(VariableMismatchError):
         R4.poly("x").substitute({**images, "z": R4.variable("z")}, T)
+
+
+def test_restrict_to_zero_matches_substitute():
+    # the zero-or-identity substitution it replaces is the oracle
+    rng = random.Random(1719)
+    top = Monomial(((1, MAX_EXPONENT), (3, MAX_EXPONENT)))
+    name_sets = [[], list(R4.names), ["x"], ["w", "z"], ["z", "y", "z"]]
+    for trial in range(150):
+        f = random_poly(rng, R4, max_terms=6, max_exp=4)
+        if trial % 10 == 0:
+            f = f + Polynomial(R4, {top: 3})
+        names = name_sets[trial] if trial < len(name_sets) else rng.sample(
+            R4.names, rng.randint(0, len(R4))
+        )
+        images = {n: R4.zero() if n in names else R4.variable(n) for n in R4.names}
+        got = f.restrict_to_zero(names)
+        assert got == f.substitute(images, R4) and is_canonical(got), (f, names)
+        assert got.ambient is R4
+    assert R4.poly("x*y + 2*w - 1").restrict_to_zero(iter(["y"])) == R4.poly("2*w - 1")
+    with pytest.raises(PolyError, match="unknown variable 't'"):
+        R4.poly("x").restrict_to_zero(["t"])
 
 
 def test_quadric_reduce_and_divide_out_match_earlier_loops():

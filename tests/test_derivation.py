@@ -482,9 +482,3 @@ def test_local_slice_checks():
     assert D.local_slice_check(R7.poly("x1^3"), R7.variable("y1"))
     assert D.local_slice_check(R7.poly("x1^2*x2^2*x3^2"), R7.variable("z"))
     assert not D.local_slice_check(RA.u12, R7.variable("y1"))
-
-
-def test_derivation_text_round_trip():
-    text = D.to_text()
-    again = Derivation.from_text(R7, text)
-    assert again.images == D.images

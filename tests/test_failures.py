@@ -9,10 +9,11 @@ the check to exit 1 with one line per report and no traceback.
 
 from dataclasses import replace
 
-from plinth import sl2
+from plinth import casebook, sl2
 from plinth.casebook import QuadricRing, sl2_mod_n_checks
 from plinth.cli import main
 from plinth.derivation import Derivation
+from plinth.polyring import VariableSet
 from plinth.roberts import RobertsAction, roberts_action
 
 
@@ -112,3 +113,84 @@ def test_radical_check_fails_on_a_certificate_that_does_not_replay(monkeypatch, 
     assert _keys(report) == [["part", "i", "n"]] * 6
     assert all(detail["part"] == "replay" for detail in report.details)
     _cli_fails(["roberts-radical"], capsys, "roberts.radical")
+
+
+def _wrong_beta_1_1(monkeypatch):
+    """Plant beta(1, 1) doubled, on the shared action: every product that
+    uses it changes its leading coefficient, and the algebra S_N does not
+    change.  The beta and catalog caches are swapped for copies, so nothing
+    built under the defect outlives the test."""
+    ra = roberts_action()
+    monkeypatch.setattr(ra, "_betas", dict(ra._betas))
+    monkeypatch.setattr(ra, "_gensets", dict(ra._gensets))
+    original = RobertsAction.beta
+
+    def beta(self, i, n):
+        got = original(self, i, n)
+        return got.scale(2) if (i, n) == (1, 1) else got
+
+    monkeypatch.setattr(RobertsAction, "beta", beta)
+    return ra
+
+
+def test_an_lemma_part_b_fails_on_a_wrong_beta(monkeypatch, capsys):
+    report = _wrong_beta_1_1(monkeypatch).an_lemma_checks(1)
+    assert set(map(tuple, _keys(report))) == {("part", "i", "j", "detail")}
+    assert {detail["part"] for detail in report.details} == {"b"}
+    # beta(1, 1) is beta(i, 1) for i = 1 and beta(j, N) for j = 1
+    assert {(d["i"], d["j"]) for d in report.details} == {
+        (i, j) for i in (1, 2, 3) for j in (1, 2, 3) if 1 in (i, j)
+    }
+    assert {detail["detail"] for detail in report.details} == {
+        "leading terms differ",
+        "z-degree too high",
+    }
+    _cli_fails(["roberts-an", "--n", "1"], capsys, "roberts.an_lemma.1")
+
+
+def test_sagbi_family_checks_fail_on_a_wrong_beta(monkeypatch, capsys):
+    report = _wrong_beta_1_1(monkeypatch).sagbi_family_checks(1)
+    keys = set(map(tuple, _keys(report)))
+    assert keys == {
+        ("family", "nmk", "observed", "expected"),
+        ("family", "pairs", "observed", "expected"),
+    }
+    _cli_fails(["roberts-sagbi", "--n", "1"], capsys, "roberts.sagbi_families.1")
+
+
+def test_an_lemma_part_c_reverse_fails_on_a_bogus_reference_set(monkeypatch, capsys):
+    # beta(1, 0) is not a pure u-product: LT(beta(1, 0)) * x_i z^(N+1) is
+    # LT(beta(1, N) * beta(i, 1)), which factorizes over S_N
+    original = RobertsAction._pure_u_products
+
+    def with_beta(self, max_factors):
+        yield from original(self, max_factors)
+        yield self.beta(1, 0)
+
+    monkeypatch.setattr(RobertsAction, "_pure_u_products", with_beta)
+    report = roberts_action().an_lemma_checks(1)
+    assert _keys(report) == [["part", "i", "u_product", "detail"]] * 3
+    assert {detail["part"] for detail in report.details} == {"c-reverse"}
+    assert [detail["i"] for detail in report.details] == [1, 2, 3]
+    _cli_fails(["roberts-an", "--n", "1"], capsys, "roberts.an_lemma.1")
+
+
+class _PlaneWithWrongPhi(VariableSet):
+    """The plane, with the second coordinate of phi read as y, not x*y."""
+
+    __slots__ = ()
+
+    def poly(self, text: str):
+        return super().poly("y" if text == "x*y" else text)
+
+
+def test_example1_phi_separation_fails_on_a_wrong_phi(monkeypatch, capsys):
+    monkeypatch.setattr(casebook, "PLANE", _PlaneWithWrongPhi(casebook.PLANE.names))
+    report = casebook.example1_phi_separation()
+    assert set(map(tuple, _keys(report))) == {
+        ("trial", "p", "q", "generators_equal", "phi_equal")
+    }
+    # (x, y) separates the points of the line x = 0, where every x*y^k is 0
+    assert all(d["generators_equal"] and not d["phi_equal"] for d in report.details)
+    assert all(d["p"][0] == d["q"][0] == "0" for d in report.details)
+    _cli_fails(["example1"], capsys, "example1.phi")

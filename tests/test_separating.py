@@ -74,7 +74,6 @@ def test_separates_diagonal():
     v = make_point(NAMES, (1, 2, 3, 4, 5, 6, 7))
     rep = separates(v, v, RA.catalog(1))
     assert not rep.separated
-    assert rep.verdict == "not separated"
 
 
 def test_separates_flow_pair_is_unseparated():

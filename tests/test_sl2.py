@@ -19,21 +19,60 @@ from plinth.sl2 import (
     quadratic_invariants,
     sigma_on_V0,
 )
-from util import all_weight_invariants, fraction_scale, fraction_terms, is_canonical
+from util import (
+    all_weight_invariants,
+    fraction_scale,
+    fraction_terms,
+    is_canonical,
+    looped_component_membership,
+    looped_negative_weight_coordinates,
+    looped_nonpositive_weight_coordinates,
+    looped_zero_weight_coordinates,
+)
 
 
 def test_rep_parse_and_names():
     rep = RepSum.parse("V[4]+V[2]")
     assert rep.degrees == (4, 2)
-    assert rep.dim() == 8
+    assert len(rep.ambient) == 8
     assert str(rep) == "V[4]+V[2]"
     single = RepSum([3])
     assert single.ambient.names == ("x0", "x1", "x2", "x3")
     with pytest.raises(PolyError):
         RepSum.parse("W[2]")
-    assert RepSum([MAX_SUMMAND_DEGREE]).dim() == MAX_SUMMAND_DEGREE + 1
+    assert len(RepSum([MAX_SUMMAND_DEGREE]).ambient) == MAX_SUMMAND_DEGREE + 1
     with pytest.raises(PolyError, match="above the limit"):
         RepSum.parse(f"V[2]+V[{MAX_SUMMAND_DEGREE + 1}]")
+
+
+@pytest.mark.parametrize("spec", ["V[0]", "V[1]", "V[4]+V[2]", "V[3]+V[3]+V[0]"])
+def test_weight_table_matches_the_per_summand_loops(spec):
+    rep = RepSum.parse(spec)
+    assert list(rep.weights) == list(rep.ambient.names)
+    assert [rep.gm_weight(name) for name in rep.ambient.names] == [
+        space.n - 2 * i for space in rep.summands for i in range(space.n + 1)
+    ]
+    assert rep.zero_weight_coordinates() == looped_zero_weight_coordinates(rep)
+    assert rep.negative_weight_coordinates() == looped_negative_weight_coordinates(rep)
+    assert rep.nonpositive_weight_coordinates() == looped_nonpositive_weight_coordinates(rep)
+    with pytest.raises(PolyError, match="unknown coordinate 'w'"):
+        rep.gm_weight("w")
+    # plinth pairs whose zero-weight parts are equal, reflected, or unrelated
+    rng = random.Random(spec)
+    negative = set(rep.negative_weight_coordinates())
+    seen = set()
+    for trial in range(60):
+        v, vp = (
+            {n: 0 if n in negative else rng.randint(-3, 3) for n in rep.ambient.names}
+            for _ in range(2)
+        )
+        for name in rep.zero_weight_coordinates():
+            vp[name] = (v[name], -v[name], vp[name])[trial % 3]
+        got = component_membership(rep, v, vp)
+        assert got is looped_component_membership(rep, v, vp), (v, vp)
+        seen.add(got)
+    expected = {"V[0]": 2, "V[1]": 1, "V[4]+V[2]": 4, "V[3]+V[3]+V[0]": 2}[spec]
+    assert len(seen) == expected
 
 
 def test_raising_derivation_scalars_locked():
@@ -208,7 +247,7 @@ def test_component_containment_sampling():
 def test_trivial_summand_and_multiplicity():
     # V[0] contributes a single flow-constant coordinate
     rep = RepSum.parse("V[4]+V[2]+V[0]")
-    assert rep.dim() == 8 + 1 - 1 + 1  # 5 + 3 + 1
+    assert len(rep.ambient) == 8 + 1 - 1 + 1  # 5 + 3 + 1
     D = build_raising_derivation(rep)
     v0_coord = rep.summands[2].coordinates[0]
     assert D.apply(rep.ambient.variable(v0_coord)).is_zero()

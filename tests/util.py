@@ -18,15 +18,17 @@ ring extended by its parameter, flow equations built by polynomial
 substitution into that flow, polynomial arithmetic and subduction over ``Fraction`` on plain term
 dicts, sl2 invariants searched over every torus weight, the earlier
 summation loops that add one polynomial at a time to a running total, a
-dense coefficient-matrix builder, and the sl2 raising derivation expanded
-symbolically from the substitution X -> X + s Y.
+dense coefficient-matrix builder, the sl2 raising derivation expanded
+symbolically from the substitution X -> X + s Y, the earlier per-summand
+sl2 coordinate loops and component classifier, and tete-a-tetes grouped
+from ``itertools.combinations_with_replacement``.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import factorial, gcd, lcm
 
 from plinth import linalg
@@ -51,7 +53,7 @@ from plinth.sagbi import (
     tete_a_tetes,
 )
 from plinth.separating import Point, make_point
-from plinth.sl2 import RepSum
+from plinth.sl2 import ComponentMembership, RepSum, SigmaAction, sigma_on_V0
 
 
 def random_poly(
@@ -986,3 +988,78 @@ def symbolic_raising_derivation(rep: RepSum) -> Derivation:
 def is_quadric_normal(f: Polynomial) -> bool:
     """True when f is in ``casebook.QuadricRing`` normal form: y-degree <= 1."""
     return f.max_exponent("y") <= 1
+
+
+# -- the earlier per-summand sl2 loops ------------------------------------------
+#
+# Each walks the summands V[n] and their coordinates x_i, with the weight
+# n - 2i worked out in place, as ``sl2`` did before ``RepSum.weights``.
+
+
+def looped_weight_coordinates(rep: RepSum, keep) -> list[str]:
+    """The coordinates x_i of every summand V[n] with ``keep(n, i)``."""
+    out = []
+    for space in rep.summands:
+        for i, name in enumerate(space.coordinates):
+            if keep(space.n, i):
+                out.append(name)
+    return out
+
+
+def looped_zero_weight_coordinates(rep: RepSum) -> list[str]:
+    return looped_weight_coordinates(rep, lambda n, i: 2 * i == n)
+
+
+def looped_negative_weight_coordinates(rep: RepSum) -> list[str]:
+    return looped_weight_coordinates(rep, lambda n, i: 2 * i < n)
+
+
+def looped_nonpositive_weight_coordinates(rep: RepSum) -> list[str]:
+    return looped_weight_coordinates(rep, lambda n, i: 2 * i <= n)
+
+
+def looped_component_membership(rep: RepSum, v, vp) -> ComponentMembership:
+    """``sl2.component_membership`` summand by summand, for a plinth pair."""
+    in_c = in_c_sigma = True
+    for space in rep.summands:
+        if space.n % 2:
+            continue
+        name = space.coordinates[space.n // 2]
+        a, b = coefficient_value(v[name]), coefficient_value(vp[name])
+        in_c = in_c and b == a
+        sigma_a = a if sigma_on_V0(space.n) is SigmaAction.TRIVIAL else -a
+        in_c_sigma = in_c_sigma and b == sigma_a
+    if in_c and in_c_sigma:
+        return ComponentMembership.BOTH
+    if in_c:
+        return ComponentMembership.IN_C
+    if in_c_sigma:
+        return ComponentMembership.IN_C_SIGMA
+    return ComponentMembership.NEITHER
+
+
+def combinations_tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
+    """``sagbi.tete_a_tetes`` from ``combinations_with_replacement``: every
+    multiset of generators with a nonconstant leading monomial, within the
+    degree bound, grouped by its leading-monomial product; each group is
+    sorted, and the groups come in descending product order."""
+    names = [n for n in G.names if not G.lt[n][0].is_one()]
+    groups: dict[Monomial, list[tuple[str, ...]]] = {}
+    for size in range(1, total_degree_bound + 1):
+        for combo in combinations_with_replacement(names, size):
+            lts = [G.lt[n][0] for n in combo]
+            if sum(m.degree() for m in lts) > total_degree_bound:
+                continue
+            product_lt = Monomial(())
+            for m in lts:
+                product_lt = product_lt * m
+            groups.setdefault(product_lt, []).append(combo)
+    out = []
+    for mono in sorted(groups, reverse=True):
+        group = sorted(groups[mono])
+        out += [
+            TeteATete(group[a], group[b], mono)
+            for a in range(len(group))
+            for b in range(a + 1, len(group))
+        ]
+    return out
