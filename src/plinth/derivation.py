@@ -19,6 +19,8 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .polyring import (
+    _FIELD_MASK,
+    FIELD_BITS,
     INHOMOGENEOUS,
     MONOMIAL_ONE,
     Coefficient,
@@ -29,7 +31,6 @@ from .polyring import (
     VariableSet,
     WeightSystem,
     _from_sums,
-    coefficient_matrix,
     coefficient_value,
     combination,
 )
@@ -84,9 +85,9 @@ class Derivation:
                 )
         self.ambient = ambient
         self.images = {name: images[name] for name in ambient.names}
-        # (index, the variable, the image's terms) for each nonzero image
+        # (field shift, the variable, the image's terms) for each nonzero image
         self._leibniz = [
-            (i, Monomial(((i, 1),)), g.terms())
+            (FIELD_BITS * i, Monomial(((i, 1),)), g.terms())
             for i, g in enumerate(self.images.values())
             if g
         ]
@@ -95,6 +96,8 @@ class Derivation:
         # the last weight system ``graded_kernel`` found D homogeneous for;
         # the images are never changed after construction
         self._homogeneous_for: WeightSystem | None = None
+        # graded_kernel's answers, per (weight system, degree)
+        self._kernels: dict[tuple[WeightSystem, tuple[int, ...]], GradedKernelBasis] = {}
 
     def __repr__(self) -> str:
         parts = ", ".join(f"D({n}) = {g}" for n, g in self.images.items())
@@ -117,8 +120,8 @@ class Derivation:
         acc: dict[int, Coefficient] = {}
         get = acc.get
         for m, c in f._terms.items():
-            for i, x, image in self._leibniz:
-                e = m.exponent(i)
+            for shift, x, image in self._leibniz:
+                e = m >> shift & _FIELD_MASK
                 if e:
                     base, ce = m - x, c * e
                     for g, v in image:
@@ -272,15 +275,59 @@ class Derivation:
             return (0,) * ws.rank  # the zero derivation
         return shift
 
+    def image_rows(
+        self, monomials: Sequence[Monomial], last: Mapping[Monomial, Coefficient] | None = None
+    ) -> list[dict[int, Coefficient]]:
+        """The matrix whose column c holds the coefficients of D(monomials[c])
+        and, given ``last`` (a term dict), column len(monomials) those of
+        D(last), as sparse rows: one {column: coefficient} per image
+        monomial, descending, with no zero entry and no empty row.
+
+        One pass over the ``_leibniz`` table: each term c*e*v of a column
+        is added into the row of its packed monomial m - x_i + g, so no
+        image is built as a ``Polynomial``.  The keys are checked once, on
+        their OR: an exponent pushed above MAX_EXPONENT raises PolyError.
+        """
+        rows: dict[int, dict[int, Coefficient]] = {}
+        get = rows.get
+        columns = [(c, m, 1) for c, m in enumerate(monomials)]
+        if last is not None:
+            columns += [(len(monomials), m, v) for m, v in last.items()]
+        for col, m, c in columns:
+            for shift, x, image in self._leibniz:
+                e = m >> shift & _FIELD_MASK
+                if e:
+                    base, ce = m - x, c * e
+                    for g, v in image:
+                        k = base + g
+                        row = get(k)
+                        if row is None:
+                            rows[k] = {col: ce * v}
+                        else:
+                            row[col] = row.get(col, 0) + ce * v
+        made = 0
+        out = []
+        for k in sorted(rows, reverse=True):
+            made |= k
+            row = {col: v for col, v in rows[k].items() if v}
+            if row:
+                out.append(row)
+        if made & self.ambient.invalid_bits:
+            raise PolyError(
+                "derivation image makes an exponent above the limit 2^31 - 1"
+                f" or a variable outside {self.ambient!r}"
+            )
+        return out
+
     def kernel_on_monomials(self, monomials: Sequence[Monomial]) -> list[Polynomial]:
         """Exact basis of {f in span(monomials) : D f = 0}.
 
         Columns are ordered descending in the monomial order, so the
-        reduced-echelon nullspace basis is canonical.
+        reduced-echelon nullspace basis is canonical.  The rows of D on
+        them come straight from the packed monomials (``image_rows``).
         """
         cols = sorted(monomials, reverse=True)
-        images = [self.apply(Polynomial._raw(self.ambient, {m: 1})) for m in cols]
-        vectors = linalg.nullspace(coefficient_matrix(images), len(cols))
+        vectors = linalg.nullspace(self.image_rows(cols), len(cols))
         return [
             Polynomial(self.ambient, {m: c for m, c in zip(cols, vec) if c})
             for vec in vectors
@@ -291,12 +338,18 @@ class Derivation:
 
         Requires D weight-homogeneous for ``ws`` and a finite graded piece;
         homogeneity is checked once per weight system (``weight_shift``).
+        Each piece is solved once per derivation: the answer is kept per
+        (weight system, degree) and returned again on a repeated call.
         """
         if ws is not self._homogeneous_for:
             self.weight_shift(ws)
             self._homogeneous_for = ws
-        basis = self.kernel_on_monomials(ws.monomial_basis(degree))
-        return GradedKernelBasis(tuple(int(x) for x in degree), basis)
+        key = (ws, tuple(int(x) for x in degree))
+        got = self._kernels.get(key)
+        if got is None:
+            basis = self.kernel_on_monomials(ws.monomial_basis(key[1]))
+            got = self._kernels[key] = GradedKernelBasis(key[1], basis)
+        return got
 
     # -- slices ------------------------------------------------------------
 

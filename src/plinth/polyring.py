@@ -697,15 +697,20 @@ class WeightSystem:
         return deg
 
     def _walk_plan(self) -> tuple:
-        """(positive, closes, windows, unreached) for ``monomial_basis``.
+        """(positive, closes, windows, unreached, leaf) for ``monomial_basis``.
 
         positive[i]: the coordinates where variable i has positive weight;
         closes[i]: those where it is the last such variable of the walk;
         windows[i]: (j, k, lo_num, lo_den, hi_num, hi_den) for the ratio
         windows checked on entering variable i; unreached: the coordinates
-        no variable has weight on.  Built once per weight system.  Raises
-        InfiniteGradedPieceError, and caches nothing, if a graded piece
-        can be infinite.
+        no variable has weight on.  leaf: None, or (divisors, det, rows)
+        when the weight matrix M of the bottom ``rank`` variables,
+        M[j][v] = weights[v][j], is nonsingular: the exponents e with
+        M e = r are e_v = sum(a * r[j] for j, a in rows[v]) / det, the
+        nonzero entries of row v of its adjugate over det > 0, and when M is
+        diagonal, divisors[v] = M[v][v] gives e_v = r[v] / divisors[v].
+        Built once per weight system.  Raises InfiniteGradedPieceError, and
+        caches nothing, if a graded piece can be infinite.
         """
         if self._plan is not None:
             return self._plan
@@ -748,7 +753,17 @@ class WeightSystem:
                         (j, k, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
                     )
             windows.append(tuple(level))
-        self._plan = (positive, closes, windows, unreached)
+        leaf = None
+        if len(weights) >= self.rank:
+            block = [[w[j] for w in weights[: self.rank]] for j in range(self.rank)]
+            if all(not x for j, row in enumerate(block) for v, x in enumerate(row) if j != v):
+                # diagonal, and nonsingular: each weight vector is nonzero
+                leaf = (tuple(block[v][v] for v in range(self.rank)), 1, ())
+            elif (inverse := _inverse(block)) is not None:
+                det, adj = inverse
+                rows = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in adj)
+                leaf = (None, det, rows)
+        self._plan = (positive, closes, windows, unreached, leaf)
         return self._plan
 
     def monomial_basis(self, degree: Sequence[int]) -> list[Monomial]:
@@ -761,10 +776,22 @@ class WeightSystem:
         remainder on that coordinate over its weight there.  A branch stops
         at once where that weight does not divide the remainder, where the
         quotient exceeds what the other coordinates leave, or where two
-        coordinates the variable closes disagree.  When each closing
-        variable has weight 1 on the one coordinate it closes and 0
-        elsewhere, as x1, x2, x3 do for Roberts, no branch stops early and
-        the walk is linear in its output.
+        coordinates the variable closes disagree.
+
+        Leaf solve.  When the weight matrix M of the bottom ``rank``
+        variables is nonsingular, the walk stops at the level above them and
+        reads their exponents off the remainder r as adj(M) r / det(M), one
+        divmod per variable (for a diagonal M, as x1, x2, x3 have for
+        Roberts, r[v] over the one weight of variable v); the branch ends
+        unless each is an exact nonnegative integer.  This is exact: M e = r
+        has one solution, so a remainder has at most the one completion the
+        full walk would find, in the same place of the order.  A nonsingular
+        M has no zero row, so every coordinate has weight on a variable of
+        the block, no variable above it closes a coordinate, and below it
+        the ratio windows could only prune what the solve already rejects.
+        For the rank-2 sl2 grading the block is x0, x1 of the first summand,
+        the last two coordinates the walk reaches; when M is singular, as
+        for V[0]+V[0], the walk goes down to variable 0.
 
         Ratio windows prune the rest.  Entering variable i with remainder r,
         for coordinates j, k where every variable 0..i has positive weight
@@ -786,7 +813,7 @@ class WeightSystem:
         if len(degree) != self.rank:
             raise PolyError(f"degree of rank {len(degree)}, expected {self.rank}")
         weights = self.weights
-        positive, closes, windows, unreached = self._walk_plan()
+        positive, closes, windows, unreached, leaf = self._walk_plan()
         if any(degree[j] for j in unreached):
             return []
         if any(x < 0 for x in degree):
@@ -794,9 +821,26 @@ class WeightSystem:
         if max(degree) > MAX_EXPONENT:  # no exponent can exceed max(degree)
             raise PolyError(f"degree {degree} has an entry above the limit 2^31 - 1")
         out: list[Monomial] = []
+        divisors, det, rows = leaf or (None, 1, ())
+        bottom = -1 if leaf is None else self.rank - 1
 
         def walk(i: int, remaining: tuple[int, ...], packed: int) -> None:
-            if i < 0:
+            if i == bottom:
+                if divisors:
+                    for v, w in enumerate(divisors):
+                        e, r = divmod(remaining[v], w)
+                        if r:
+                            return
+                        packed += e << FIELD_BITS * v
+                else:
+                    for v, row in enumerate(rows):
+                        num = 0
+                        for j, a in row:
+                            num += a * remaining[j]
+                        e, r = divmod(num, det)
+                        if r or e < 0:
+                            return
+                        packed += e << FIELD_BITS * v
                 out.append(_packed(packed))
                 if len(out) > MAX_PIECE_MONOMIALS:
                     raise PolyError(f"graded piece {degree}: over {MAX_PIECE_MONOMIALS} monomials")
@@ -832,6 +876,30 @@ class WeightSystem:
 
         walk(len(weights) - 1, degree, 0)
         return out
+
+
+def _inverse(m: list[list[int]]) -> tuple[int, list[list[int]]] | None:
+    """(d, A) with A = d * m^-1 integral and d = |det m| > 0, for a square
+    integer matrix m, by Gauss-Jordan over Fraction; None if m is singular.
+    A is the adjugate of m up to the sign of det m."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            return None
+        a[c], a[p] = a[p], a[c]
+        pivot = a[c][c]
+        det *= pivot if p == c else -pivot
+        a[c] = [x / pivot for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    d = abs(int(det))
+    return d, [[int(d * x) for x in row[n:]] for row in a]
 
 
 # -- parsing and formatting ----------------------------------------------

@@ -37,6 +37,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .derivation import Derivation
 from .polyring import (
+    FIELD_BITS,
     INHOMOGENEOUS,
     MONOMIAL_ONE,
     Monomial,
@@ -129,7 +130,6 @@ class RobertsAction:
         self.u23 = R.poly("x2^3*y3 - x3^3*y2")
         self._betas: dict[tuple[int, int], Polynomial] = {}
         self._gensets: dict[int, GeneratorSet] = {}
-        self._kernel_cache: dict[tuple[int, ...], list[Polynomial]] = {}
 
     # -- the invariant catalog -------------------------------------------
 
@@ -180,35 +180,34 @@ class RobertsAction:
 
         A pinned monomial's coefficient is known, so its column moves to the
         right-hand side: the system is D(sum c_m m) = -D(pinned part) over
-        the unpinned monomials.  The columns run in ascending order, so an
+        the unpinned monomials, built as sparse rows by ``D.image_rows``
+        with -D(pinned part) as the last column.  z is the most significant
+        variable, so a monomial's z-exponent and z-free part are its top
+        field and the rest.  The columns run in ascending order, so an
         unpinned column is free exactly when it is a combination of the
         unpinned columns to its left, that is, when it is such a leading
         monomial; ``linalg.solve`` sets the free columns to 0.
         """
-        R = self.ring
-        z_index = R.index("z")
+        z_shift = FIELD_BITS * self.ring.index("z")
+        below_z = (1 << z_shift) - 1
         degree = self.beta_degree(i, n)
         targets = self._slice_targets(i, n)
         pinned: dict[Monomial, Fraction | int] = {}
         cols: list[Monomial] = []
         for m in reversed(self.weights.monomial_basis(degree)):  # ascending
-            t = m.exponent(z_index)
-            if t in targets:
-                pinned[m] = targets[t].coefficient(m.divide(Monomial(((z_index, t),))))
-            else:
+            target = targets.get(m >> z_shift)
+            if target is None:
                 cols.append(m)
-        # one equation per image monomial; the last column is the right-hand side
-        rows = coefficient_matrix(
-            [self.D.apply(Polynomial._raw(R, {m: 1})) for m in cols]
-            + [-self.D.apply(Polynomial(R, pinned))]
-        )
+            else:
+                pinned[m] = target.coefficient(m & below_z)
+        rows = self.D.image_rows(cols, {m: -v for m, v in pinned.items() if v})
         solution = linalg.solve(rows, len(cols))
         if solution is None:
             raise PolyError(
                 f"no invariant of multidegree {degree} with canonical slices; "
                 f"beta({i},{n}) construction failed"
             )
-        return Polynomial(R, {**pinned, **{m: c for m, c in zip(cols, solution) if c}})
+        return Polynomial(self.ring, {**pinned, **{m: c for m, c in zip(cols, solution) if c}})
 
     def generator_name(self, i: int, n: int) -> str:
         return f"b{i}_{n}"
@@ -234,13 +233,8 @@ class RobertsAction:
     # -- graded kernels -----------------------------------------------------
 
     def graded_invariants(self, degree: Sequence[int]) -> list[Polynomial]:
-        """Cached basis of ker D in one multidegree."""
-        key = tuple(int(x) for x in degree)
-        got = self._kernel_cache.get(key)
-        if got is None:
-            got = self.D.graded_kernel(self.weights, degree).basis
-            self._kernel_cache[key] = got
-        return got
+        """Basis of ker D in one multidegree, solved once (``graded_kernel``)."""
+        return self.D.graded_kernel(self.weights, degree).basis
 
     def graded_invariants_z_capped(
         self, degree: Sequence[int], z_cap: int

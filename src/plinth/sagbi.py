@@ -49,9 +49,9 @@ class SubductionError(PolyError):
 class GeneratorSet:
     """Named nonzero generators of a subalgebra, with leading-term caches.
 
-    Two caches only grow: the count memo of ``factorization``, one entry
-    per packed monomial, and a prefix tree of generator products read by
-    ``product``.
+    Three caches only grow: the count memo of ``factorization``, one entry
+    per packed monomial, the name tuple it read out for each monomial
+    queried, and a prefix tree of generator products read by ``product``.
     """
 
     def __init__(self, ambient: VariableSet, generators: Iterable[tuple[str, Polynomial]]):
@@ -83,6 +83,8 @@ class GeneratorSet:
             self._by_top[_top(lt)].append(lt)
         # least factor count per packed monomial (1 packs as 0), -1 for none
         self._memo: dict[int, int] = {0: 0}
+        # the answer of ``factorization`` per packed monomial it factored
+        self._factors: dict[int, tuple[str, ...]] = {}
         # prefix tree of products: name -> (product so far, subtree)
         self._prod_cache: dict[str, tuple[Polynomial, dict]] = {}
 
@@ -129,8 +131,13 @@ class GeneratorSet:
         factorization of rem / lt[i] that used j < i would give rem one as
         short containing j, and j would have been taken.  So the scan goes
         on from the last index taken and spells the least sorted sequence.
+        A repeated query returns the tuple read out the first time.
         """
-        rem, invalid = int(m), self.ambient.invalid_bits
+        known = self._factors.get(m)
+        if known is not None:
+            return known
+        key = rem = int(m)
+        invalid = self.ambient.invalid_bits
         if rem & invalid:  # not a monomial over the ambient
             return None
         count = self._count(rem)
@@ -150,7 +157,8 @@ class GeneratorSet:
                     rem, count = q, got
                     continue
             k += 1
-        return tuple(names)
+        known = self._factors[key] = tuple(names)
+        return known
 
     def _count(self, rem: int) -> int:
         """Least number of factors of monomial ``rem``, memoized per monomial

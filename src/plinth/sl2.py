@@ -90,6 +90,10 @@ class RepSum:
             self.weights.update((name, n - 2 * i) for i, name in enumerate(coords))
         self.ambient = VariableSet(tuple(self.weights))
         self.max_weight = max(degrees)
+        # built on first use: the grading and the raising derivation, so
+        # every check on this representation shares one graded kernel per piece
+        self._grading: WeightSystem | None = None
+        self._raising: Derivation | None = None
 
     @classmethod
     def parse(cls, spec: str) -> "RepSum":
@@ -115,11 +119,14 @@ class RepSum:
         """Rank-2 grading (total degree, shifted torus weight).
 
         The torus weight is shifted by max(n) per degree so every entry is
-        nonnegative and graded pieces stay finite.
+        nonnegative and graded pieces stay finite.  Built once per
+        representation.
         """
-        M = self.max_weight
-        grading = [(1, w + M) for w in self.weights.values()]
-        return WeightSystem(self.ambient, grading)
+        if self._grading is None:
+            M = self.max_weight
+            grading = [(1, w + M) for w in self.weights.values()]
+            self._grading = WeightSystem(self.ambient, grading)
+        return self._grading
 
     def piece(self, degree: int, gm_weight: int) -> tuple[int, int]:
         """Multidegree of the (degree, torus weight) piece in the shifted grading."""
@@ -144,8 +151,11 @@ def build_raising_derivation(rep: RepSum) -> Derivation:
     the form sum_j a_j X^(n-j) Y^j under X -> X + s Y, the s-linear part of
     a_(i-1) (X + s Y)^(n-i+1) Y^(i-1) is (n - i + 1) a_(i-1) X^(n-i) Y^i s,
     and no other term reaches X^(n-i) Y^i s.  The result kills x_0 and
-    raises the weight by 2.
+    raises the weight by 2.  It is built once per representation, so the
+    checks on one representation share its graded kernels.
     """
+    if rep._raising is not None:
+        return rep._raising
     R = rep.ambient
     images: dict[str, Polynomial] = {}
     for space in rep.summands:
@@ -155,6 +165,7 @@ def build_raising_derivation(rep: RepSum) -> Derivation:
             images[coords[i]] = R.variable(coords[i - 1]).scale(space.n - i + 1)
     D = Derivation(R, images)
     D.certify_locally_nilpotent(bound=rep.max_weight + 2)
+    rep._raising = D
     return D
 
 
@@ -211,7 +222,10 @@ def invariants_up_to_degree(
     negative weight are never built.  Each coordinate of V[n] has weight
     n - 2i, of the parity of n; when every summand's n has one parity p, a
     piece of degree d and weight w is empty unless w = d*p mod 2, so only
-    those weights are walked.
+    those weights are walked.  Each piece comes from ``D.graded_kernel``,
+    which solves it once per derivation, so a second call with the same D
+    (``build_raising_derivation`` returns one per representation) rebuilds
+    no kernel.
     """
     ws = rep.weight_system()
     p = rep.degrees[0] % 2
@@ -221,10 +235,7 @@ def invariants_up_to_degree(
         span = d * rep.max_weight
         weights = range(d * p % 2, span + 1, 2) if one_parity else range(span + 1)
         for w in weights:
-            mons = ws.monomial_basis(rep.piece(d, w))
-            if not mons:
-                continue
-            for f in D.kernel_on_monomials(mons):
+            for f in D.graded_kernel(ws, rep.piece(d, w)).basis:
                 out.append((d, w, f))
     return out
 

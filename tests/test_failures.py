@@ -8,8 +8,9 @@ the check to exit 1 with one line per report and no traceback.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
-from plinth import casebook, sl2
+from plinth import casebook, separating, sl2
 from plinth.casebook import QuadricRing, sl2_mod_n_checks
 from plinth.cli import main
 from plinth.derivation import Derivation
@@ -194,3 +195,102 @@ def test_example1_phi_separation_fails_on_a_wrong_phi(monkeypatch, capsys):
     assert all(d["generators_equal"] and not d["phi_equal"] for d in report.details)
     assert all(d["p"][0] == d["q"][0] == "0" for d in report.details)
     _cli_fails(["example1"], capsys, "example1.phi")
+
+
+def test_an_lemma_part_b_fails_on_a_remainder(monkeypatch, capsys):
+    # beta(1, 1) with a stray z-free term y1: the leading terms and the
+    # z-degree of each comparison product that uses it still match, but
+    # y1 * beta(k, 1) leaves a remainder.  S_1 is built first, from the
+    # true beta(1, 1), so only the comparison products see the stray term.
+    ra = roberts_action()
+    ra.catalog(1)
+    monkeypatch.setattr(ra, "_betas", dict(ra._betas))
+    monkeypatch.setattr(ra, "_gensets", dict(ra._gensets))
+    original = RobertsAction.beta
+
+    def beta(self, i, n):
+        got = original(self, i, n)
+        return got + self.ring.variable("y1") if (i, n) == (1, 1) else got
+
+    monkeypatch.setattr(RobertsAction, "beta", beta)
+    report = ra.an_lemma_checks(1)
+    assert _keys(report) == [["part", "i", "j", "remainder"]] * 5
+    assert {detail["part"] for detail in report.details} == {"b"}
+    # beta(1, 1) is beta(i, 1) for i = 1 and beta(j, N) for j = 1
+    assert [(d["i"], d["j"]) for d in report.details] == [
+        (1, 1), (1, 2), (1, 3), (2, 1), (3, 1)
+    ]
+    _cli_fails(["roberts-an", "--n", "1"], capsys, "roberts.an_lemma.1")
+
+
+def test_an_lemma_part_c_forward_fails_on_a_bogus_spanning_set(monkeypatch, capsys):
+    # y1 is not in A_0: no leading monomial of S_N has a y1 without x1^3,
+    # so x_i * y1 * beta(j, N + 1) does not subduct into S_N
+    original = RobertsAction._a0_products
+
+    def with_y1(self, max_factors):
+        yield from original(self, max_factors)
+        yield self.ring.variable("y1")
+
+    monkeypatch.setattr(RobertsAction, "_a0_products", with_y1)
+    report = roberts_action().an_lemma_checks(1)
+    assert _keys(report) == [["part", "i", "j", "g", "remainder"]] * 9
+    assert {detail["part"] for detail in report.details} == {"c-forward"}
+    assert {detail["g"] for detail in report.details} == {"y1"}
+    _cli_fails(["roberts-an", "--n", "1"], capsys, "roberts.an_lemma.1")
+
+
+def _plinth_sampler(names):
+    def sampler(rng):
+        p = {n: Fraction(rng.randint(-9, 9)) for n in names}
+        for x in ("x1", "x2", "x3"):
+            p[x] = Fraction(0)
+        return p
+
+    return sampler
+
+
+def _graph_sampling_run(trials=60):
+    ra = roberts_action()
+    return separating.graph_vs_separation_sampling(
+        ra.D,
+        ra.catalog(1),
+        trials,
+        plinth_indicator=lambda p: all(p[x] == 0 for x in ("x1", "x2", "x3")),
+        plinth_sampler=_plinth_sampler(ra.ring.names),
+        plinth_unseparated=True,
+    )
+
+
+def test_graph_sampling_random_mode_fails_on_a_blind_evaluation(monkeypatch, capsys):
+    # an evaluation that never finds a witness: every random pair comes back
+    # unseparated, and almost none lies on one orbit.  Flow pairs and
+    # plinth pairs are unseparated anyway, and the equivalence check sees
+    # two equally blind sets.
+    monkeypatch.setattr(separating, "_witness", lambda G, at_v, at_w: None)
+    report = _graph_sampling_run()
+    assert set(map(tuple, _keys(report))) == {("mode", "v", "vp", "detail")}
+    assert {detail["mode"] for detail in report.details} == {"random"}
+    assert len(report.details) > 10
+    _cli_fails(["separating", "--trials", "60"], capsys, "separating.graph")
+
+
+def test_graph_sampling_plinth_mode_fails_on_a_sampler_off_the_locus(monkeypatch, capsys):
+    # a plinth sampler that forgets x3: its pairs are off the locus x = 0,
+    # where S_1 tells points apart
+    original = separating.graph_vs_separation_sampling
+
+    def with_x3(*args, plinth_sampler=None, **kwargs):
+        def off_locus(rng):
+            p = plinth_sampler(rng)
+            p["x3"] = Fraction(rng.randint(1, 9))
+            return p
+
+        return original(*args, plinth_sampler=off_locus, **kwargs)
+
+    monkeypatch.setattr(separating, "graph_vs_separation_sampling", with_x3)
+    report = _graph_sampling_run()
+    assert set(map(tuple, _keys(report))) == {("mode", "v", "vp", "witness")}
+    assert {detail["mode"] for detail in report.details} == {"plinth"}
+    assert len(report.details) > 10
+    _cli_fails(["separating", "--trials", "60"], capsys, "separating.graph")

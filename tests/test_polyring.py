@@ -198,7 +198,7 @@ def test_ratio_windows_are_built_once_and_skip_what_the_walk_implies():
     assert all(level == () for level in plan[2])
     # sl2: only (degree, torus) pairs, so no reciprocal (torus, degree) pair,
     # and no window on variable 0
-    _, _, windows, _ = RepSum([4, 2]).weight_system()._walk_plan()
+    _, _, windows, _, _ = RepSum([4, 2]).weight_system()._walk_plan()
     assert windows[0] == ()
     assert all(j == 0 and k == 1 for level in windows for j, k, *_ in level)
     assert all(level for level in windows[1:])

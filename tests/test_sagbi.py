@@ -31,6 +31,7 @@ from util import (
     fraction_terms,
     is_canonical,
     lex_key,
+    readout_factorization,
 )
 
 RA = roberts_action()
@@ -168,6 +169,38 @@ def test_factorization_matches_oracle_on_random_monomials():
                 solvable += 1
         assert solvable > 100 and unsolvable > 20
         assert_memo_keyed_by_monomials(G, answers)
+
+
+def test_repeated_factorization_returns_the_stored_tuple():
+    # every query is compared with a fresh read-out of the counts, and a
+    # repeated one must hand back the very tuple its first query stored
+    rng = random.Random(4049)
+    G = fresh_copy(RA.catalog(2))
+    names = [name for name in G.names if not G.lt[name][0].is_one()]
+    queries = []
+    for _ in range(150):
+        if rng.random() < 0.6:
+            m = Monomial(())
+            for name in rng.choices(names, k=rng.randint(1, 5)):
+                m = m * G.lt[name][0]
+        else:
+            m = random_monomial(rng, range(7), 2)
+        queries.append(m)
+    queries += rng.choices(queries, k=150)  # repeats, solvable and not
+    first = {}
+    for m in queries:
+        got = G.factorization(m)
+        assert got == readout_factorization(G, m), m
+        if m in first:
+            assert got is first[m], m
+        else:
+            first[m] = got
+    assert sum(got is None for got in first.values()) > 10
+    assert sum(got is not None for got in first.values()) > 50
+    assert len(first) < len(queries)
+    # a packed int outside the ambient is no monomial, cached or not
+    outside = 1 << 32 * len(R7)
+    assert G.factorization(outside) is None is readout_factorization(G, outside)
 
 
 def test_factorization_deep_power_without_recursion():

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from plinth.cli import main
+from plinth.derivation import Derivation
 from plinth.polyring import Monomial, PolyError
 from plinth.sl2 import (
     ComponentMembership,
@@ -312,3 +314,30 @@ def test_invariants_skip_negative_weights_matches_all_weight_oracle(spec):
     want = all_weight_invariants(rep, D, 3)
     assert [(d, w, str(f)) for d, w, f in got] == [(d, w, str(f)) for d, w, f in want]
     assert got == want and all(w >= 0 for _, w, _ in got)
+
+
+def test_sl2_command_builds_each_graded_kernel_once(monkeypatch, capsys):
+    # positive_weight_vanishing_check and component_containment_check read
+    # the same invariants: one raising derivation per representation, and
+    # each piece solved once by it
+    solved = []
+    real = Derivation.kernel_on_monomials
+
+    def counted(self, monomials):
+        solved.append((self, tuple(monomials)))
+        return real(self, monomials)
+
+    monkeypatch.setattr(Derivation, "kernel_on_monomials", counted)
+    assert main(["sl2", "--rep", "V[4]+V[2]", "--samples", "20"]) == 0
+    assert len(solved) == len(set(solved)) > 20
+    rep = RepSum.parse("V[4]+V[4]")
+    assert positive_weight_vanishing_check(rep, 3, samples=5).ok
+    before = len(solved)
+    assert component_containment_check(rep, 3, samples=5).ok
+    assert len(solved) == before
+    D = build_raising_derivation(rep)
+    assert D is build_raising_derivation(rep) and rep.weight_system() is rep.weight_system()
+    lower = [t for t in invariants_up_to_degree(rep, D, 3) if t[0] <= 2]
+    assert invariants_up_to_degree(rep, D, 2) == lower
+    assert len(solved) == before
+    capsys.readouterr()

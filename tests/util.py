@@ -20,8 +20,12 @@ dicts, sl2 invariants searched over every torus weight, the earlier
 summation loops that add one polynomial at a time to a running total, a
 dense coefficient-matrix builder, the sl2 raising derivation expanded
 symbolically from the substitution X -> X + s Y, the earlier per-summand
-sl2 coordinate loops and component classifier, and tete-a-tetes grouped
-from ``itertools.combinations_with_replacement``.
+sl2 coordinate loops and component classifier, tete-a-tetes grouped
+from ``itertools.combinations_with_replacement``, the earlier graded walk
+that goes down to variable 0 with no leaf solve, the rows of D read back
+by ``coefficient_matrix`` from one applied polynomial per monomial (and
+beta(i, n) built on them), and the factorization read out afresh on
+every query.
 """
 
 from __future__ import annotations
@@ -31,14 +35,19 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd, lcm
 
-from plinth import linalg
+from plinth import linalg, polyring
 from plinth.derivation import Derivation
 from plinth.polyring import (
+    FIELD_BITS,
+    MAX_EXPONENT,
+    InfiniteGradedPieceError,
     Monomial,
     PolyError,
     Polynomial,
     VariableSet,
     WeightSystem,
+    _packed,
+    coefficient_matrix,
     coefficient_value,
 )
 from plinth.roberts import RobertsAction
@@ -1063,3 +1072,137 @@ def combinations_tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[
             for b in range(a + 1, len(group))
         ]
     return out
+
+
+def ratio_walk_monomial_basis(ws: WeightSystem, degree) -> list[Monomial]:
+    """``WeightSystem.monomial_basis`` by the earlier walk, which goes down
+    to variable 0: a variable that closes a coordinate gets its exponent
+    from that coordinate's remainder, ratio windows prune on entering each
+    variable, and no block of bottom variables is solved at once.
+    """
+    weights, rank = ws.weights, ws.rank
+    for w in weights:
+        if any(x < 0 for x in w) or not any(w):
+            raise InfiniteGradedPieceError("a graded piece can be infinite")
+    positive = [[j for j, x in enumerate(w) if x > 0] for w in weights]
+    closes: list[list[int]] = [[] for _ in weights]
+    unreached = []
+    for j in range(rank):
+        last = next((i for i, p in enumerate(positive) if j in p), None)
+        if last is None:
+            unreached.append(j)
+        else:
+            closes[last].append(j)
+    windows: list[tuple] = [()]
+    for i in range(1, len(weights)):
+        prefix = weights[: i + 1]
+        common = [j for j in range(rank) if all(w[j] for w in prefix)]
+        level = []
+        for j in common:
+            for k in range(rank):
+                if k == j or k in common and k < j or not any(w[k] for w in prefix):
+                    continue
+                ratios = [Fraction(w[k], w[j]) for w in prefix]
+                lo, hi = min(ratios), max(ratios)
+                level.append((j, k, lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+        windows.append(tuple(level))
+    degree = tuple(int(x) for x in degree)
+    if any(degree[j] for j in unreached) or any(x < 0 for x in degree):
+        return []
+    if max(degree) > MAX_EXPONENT:
+        raise PolyError(f"degree {degree} has an entry above the limit 2^31 - 1")
+    out: list[Monomial] = []
+
+    def walk(i: int, remaining: tuple[int, ...], packed: int) -> None:
+        if i < 0:
+            out.append(_packed(packed))
+            cap = polyring.MAX_PIECE_MONOMIALS
+            if len(out) > cap:
+                raise PolyError(f"graded piece {degree}: over {cap} monomials")
+            return
+        for j, k, lo_num, lo_den, hi_num, hi_den in windows[i]:
+            rj, rk = remaining[j], remaining[k]
+            if lo_num * rj > lo_den * rk or hi_den * rk > hi_num * rj:
+                return
+        w = weights[i]
+        if closes[i]:
+            j, *others = closes[i]
+            e, r = divmod(remaining[j], w[j])
+            if (
+                r
+                or any(remaining[k] != e * w[k] for k in others)
+                or any(remaining[k] < e * w[k] for k in positive[i])
+            ):
+                return
+            exponents = (e,)
+        else:
+            cap = min(remaining[j] // w[j] for j in positive[i])
+            exponents = range(cap, -1, -1)
+        for e in exponents:
+            if not e:
+                walk(i - 1, remaining, packed)
+                continue
+            walk(
+                i - 1,
+                tuple(r - e * x for r, x in zip(remaining, w)),
+                packed + (e << FIELD_BITS * i),
+            )
+
+    walk(len(weights) - 1, degree, 0)
+    return out
+
+
+def applied_coefficient_rows(D: Derivation, monomials, rhs=None) -> list[dict]:
+    """``Derivation.image_rows`` by the earlier route: D applied to one
+    ``Polynomial`` per monomial (and to ``rhs``, a term dict, as the last
+    column), then the images read back by ``coefficient_matrix``."""
+    images = [D.apply(Polynomial._raw(D.ambient, {m: 1})) for m in monomials]
+    if rhs is not None:
+        images.append(D.apply(Polynomial(D.ambient, rhs)))
+    return coefficient_matrix(images)
+
+
+def readout_factorization(G: GeneratorSet, m: Monomial) -> tuple[str, ...] | None:
+    """``GeneratorSet.factorization`` read out afresh on every query: the
+    least sorted name sequence spelled from the memoized factor counts."""
+    rem, invalid = int(m), G.ambient.invalid_bits
+    if rem & invalid:
+        return None
+    count = G._count(rem)
+    if count < 0:
+        return None
+    names, k = [], 0
+    while count:
+        q = rem - G._lts[k]
+        if not q & invalid:
+            got = G._count(q)
+            if got == count - 1:
+                names.append(G._search_names[k])
+                rem, count = q, got
+                continue
+        k += 1
+    return tuple(names)
+
+
+def applied_beta(action: RobertsAction, i: int, n: int) -> Polynomial:
+    """``RobertsAction._construct_beta`` by the earlier route: the columns
+    split by ``Monomial.divide`` by their z-power, D applied to one
+    ``Polynomial`` per column and to the pinned part, the images read back
+    by ``coefficient_matrix``, then one ``linalg.solve``."""
+    R = action.ring
+    z_index = R.index("z")
+    targets = action._slice_targets(i, n)
+    pinned, cols = {}, []
+    for m in reversed(action.weights.monomial_basis(action.beta_degree(i, n))):
+        t = m.exponent(z_index)
+        if t in targets:
+            pinned[m] = targets[t].coefficient(m.divide(Monomial(((z_index, t),))))
+        else:
+            cols.append(m)
+    rows = coefficient_matrix(
+        [action.D.apply(Polynomial._raw(R, {m: 1})) for m in cols]
+        + [-action.D.apply(Polynomial(R, pinned))]
+    )
+    solution = linalg.solve(rows, len(cols))
+    assert solution is not None
+    return Polynomial(R, {**pinned, **{m: c for m, c in zip(cols, solution) if c}})
