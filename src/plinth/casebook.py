@@ -417,8 +417,7 @@ def sl2_mod_n_checks(degree_bound: int = 6) -> VerificationReport:
     ]
     monos.sort(reverse=True)
     basis = [Polynomial(R, {m: 1}) for m in monos]
-    rows = coefficient_matrix([D.apply(p) for p in basis])
-    rows += coefficient_matrix([sigma_hat(p) - p for p in basis])
+    rows = D.image_rows(monos) + coefficient_matrix([sigma_hat(p) - p for p in basis])
     combos = linalg.nullspace(rows, len(monos))
     reduced_polys = [
         Q.reduce(Polynomial(R, {m: c for m, c in zip(monos, vec) if c})) for vec in combos

@@ -30,7 +30,7 @@ from .polyring import (
     VariableMismatchError,
     VariableSet,
     WeightSystem,
-    _from_sums,
+    _overflow_error,
     coefficient_value,
     combination,
 )
@@ -85,9 +85,9 @@ class Derivation:
                 )
         self.ambient = ambient
         self.images = {name: images[name] for name in ambient.names}
-        # (field shift, the variable, the image's terms) for each nonzero image
+        # (field shift, the variable, its image) for each nonzero image
         self._leibniz = [
-            (FIELD_BITS * i, Monomial(((i, 1),)), g.terms())
+            (FIELD_BITS * i, Monomial(((i, 1),)), g)
             for i, g in enumerate(self.images.values())
             if g
         ]
@@ -109,25 +109,19 @@ class Derivation:
         """Leibniz-linear extension of the variable images (exact).
 
         D(c*m) = sum_i c * e_i * (m / x_i) * D(x_i) over the variables x_i
-        of m with exponent e_i and a nonzero image.  Every product term is
-        added into one dict keyed by its packed monomial, m - x_i + (image
-        monomial), and the result is finished once from it by
-        ``polyring._from_sums``.  An exponent pushed above MAX_EXPONENT
-        raises PolyError.
+        of m with exponent e_i and a nonzero image: one ``combination`` of
+        the parts (c * e_i, m - x_i, D(x_i)).  An exponent pushed above
+        MAX_EXPONENT raises PolyError.
         """
         if f.ambient != self.ambient:
             raise VariableMismatchError("polynomial over a different variable set")
-        acc: dict[int, Coefficient] = {}
-        get = acc.get
-        for m, c in f._terms.items():
-            for shift, x, image in self._leibniz:
-                e = m >> shift & _FIELD_MASK
-                if e:
-                    base, ce = m - x, c * e
-                    for g, v in image:
-                        k = base + g
-                        acc[k] = get(k, 0) + ce * v
-        return _from_sums(self.ambient, acc, "derivation image")
+        parts = [
+            (c * e, m - x, image)
+            for m, c in f._terms.items()
+            for shift, x, image in self._leibniz
+            if (e := m >> shift & _FIELD_MASK)
+        ]
+        return combination(self.ambient, parts)
 
     def is_invariant(self, f: Polynomial) -> bool:
         """True iff D(f) = 0, i.e. f is constant along the flow."""
@@ -293,8 +287,9 @@ class Derivation:
         columns = [(c, m, 1) for c, m in enumerate(monomials)]
         if last is not None:
             columns += [(len(monomials), m, v) for m, v in last.items()]
+        leibniz = [(shift, x, image._terms.items()) for shift, x, image in self._leibniz]
         for col, m, c in columns:
-            for shift, x, image in self._leibniz:
+            for shift, x, image in leibniz:
                 e = m >> shift & _FIELD_MASK
                 if e:
                     base, ce = m - x, c * e
@@ -313,10 +308,7 @@ class Derivation:
             if row:
                 out.append(row)
         if made & self.ambient.invalid_bits:
-            raise PolyError(
-                "derivation image makes an exponent above the limit 2^31 - 1"
-                f" or a variable outside {self.ambient!r}"
-            )
+            raise _overflow_error(self.ambient)
         return out
 
     def kernel_on_monomials(self, monomials: Sequence[Monomial]) -> list[Polynomial]:

@@ -11,13 +11,18 @@ The public ``Polynomial(ambient, terms)`` brings every value to that form,
 rejects anything that is not rational (a ``float`` above all) and any key
 that is not a ``Monomial`` over the ambient's variables; arithmetic keeps
 it and builds its results through the trusted ``Polynomial._raw``, which
-skips the check.  Every sum of scaled, shifted polynomials is built by one
-accumulator, ``combination``, which adds c * shift * g over its parts into
-one dict on packed-int keys; it shares its finishing step, ``_from_sums``,
-with ``Polynomial.__mul__`` and ``Derivation.apply``.  Integer-coefficient
-polynomials, the common case, so run entirely over Python ints.  Since
-``3 == Fraction(3)``, ``hash(3) == hash(Fraction(3))`` and
-``str(3) == str(Fraction(3))``, a stored ``int`` compares, hashes and
+skips the check.  Every sum of scaled, shifted polynomials, the product
+and D applied included, is one call of ``combination``: c * shift * g
+summed over its parts in one dict on packed-int keys, the keys checked
+once on their OR.  Two measured fast paths stay outside it: the fused
+subduction step ``sub_scaled`` (through ``combination``, ``verify_sagbi``
+on S_3 at bound 10 took 326 ms, not 237) and ``Derivation.image_rows``
+(applied columns read by ``coefficient_matrix`` took beta-construct's
+calls to 6.0 ms, not 5.5).  One walk enumerates graded pieces; its leaf
+reads the bottom variables' exponents through d * M^-1 (``_walk_plan``).
+Integer-coefficient polynomials, the common case, so run entirely over
+Python ints.  Since ``3 == Fraction(3)``, ``hash(3) == hash(Fraction(3))``
+and ``str(3) == str(Fraction(3))``, a stored ``int`` compares, hashes and
 prints as the ``Fraction`` would.
 
 A ``Monomial`` is an ``int`` whose bits [32 * i, 32 * i + 32) hold the
@@ -425,16 +430,8 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        a, b = self._terms.items(), other._terms.items()
-        if len(a) > len(b):
-            a, b = b, a
-        acc: dict[int, Coefficient] = {}
-        get = acc.get
-        for m1, c1 in a:
-            for m2, c2 in b:
-                k = m1 + m2
-                acc[k] = get(k, 0) + c1 * c2
-        return _from_sums(self.ambient, acc, "product")
+        a, b = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        return combination(self.ambient, [(c, m, b) for m, c in a._terms.items()])
 
     def scale(self, c) -> "Polynomial":
         return combination(self.ambient, ((c, MONOMIAL_ONE, self),))
@@ -587,37 +584,15 @@ class Polynomial:
         return f"<poly {format_polynomial(self)}>"
 
 
-def _from_sums(ambient: VariableSet, acc: dict[int, Coefficient], what: str) -> Polynomial:
-    """The polynomial of the sums in ``acc``, keyed by packed monomials.
-
-    The keys are checked once, on their OR (an overflowing field sets its own
-    guard bit); each sum is made canonical once, and zero sums are dropped.
-    """
-    made, new = 0, int.__new__
-    terms: dict[Monomial, Coefficient] = {}
-    for k, v in acc.items():
-        made |= k
-        if v:
-            if type(v) is not int and v.denominator == 1:
-                v = v.numerator
-            terms[new(Monomial, k)] = v
-    if made & ambient.invalid_bits:
-        raise PolyError(
-            f"{what} makes an exponent above the limit 2^31 - 1"
-            f" or a variable outside {ambient!r}"
-        )
-    return Polynomial._raw(ambient, terms)
-
-
 def combination(
     ambient: VariableSet, parts: Iterable[tuple[Rational, Monomial, Polynomial]]
 ) -> Polynomial:
     """sum c * shift * g over the parts (c, shift, g), summed in one dict.
 
     c is any rational and every g must live over ``ambient``
-    (VariableMismatchError otherwise).  A shifted exponent above
-    MAX_EXPONENT, or a shift by a variable outside ``ambient``, raises
-    PolyError.
+    (VariableMismatchError otherwise); a shift may be any packed monomial
+    int.  A shifted exponent above MAX_EXPONENT, or a shift by a variable
+    outside ``ambient``, raises PolyError, even where those terms cancel.
     """
     acc: dict[int, Coefficient] = {}
     get = acc.get
@@ -629,7 +604,26 @@ def combination(
         for m, v in g._terms.items():
             k = m + shift
             acc[k] = get(k, 0) + c * v
-    return _from_sums(ambient, acc, "combination")
+    # the keys are checked once, on their OR (an overflowing field sets its
+    # own guard bit); each sum is made canonical once, zero sums dropped
+    made, new = 0, int.__new__
+    terms: dict[Monomial, Coefficient] = {}
+    for k, v in acc.items():
+        made |= k
+        if v:
+            if type(v) is not int and v.denominator == 1:
+                v = v.numerator
+            terms[new(Monomial, k)] = v
+    if made & ambient.invalid_bits:
+        raise _overflow_error(ambient)
+    return Polynomial._raw(ambient, terms)
+
+
+def _overflow_error(ambient: VariableSet) -> PolyError:
+    """The one error of a sum or product whose keys leave ``ambient``."""
+    return PolyError(
+        f"a term has an exponent above the limit 2^31 - 1 or a variable outside {ambient!r}"
+    )
 
 
 def coefficient_matrix(
@@ -703,12 +697,12 @@ class WeightSystem:
         closes[i]: those where it is the last such variable of the walk;
         windows[i]: (j, k, lo_num, lo_den, hi_num, hi_den) for the ratio
         windows checked on entering variable i; unreached: the coordinates
-        no variable has weight on.  leaf: None, or (divisors, det, rows)
-        when the weight matrix M of the bottom ``rank`` variables,
-        M[j][v] = weights[v][j], is nonsingular: the exponents e with
-        M e = r are e_v = sum(a * r[j] for j, a in rows[v]) / det, the
-        nonzero entries of row v of its adjugate over det > 0, and when M is
-        diagonal, divisors[v] = M[v][v] gives e_v = r[v] / divisors[v].
+        no variable has weight on.  leaf: None, or (d, rows) when the weight
+        matrix M of the bottom ``rank`` variables, M[j][v] = weights[v][j],
+        is nonsingular: the exponents e with M e = r are
+        e_v = sum(a * r[j] for j, a in rows[v]) / d, with rows[v] the
+        nonzero entries of row v of d * M^-1 and d > 0 the least common
+        denominator of M^-1 (a divisor of |det M|).
         Built once per weight system.  Raises InfiniteGradedPieceError, and
         caches nothing, if a graded piece can be infinite.
         """
@@ -753,16 +747,20 @@ class WeightSystem:
                         (j, k, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
                     )
             windows.append(tuple(level))
+        # imported here, not at the top: linalg imports this module
+        from . import linalg
+
         leaf = None
-        if len(weights) >= self.rank:
-            block = [[w[j] for w in weights[: self.rank]] for j in range(self.rank)]
-            if all(not x for j, row in enumerate(block) for v, x in enumerate(row) if j != v):
-                # diagonal, and nonsingular: each weight vector is nonzero
-                leaf = (tuple(block[v][v] for v in range(self.rank)), 1, ())
-            elif (inverse := _inverse(block)) is not None:
-                det, adj = inverse
-                rows = tuple(tuple((j, a) for j, a in enumerate(row) if a) for row in adj)
-                leaf = (None, det, rows)
+        block = weights[: self.rank]  # M^T: row v is the weight of variable v
+        if len(block) == self.rank and linalg.rank(block) == self.rank:
+            # row v of M^-1 is the solution y of M^T y = (unit vector v)
+            inverse = [
+                linalg.solve([[*w, int(u == v)] for u, w in enumerate(block)], self.rank)
+                for v in range(self.rank)
+            ]
+            d = lcm(*(x.denominator for row in inverse for x in row))
+            rows = tuple(tuple((j, int(d * x)) for j, x in enumerate(row) if x) for row in inverse)
+            leaf = (d, rows)
         self._plan = (positive, closes, windows, unreached, leaf)
         return self._plan
 
@@ -780,15 +778,15 @@ class WeightSystem:
 
         Leaf solve.  When the weight matrix M of the bottom ``rank``
         variables is nonsingular, the walk stops at the level above them and
-        reads their exponents off the remainder r as adj(M) r / det(M), one
-        divmod per variable (for a diagonal M, as x1, x2, x3 have for
-        Roberts, r[v] over the one weight of variable v); the branch ends
-        unless each is an exact nonnegative integer.  This is exact: M e = r
-        has one solution, so a remainder has at most the one completion the
-        full walk would find, in the same place of the order.  A nonsingular
-        M has no zero row, so every coordinate has weight on a variable of
-        the block, no variable above it closes a coordinate, and below it
-        the ratio windows could only prune what the solve already rejects.
+        reads their exponents off the remainder r as (d * M^-1) r / d, one
+        divmod per variable (for Roberts x1, x2, x3 carry the identity, so
+        d = 1); the branch ends unless each is an exact nonnegative integer.
+        This is exact: M e = r has one solution, so a remainder has at most
+        the one completion the full walk would find, in the same place of
+        the order.  A nonsingular M has no zero row, so every coordinate has
+        weight on a variable of the block, no variable above it closes a
+        coordinate, and below it the ratio windows could only prune what the
+        solve already rejects.
         For the rank-2 sl2 grading the block is x0, x1 of the first summand,
         the last two coordinates the walk reaches; when M is singular, as
         for V[0]+V[0], the walk goes down to variable 0.
@@ -821,26 +819,20 @@ class WeightSystem:
         if max(degree) > MAX_EXPONENT:  # no exponent can exceed max(degree)
             raise PolyError(f"degree {degree} has an entry above the limit 2^31 - 1")
         out: list[Monomial] = []
-        divisors, det, rows = leaf or (None, 1, ())
+        d, rows = leaf or (1, ())
+        rows = [(FIELD_BITS * v, row) for v, row in enumerate(rows)]
         bottom = -1 if leaf is None else self.rank - 1
 
         def walk(i: int, remaining: tuple[int, ...], packed: int) -> None:
             if i == bottom:
-                if divisors:
-                    for v, w in enumerate(divisors):
-                        e, r = divmod(remaining[v], w)
-                        if r:
-                            return
-                        packed += e << FIELD_BITS * v
-                else:
-                    for v, row in enumerate(rows):
-                        num = 0
-                        for j, a in row:
-                            num += a * remaining[j]
-                        e, r = divmod(num, det)
-                        if r or e < 0:
-                            return
-                        packed += e << FIELD_BITS * v
+                for shift, row in rows:
+                    num = 0
+                    for j, a in row:
+                        num += a * remaining[j]
+                    e, r = divmod(num, d)
+                    if r or e < 0:
+                        return
+                    packed += e << shift
                 out.append(_packed(packed))
                 if len(out) > MAX_PIECE_MONOMIALS:
                     raise PolyError(f"graded piece {degree}: over {MAX_PIECE_MONOMIALS} monomials")
@@ -876,30 +868,6 @@ class WeightSystem:
 
         walk(len(weights) - 1, degree, 0)
         return out
-
-
-def _inverse(m: list[list[int]]) -> tuple[int, list[list[int]]] | None:
-    """(d, A) with A = d * m^-1 integral and d = |det m| > 0, for a square
-    integer matrix m, by Gauss-Jordan over Fraction; None if m is singular.
-    A is the adjugate of m up to the sign of det m."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    det = Fraction(1)
-    for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c]), None)
-        if p is None:
-            return None
-        a[c], a[p] = a[p], a[c]
-        pivot = a[c][c]
-        det *= pivot if p == c else -pivot
-        a[c] = [x / pivot for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    d = abs(int(det))
-    return d, [[int(d * x) for x in row[n:]] for row in a]
 
 
 # -- parsing and formatting ----------------------------------------------

@@ -285,16 +285,13 @@ def positive_weight_vanishing_check(
             )
     checker.note(f"positive-weight kernel elements checked: {positive}")
 
-    # per-summand quadratic invariants, lifted into the sum's coordinates
+    # per-summand quadratic invariants, solved once per n over x0..xn and
+    # renamed into the summand's coordinates
+    by_n = {n: quadratic_invariants(n) for n in set(rep.degrees)}
     lifted: dict[int, list[Polynomial]] = {}
     for s, space in enumerate(rep.summands):
-        fks = quadratic_invariants(space.n)
-        small = RepSum([space.n])
-        rename = {
-            small.ambient.names[i]: rep.ambient.variable(space.coordinates[i])
-            for i in range(space.n + 1)
-        }
-        lifted[s] = [f.substitute(rename, rep.ambient) for f in fks]
+        rename = {f"x{i}": rep.ambient.variable(name) for i, name in enumerate(space.coordinates)}
+        lifted[s] = [f.substitute(rename, rep.ambient) for f in by_n[space.n]]
 
     rng = random.Random(seed)
     if not negative:
@@ -379,6 +376,9 @@ def component_containment_check(
     checker.note(f"invariants tested: {len(invariants)}")
     rng = random.Random(seed)
     negative = set(rep.negative_weight_coordinates())
+    # every sampled point is 0 on the negative-weight coordinates, so each
+    # invariant is evaluated without the terms that vanish there
+    restricted = [f.restrict_to_zero(negative) for f in invariants]
     zero_w = set(rep.zero_weight_coordinates())
 
     def sample_plinth_point() -> dict[str, Fraction]:
@@ -411,9 +411,9 @@ def component_containment_check(
         )
         at_v = rep.ambient.integer_point(v)
         at_vp = rep.ambient.integer_point(vp)
-        for f in invariants:
+        for f, kept in zip(invariants, restricted):
             checked += 1
-            if not f.agrees(at_v, at_vp):
+            if not kept.agrees(at_v, at_vp):
                 checker.require(
                     False,
                     {

@@ -1,11 +1,12 @@
 """Differential tests of ``polyring.combination`` and the sums built on it.
 
 Every sum of scaled, shifted polynomials in the library goes through
-``combination``.  The oracles are the ``Fraction``-only term dicts and the
-earlier summation loops of ``util``, which add one polynomial at a time to
-a running total, and, for the sl2 raising derivation, its symbolic
-expansion from the substitution X -> X + s Y.  ``restrict_to_zero`` is
-checked against the zero-or-identity substitution it replaced.
+``combination``, the product and D applied included.  The oracles are the
+``Fraction``-only term dicts and the earlier summation loops of ``util``,
+which add one polynomial at a time to a running total, and, for the sl2
+raising derivation, its symbolic expansion from the substitution
+X -> X + s Y.  ``restrict_to_zero`` is checked against the
+zero-or-identity substitution it replaced.
 """
 
 import random
@@ -14,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from plinth.casebook import QuadricRing, divide_out
+from plinth.derivation import Derivation
 from plinth.polyring import (
     MAX_EXPONENT,
     MONOMIAL_ONE,
@@ -109,6 +111,33 @@ def test_combination_rejects_overflow_foreign_ambient_and_bad_scalars():
     for bad in (0.5, "1/2"):
         with pytest.raises(PolyError, match="not rational"):
             combination(R4, [(bad, MONOMIAL_ONE, x)])
+
+
+def test_product_apply_image_rows_and_combination_raise_one_overflow_message():
+    R3 = VariableSet(("x", "y", "z"))
+    x = R3.variable("x")
+    top = Monomial(((0, MAX_EXPONENT),))
+    D = Derivation(R3, {"x": R3.zero(), "y": x, "z": R3.zero()})
+    # each pushes x past 2^31 - 1 by one
+    raisers = [
+        lambda: Polynomial(R3, {top: 1}) * R3.poly("x + y"),
+        lambda: x * Polynomial(R3, {top: 1, MONOMIAL_ONE: 2}),
+        lambda: combination(R3, [(1, top, x)]),
+        lambda: D.apply(Polynomial(R3, {top * Monomial(((1, 1),)): 3})),
+        lambda: D.image_rows([top * Monomial(((1, 1),))]),
+        lambda: D.image_rows([MONOMIAL_ONE], {top * Monomial(((1, 1),)): 1}),
+    ]
+    messages = set()
+    for raise_it in raisers:
+        with pytest.raises(PolyError) as err:
+            raise_it()
+        messages.add(str(err.value))
+    assert messages == {
+        f"a term has an exponent above the limit 2^31 - 1 or a variable outside {R3!r}"
+    }
+    # one below the limit is fine for all four
+    edge = Polynomial(R3, {Monomial(((0, MAX_EXPONENT - 1),)): 1})
+    assert str(edge * x) == f"x^{MAX_EXPONENT}" == str(D.apply(edge * R3.variable("y")))
 
 
 def test_substitute_matches_earlier_loop():

@@ -72,18 +72,41 @@ def _random_systems(seed: int, count: int):
         yield ws, degrees
 
 
+def _det(m) -> int:
+    """Determinant by expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
 # -- monomial_basis against the walk down to variable 0 -----------------------
 
 
 def test_leaf_plans():
-    # Roberts: x1, x2, x3 carry the identity, one divisor of 1 each
-    assert RobertsAction().weights._walk_plan()[4] == ((1, 1, 1), 1, ())
+    # Roberts: x1, x2, x3 carry the identity, so d = 1 and each row is one 1
+    assert RobertsAction().weights._walk_plan()[4] == (1, (((0, 1),), ((1, 1),), ((2, 1),)))
     # sl2 V[n] first: the block is x0, x1 with weights (1, 2n), (1, 2n - 2),
     # det -2; V[0] + V[0] has the singular block (1, 0), (1, 0)
-    divisors, det, rows = RepSum([4, 2]).weight_system()._walk_plan()[4]
-    assert divisors is None and det == 2
+    d, rows = RepSum([4, 2]).weight_system()._walk_plan()[4]
+    assert d == 2
     assert rows == (((0, -6), (1, 1)), ((0, 8), (1, -1)))
     assert RepSum.parse("V[0]+V[0]").weight_system()._walk_plan()[4] is None
+
+
+def test_leaf_denominator_below_the_determinant():
+    # M = 2I has det 4, but M^-1 = I / 2 has denominator 2
+    R = VariableSet(("a", "b", "c"))
+    ws = WeightSystem(R, [(2, 0), (0, 2), (1, 1)])
+    assert ws._walk_plan()[4] == (2, (((0, 1),), ((1, 1),)))
+    found = 0
+    for degree in product(range(-1, 12), repeat=2):
+        got = ws.monomial_basis(degree)
+        assert got == ratio_walk_monomial_basis(ws, degree), degree
+        found += len(got)
+    assert found > 100
 
 
 def test_monomial_basis_matches_ratio_walk_on_roberts_degrees():
@@ -113,13 +136,18 @@ def test_monomial_basis_matches_ratio_walk_on_random_weights():
     kinds = set()
     for ws, degrees in _random_systems(1913, 80):
         leaf = ws._walk_plan()[4]
-        kinds.add("singular" if leaf is None else "diagonal" if leaf[0] else "adjugate")
+        if leaf is None:
+            kinds.add("singular")
+        else:
+            det = abs(_det(ws.weights[: ws.rank]))
+            assert det % leaf[0] == 0
+            kinds.add("d = 1" if leaf[0] == 1 else "d < |det|" if leaf[0] < det else "d = |det|")
         for degree in degrees:
             assert ws.monomial_basis(degree) == ratio_walk_monomial_basis(ws, degree), (
                 ws.weights,
                 degree,
             )
-    assert kinds == {"singular", "diagonal", "adjugate"}
+    assert kinds == {"singular", "d = 1", "d < |det|", "d = |det|"}
 
 
 def test_piece_cap_and_degree_limit_raise_where_the_ratio_walk_does(monkeypatch):

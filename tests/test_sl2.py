@@ -246,6 +246,40 @@ def test_component_containment_sampling():
         assert component_containment_check(rep, 3, samples=60).ok
 
 
+def test_invariants_restricted_to_the_plinth_locus_keep_their_values():
+    # component_containment_check evaluates each invariant without its terms
+    # in the negative-weight coordinates, which vanish at every plinth point
+    rng = random.Random(2718)
+    for spec in ("V[4]+V[2]", "V[3]+V[3]+V[0]", "V[6]"):
+        rep = RepSum.parse(spec)
+        negative = rep.negative_weight_coordinates()
+        D = build_raising_derivation(rep)
+        invariants = [f for _, _, f in invariants_up_to_degree(rep, D, 3)]
+        dropped = 0
+        for f in invariants:
+            kept = f.restrict_to_zero(negative)
+            dropped += len(f) - len(kept)
+            for trial in range(6):
+                points = [
+                    {
+                        name: Fraction(0)
+                        if name in negative
+                        else Fraction(rng.randint(-9, 9), rng.randint(1, 1 + trial % 3))
+                        for name in rep.ambient.names
+                    }
+                    for _ in range(2)
+                ]
+                at = [rep.ambient.integer_point(v) for v in points]
+                for nums, den in at:
+                    assert kept.evaluate_integer(nums, den) == f.evaluate_integer(nums, den)
+                    if kept:  # same denominator q * den^top: the totals agree
+                        assert kept.integer_total(nums, den) * f._integral[0] == (
+                            f.integer_total(nums, den) * kept._integral[0]
+                        )
+                assert kept.agrees(*at) == f.agrees(*at)
+        assert dropped > 0, spec
+
+
 def test_trivial_summand_and_multiplicity():
     # V[0] contributes a single flow-constant coordinate
     rep = RepSum.parse("V[4]+V[2]+V[0]")
