@@ -35,6 +35,10 @@ from .polyring import (
     combination,
 )
 
+# Largest graded piece ``graded_kernel`` eliminates; the slowest measured near
+# it, V[9] weight 0 in degree 10 (2,934 columns), takes 3.5 s on a 2 GHz Xeon.
+MAX_KERNEL_COLUMNS = 3_000
+
 
 class DerivationError(PolyError):
     """Raised for ill-formed derivations or uncertified flow requests."""
@@ -331,7 +335,8 @@ class Derivation:
         Requires D weight-homogeneous for ``ws`` and a finite graded piece;
         homogeneity is checked once per weight system (``weight_shift``).
         Each piece is solved once per derivation: the answer is kept per
-        (weight system, degree) and returned again on a repeated call.
+        (weight system, degree) and returned again on a repeated call.  A
+        piece of more than MAX_KERNEL_COLUMNS monomials raises PolyError.
         """
         if ws is not self._homogeneous_for:
             self.weight_shift(ws)
@@ -339,7 +344,13 @@ class Derivation:
         key = (ws, tuple(int(x) for x in degree))
         got = self._kernels.get(key)
         if got is None:
-            basis = self.kernel_on_monomials(ws.monomial_basis(key[1]))
+            monomials = ws.monomial_basis(key[1])
+            if len(monomials) > MAX_KERNEL_COLUMNS:
+                raise PolyError(
+                    f"graded piece {key[1]}: {len(monomials)} monomials, "
+                    f"over the {MAX_KERNEL_COLUMNS} an elimination takes"
+                )
+            basis = self.kernel_on_monomials(monomials)
             got = self._kernels[key] = GradedKernelBasis(key[1], basis)
         return got
 
@@ -354,18 +365,6 @@ class Derivation:
         if s.is_zero():
             raise DerivationError("slice denominator must be nonzero")
         return self.apply(s).is_zero() and self.apply(f) == s
-
-
-def extend_by_zero(D: Derivation, extended: VariableSet) -> Derivation:
-    """Lift D to a larger variable set, killing the new variables."""
-    images = {
-        name: D.images[name].lift(extended) if name in D.ambient else extended.zero()
-        for name in extended.names
-    }
-    lifted = Derivation(extended, images)
-    if D.witness is not None:
-        lifted.certify_locally_nilpotent(D.witness.bound())
-    return lifted
 
 
 def _in_parameter(series: Sequence[Polynomial], extended: VariableSet) -> Polynomial:

@@ -1,17 +1,21 @@
 """Exact linear algebra over the rationals.
 
-One integer Gauss-Jordan elimination serves every call.  A row comes as a
-dict {column: value}, the form ``polyring.coefficient_matrix`` builds, or
-as a dense list.  Each is read once into a sparse row, a dict {column: int}
-of its nonzero entries, brought to a primitive integer row: its
-denominators are cleared and its content is divided out.  For each pivot
-column, left to right, taking the row with the smallest nonzero |pivot|,
-every other row with a nonzero entry v there becomes a*row - b*pivot_row
-with a, b = p/g, v/g (p the pivot, g = gcd(p, v)) and is made primitive
-again; a row operation touches only the pivot row's nonzero entries.  At
-the end every pivot column is zero outside its pivot row, so answers are
-read off the integer rows as ``Fraction``s; they depend on the column
-order alone.
+One integer elimination, a forward pass then back-substitution, serves
+every call.  A row comes as a dict {column: value}, the form
+``polyring.coefficient_matrix`` builds, or as a dense list, and is read
+once into a primitive integer sparse row {column: int}: its denominators
+cleared, its content divided out.  A row operation clears a row's entry v
+in a pivot column: the row becomes a*row - b*pivot_row, with a, b = p/g,
+v/g (p the pivot, g = gcd(p, v)), made primitive again; it touches only
+the pivot row's nonzero entries.  The forward pass takes the pivot columns
+left to right and clears each only in the rows not yet chosen as pivot
+rows, so pivot rows gather no fill; its pivot row is the candidate with
+the fewest nonzeros, then the least |pivot|, then the lowest id.
+Back-substitution clears each pivot column upward, last pivot first, and
+each reduced row is signed to a positive pivot.  It is then the primitive
+multiple of a row of the reduced echelon form, so the rows and pivots
+depend on the column order alone and answers are read off them as
+``Fraction``s.  ``rank`` runs the forward pass only.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .polyring import coefficient_value
 
 Row = list[Fraction]
 SparseRow = dict[int, int]
+Holders = dict[int, set[int]]  # column -> ids of the rows with a nonzero entry there
 # an input row: {column: value} or a dense list
 InRow = Mapping[int, Fraction | int] | Sequence[Fraction | int]
 
@@ -44,56 +49,65 @@ def _primitive(row: InRow) -> SparseRow:
     return {j: v // g for j, v in vals.items()} if g > 1 else vals
 
 
-def _reduce(rows: Sequence[InRow]) -> tuple[list[SparseRow], list[int]]:
-    """Integer reduced sparse rows, one per pivot, and their ascending pivot
-    columns.
+def _clear(store: list[SparseRow], holders: Holders, k: int, c: int, prow: SparseRow) -> None:
+    """Row k becomes a*row - b*prow, zero in column c, and primitive again;
+    ``holders`` follows the entries it gains and loses."""
+    row = store[k]
+    p, v = prow[c], row[c]
+    g = gcd(p, v)
+    a, b = p // g, v // g
+    new = {j: a * x for j, x in row.items()} if a != 1 else row
+    for j, y in prow.items():
+        x = new.get(j, 0) - b * y
+        if x:
+            if j not in new:
+                holders[j].add(k)
+            new[j] = x
+        else:
+            del new[j]
+            holders[j].discard(k)
+    h = gcd(*new.values())
+    store[k] = {j: x // h for j, x in new.items()} if h > 1 else new
 
-    ``order`` lists row ids by position; the pivot search takes the first
-    row by position among those of least |pivot|, and the pivot row swaps
-    positions with the row at the next pivot position.  ``holders`` maps
-    each column to the ids of the rows with a nonzero entry there, so a
-    pivot step visits only the rows it changes.
+
+def _forward(rows: Sequence[InRow]) -> tuple[list[SparseRow], Holders, list[tuple[int, int]]]:
+    """The forward pass: (store, holders, steps).
+
+    ``store`` holds the primitive rows by id; ``holders`` lets a step visit
+    only the rows it changes.  steps lists (pivot column, pivot row id) in
+    column order; every other row ends empty.
     """
     store = [r for r in map(_primitive, rows) if r]  # a zero row constrains nothing
-    order = list(range(len(store)))
-    pos = list(order)
-    holders: dict[int, set[int]] = {}
+    holders: Holders = {}
     for k, row in enumerate(store):
         for j in row:
             holders.setdefault(j, set()).add(k)
-    pivots: list[int] = []
+    placed = [False] * len(store)
+    steps: list[tuple[int, int]] = []
     for c in sorted(holders):
-        r = len(pivots)
-        candidates = [k for k in holders[c] if pos[k] >= r]
-        if not candidates:
-            continue
-        best = min(candidates, key=lambda k: (abs(store[k][c]), pos[k]))
-        other = order[r]
-        order[r], order[pos[best]] = best, other
-        pos[best], pos[other] = r, pos[best]
-        prow = store[best]
-        p = prow[c]
+        candidates = [k for k in holders[c] if not placed[k]]
+        if candidates:
+            best = min(candidates, key=lambda k: (len(store[k]), abs(store[k][c]), k))
+            placed[best] = True
+            for k in candidates:
+                if k != best:
+                    _clear(store, holders, k, c, store[best])
+            steps.append((c, best))
+    return store, holders, steps
+
+
+def _reduce(rows: Sequence[InRow]) -> tuple[list[SparseRow], list[int]]:
+    """Integer reduced sparse rows, one per pivot, each with a positive
+    pivot, and their ascending pivot columns.  When back-substitution
+    reaches a pivot, its row is already zero in every later pivot column."""
+    store, holders, steps = _forward(rows)
+    for c, best in reversed(steps):
         for k in list(holders[c]):
-            if k == best:
-                continue
-            row = store[k]
-            v = row[c]
-            g = gcd(p, v)
-            a, b = p // g, v // g
-            new = {j: a * x for j, x in row.items()} if a != 1 else row
-            for j, y in prow.items():
-                x = new.get(j, 0) - b * y
-                if x:
-                    if j not in new:
-                        holders[j].add(k)
-                    new[j] = x
-                else:
-                    del new[j]
-                    holders[j].discard(k)
-            h = gcd(*new.values())
-            store[k] = {j: x // h for j, x in new.items()} if h > 1 else new
-        pivots.append(c)
-    return [store[k] for k in order[: len(pivots)]], pivots
+            if k != best:
+                _clear(store, holders, k, c, store[best])
+    return [
+        {j: -x for j, x in store[k].items()} if store[k][c] < 0 else store[k] for c, k in steps
+    ], [c for c, _ in steps]
 
 
 def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Row], list[int]]:
@@ -109,7 +123,7 @@ def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Row], list[int]
 
 def rank(rows: Sequence[InRow]) -> int:
     """Dimension of the span of the rows."""
-    return len(_reduce(rows)[1])
+    return len(_forward(rows)[2])
 
 
 def nullspace(rows: Sequence[InRow], ncols: int) -> list[Row]:
@@ -149,11 +163,6 @@ def solve(rows: Sequence[InRow], ncols: int) -> Row | None:
     for row, c in zip(reduced, pivots):
         x[c] = Fraction(row.get(ncols, 0), row[c])
     return x
-
-
-def in_span(vectors: Sequence[InRow], target: InRow) -> bool:
-    """Is the target a linear combination of the given vectors?"""
-    return rank([*vectors, target]) == rank(vectors)
 
 
 def same_span(a: Sequence[InRow], b: Sequence[InRow]) -> bool:

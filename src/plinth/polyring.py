@@ -751,12 +751,16 @@ class WeightSystem:
         from . import linalg
 
         leaf = None
-        block = weights[: self.rank]  # M^T: row v is the weight of variable v
-        if len(block) == self.rank and linalg.rank(block) == self.rank:
-            # row v of M^-1 is the solution y of M^T y = (unit vector v)
+        n = self.rank
+        block = weights[:n]  # M^T: row v is the weight of variable v
+        # [M^T | I] reduces to [I | M^-T], rows scaled, iff M is nonsingular
+        system = [[*w, *(int(u == v) for u in range(len(block)))] for v, w in enumerate(block)]
+        reduced, pivots = linalg._reduce(system)
+        if pivots[:n] == list(range(n)):
+            # row v of M^-1 is column v of M^-T
             inverse = [
-                linalg.solve([[*w, int(u == v)] for u, w in enumerate(block)], self.rank)
-                for v in range(self.rank)
+                [Fraction(reduced[j].get(n + v, 0), reduced[j][j]) for j in range(n)]
+                for v in range(n)
             ]
             d = lcm(*(x.denominator for row in inverse for x in row))
             rows = tuple(tuple((j, int(d * x)) for j, x in enumerate(row) if x) for row in inverse)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .derivation import Derivation, horner
 from .polyring import PolyError, coefficient_value
@@ -24,13 +24,6 @@ from .report import Checker, VerificationReport
 from .sagbi import GeneratorSet
 
 Point = dict[str, Fraction]
-
-
-def make_point(ambient_names: Sequence[str], values: Sequence[Fraction | int]) -> Point:
-    """A point from rational coordinates; PolyError if one is not rational."""
-    if len(ambient_names) != len(values):
-        raise PolyError("coordinate count mismatch")
-    return {n: Fraction(coefficient_value(v)) for n, v in zip(ambient_names, values)}
 
 
 def point_text(point: Mapping[str, Fraction]) -> str:

@@ -201,11 +201,6 @@ def quadratic_invariants(n: int) -> list[Polynomial]:
     return out
 
 
-def nullcone_test(rep: RepSum, v: Mapping[str, Fraction | int]) -> bool:
-    """Is v in the null cone (all components of nonpositive weight vanish)?"""
-    return all(coefficient_value(v[n]) == 0 for n in rep.nonpositive_weight_coordinates())
-
-
 def plinth_test(rep: RepSum, v: Mapping[str, Fraction | int]) -> bool:
     """Is v in the plinth locus (all negative-weight components vanish)?"""
     return all(coefficient_value(v[n]) == 0 for n in rep.negative_weight_coordinates())

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from plinth.cli import MAX_CATALOG_N, build_parser, main
+from plinth.derivation import MAX_KERNEL_COLUMNS
 from plinth.polyring import MAX_PIECE_MONOMIALS, PolyError, VariableSet, WeightSystem
 
 
@@ -207,3 +208,19 @@ def test_oversized_graded_piece_is_a_quick_usage_error(capsys):
         f"plinth kernel: error: graded piece (60, 60, 60): over {MAX_PIECE_MONOMIALS} monomials"
     )
     assert time.perf_counter() - start < 1.0
+
+
+def test_piece_too_large_to_eliminate_is_a_quick_usage_error(capsys):
+    # the walk passes its 11,963 monomials in a fraction of a second, but
+    # the elimination on them ran for minutes
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--ring", "sl2:V[6]", "--degree", "24,0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "plinth kernel: error: graded piece (24, 144): 11963 monomials, "
+        f"over the {MAX_KERNEL_COLUMNS} an elimination takes"
+    )
+    assert time.perf_counter() - start < 3.0

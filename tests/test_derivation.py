@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from plinth.casebook import danielewski_derivation
-from plinth.derivation import Derivation, NotCertifiedError, extend_by_zero
+from plinth.derivation import Derivation, NotCertifiedError
 from plinth.polyring import (
     MAX_EXPONENT,
     Monomial,
@@ -20,7 +20,9 @@ from plinth.sl2 import RepSum, build_raising_derivation
 from util import (
     brute_monomials,
     chained_apply,
+    extend_by_zero,
     fraction_evaluate,
+    in_span,
     is_canonical,
     lex_key,
     naive_nullspace,
@@ -367,12 +369,10 @@ def test_graded_kernel_322_full_contains_beta11():
         | set(RA.beta(1, 1).monomials())
         | set(R7.poly("x1^3*x2^2*x3^2").monomials())
     )
-    import plinth.linalg as linalg
-
     vec = lambda p: [p.coefficient(m) for m in monos]
     span = [vec(p) for p in got.basis]
-    assert linalg.in_span(span, vec(RA.beta(1, 1)))
-    assert linalg.in_span(span, vec(R7.poly("x1^3*x2^2*x3^2")))
+    assert in_span(span, vec(RA.beta(1, 1)))
+    assert in_span(span, vec(R7.poly("x1^3*x2^2*x3^2")))
 
 
 def test_graded_kernel_oracle_cross_check():
@@ -460,8 +460,6 @@ def test_kernel_is_multiplicatively_closed():
 
 
 def test_known_invariants_lie_in_matching_kernel_spans():
-    import plinth.linalg as linalg
-
     cases = [
         (RA.u12, (3, 3, 0)),
         (RA.u13, (3, 0, 3)),
@@ -475,7 +473,7 @@ def test_known_invariants_lie_in_matching_kernel_spans():
             {m for p in basis for m in p.monomials()} | set(f.monomials())
         )
         vec = lambda p: [p.coefficient(m) for m in monos]
-        assert linalg.in_span([vec(p) for p in basis], vec(f)), degree
+        assert in_span([vec(p) for p in basis], vec(f)), degree
 
 
 def test_local_slice_checks():

@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from plinth import polyring
+from plinth import derivation, polyring
 from plinth.derivation import Derivation
 from plinth.polyring import (
     MAX_EXPONENT,
@@ -28,6 +28,7 @@ from plinth.sl2 import RepSum, build_raising_derivation
 from util import (
     applied_beta,
     applied_coefficient_rows,
+    cayley_sylvester,
     random_poly,
     ratio_walk_monomial_basis,
 )
@@ -180,6 +181,24 @@ def test_piece_cap_and_degree_limit_raise_where_the_ratio_walk_does(monkeypatch)
         with pytest.raises(PolyError, match="above the limit 2\\^31 - 1") as new:
             ws.monomial_basis(degree)
         assert str(new.value) == str(old.value)
+
+
+def test_graded_kernel_eliminates_at_most_the_column_cap(monkeypatch):
+    # a piece of n monomials is solved under a cap of n and refused, with
+    # one message and nothing cached, under a cap of n - 1
+    rep = RepSum([6])
+    D = build_raising_derivation(rep)
+    ws = rep.weight_system()
+    piece = rep.piece(6, 0)
+    n = len(ws.monomial_basis(piece))
+    monkeypatch.setattr(derivation, "MAX_KERNEL_COLUMNS", n - 1)
+    with pytest.raises(PolyError) as exc:
+        D.graded_kernel(ws, piece)
+    assert str(exc.value) == (
+        f"graded piece {piece}: {n} monomials, over the {n - 1} an elimination takes"
+    )
+    monkeypatch.setattr(derivation, "MAX_KERNEL_COLUMNS", n)
+    assert len(D.graded_kernel(ws, piece).basis) == cayley_sylvester(rep, 6, 0) > 0
 
 
 # -- image_rows against coefficient_matrix of D applied ----------------------

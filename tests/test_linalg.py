@@ -14,6 +14,7 @@ from util import (
     beta_system,
     dense_coefficient_matrix,
     dense_reduce,
+    in_span,
     naive_nullspace,
 )
 
@@ -87,8 +88,8 @@ def test_solve_detects_inconsistency():
 def test_in_span_and_same_span():
     v1 = [Fraction(1), Fraction(0), Fraction(2)]
     v2 = [Fraction(0), Fraction(1), Fraction(1)]
-    assert linalg.in_span([v1, v2], [Fraction(2), Fraction(3), Fraction(7)])
-    assert not linalg.in_span([v1, v2], [Fraction(0), Fraction(0), Fraction(1)])
+    assert in_span([v1, v2], [Fraction(2), Fraction(3), Fraction(7)])
+    assert not in_span([v1, v2], [Fraction(0), Fraction(0), Fraction(1)])
     assert linalg.same_span([v1, v2], [[a + b for a, b in zip(v1, v2)], v2])
     assert not linalg.same_span([v1], [v2])
 
@@ -214,7 +215,7 @@ def test_empty_matrix():
     assert linalg.nullspace([], 2) == [[1, 0], [0, 1]]
     assert linalg.solve([], 0) == []
     assert linalg.solve([], 2) == [0, 0]
-    assert linalg.in_span([], [0, 0]) and not linalg.in_span([], [0, 1])
+    assert in_span([], [0, 0]) and not in_span([], [0, 1])
 
 
 def test_random_sparse_systems_match_sympy():
@@ -340,6 +341,35 @@ def test_sparse_reduce_edge_matrices():
     # an inconsistent augmented column and a row that cancels to zero
     assert_matches_dense_reduce([[1, 1], [2, 2], [1, 2]], 2, [1, 3, 0])
     assert linalg.solve([[1, 1, 1], [2, 2, 3]], 2) is None
+
+
+def test_reduced_rows_depend_on_the_column_order_alone():
+    # shuffled and negated rows serve as different pivot rows, yet every
+    # reduced row comes out the same, with a positive pivot
+    rng = random.Random(1516)
+    for rows, _, _ in sparse_shapes(1516, 45):
+        reduced, pivots = linalg._reduce(rows)
+        assert all(row[c] > 0 for row, c in zip(reduced, pivots))
+        mixed = [[-x for x in row] if rng.random() < 0.5 else row for row in rows]
+        rng.shuffle(mixed)
+        assert linalg._reduce(mixed) == (reduced, pivots)
+
+
+def test_rank_runs_the_forward_pass_only(monkeypatch):
+    # an upper triangular matrix needs no forward row operation, and three
+    # back-substitution steps to reach the identity
+    cleared = []
+    real = linalg._clear
+
+    def counted(store, holders, k, c, prow):
+        cleared.append(c)
+        real(store, holders, k, c, prow)
+
+    monkeypatch.setattr(linalg, "_clear", counted)
+    rows = [[1, 1, 1], [0, 2, 1], [0, 0, 3]]
+    assert linalg.rank(rows) == 3 and cleared == []
+    assert linalg._reduce(rows) == ([{0: 1}, {1: 1}, {2: 1}], [0, 1, 2])
+    assert sorted(cleared) == [1, 2, 2]
 
 
 @pytest.mark.parametrize("bad", [0.5, "1/2"])

@@ -9,10 +9,9 @@ import random
 from fractions import Fraction
 
 from plinth.casebook import QuadricRing, danielewski_derivation
-from plinth.derivation import extend_by_zero
 from plinth.roberts import roberts_action
 from plinth.sagbi import subduct, x_ideal_membership
-from util import is_quadric_normal, random_poly
+from util import extend_by_zero, is_quadric_normal, random_poly
 
 SEED = 20240
 CASES = {"leibniz": 0, "group_law": 0, "replay": 0, "normal_form": 0}

@@ -13,14 +13,19 @@ from plinth.separating import (
     _poly_mod,
     flow_equations,
     graph_vs_separation_sampling,
-    make_point,
     point_text,
     separates,
     separating_set_equivalence,
     solve_group_element,
 )
 from plinth.sl2 import RepSum, build_raising_derivation, invariants_up_to_degree
-from util import fraction_evaluate, parse_point, random_poly, substitute_flow_equations
+from util import (
+    fraction_evaluate,
+    make_point,
+    parse_point,
+    random_poly,
+    substitute_flow_equations,
+)
 
 RA = roberts_action()
 R7 = RA.ring

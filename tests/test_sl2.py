@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from plinth.sl2 import (
     component_containment_check,
     component_membership,
     invariants_up_to_degree,
-    nullcone_test,
     plinth_test,
     positive_weight_vanishing_check,
     quadratic_invariants,
@@ -23,6 +23,7 @@ from plinth.sl2 import (
 )
 from util import (
     all_weight_invariants,
+    cayley_sylvester,
     fraction_scale,
     fraction_terms,
     is_canonical,
@@ -30,6 +31,7 @@ from util import (
     looped_negative_weight_coordinates,
     looped_nonpositive_weight_coordinates,
     looped_zero_weight_coordinates,
+    nullcone_test,
 )
 
 
@@ -375,3 +377,33 @@ def test_sl2_command_builds_each_graded_kernel_once(monkeypatch, capsys):
     assert invariants_up_to_degree(rep, D, 2) == lower
     assert len(solved) == before
     capsys.readouterr()
+
+
+def test_graded_kernels_match_the_cayley_sylvester_count():
+    # a seeded sweep over random sums, at every torus weight of each degree
+    # and one step past either end
+    rng = random.Random(1857)
+    pieces = 0
+    for _ in range(12):
+        rep = RepSum([rng.randint(0, 6) for _ in range(rng.randint(1, 3))])
+        D = build_raising_derivation(rep)
+        ws = rep.weight_system()
+        for d in range(1, 6):
+            span = d * rep.max_weight
+            for w in range(-span - 1, span + 2):
+                got = len(D.graded_kernel(ws, rep.piece(d, w)).basis)
+                assert got == cayley_sylvester(rep, d, w), (str(rep), d, w)
+                pieces += got > 0
+    assert pieces == 420  # of 1,500 pieces
+
+
+def test_large_v6_weight_zero_kernels_match_the_cayley_sylvester_count():
+    # 676 and 1,242 columns: sizes the sympy oracle cannot reach
+    rep = RepSum([6])
+    D = build_raising_derivation(rep)
+    ws = rep.weight_system()
+    start = time.perf_counter()
+    for d, dim in ((12, 8), (14, 10)):
+        assert cayley_sylvester(rep, d, 0) == dim
+        assert len(D.graded_kernel(ws, rep.piece(d, 0)).basis) == dim
+    assert time.perf_counter() - start < 2.0

@@ -21,11 +21,12 @@ summation loops that add one polynomial at a time to a running total, a
 dense coefficient-matrix builder, the sl2 raising derivation expanded
 symbolically from the substitution X -> X + s Y, the earlier per-summand
 sl2 coordinate loops and component classifier, tete-a-tetes grouped
-from ``itertools.combinations_with_replacement``, the earlier graded walk
-that goes down to variable 0 with no leaf solve, the rows of D read back
-by ``coefficient_matrix`` from one applied polynomial per monomial (and
-beta(i, n) built on them), and the factorization read out afresh on
-every query.
+from ``itertools.combinations_with_replacement``, sl2 kernel dimensions
+counted by the Cayley-Sylvester formula from a generating function, the
+earlier graded walk that goes down to variable 0 with no leaf solve, the
+rows of D read back by ``coefficient_matrix`` from one applied polynomial
+per monomial (and beta(i, n) built on them), and the factorization read
+out afresh on every query.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from plinth.sagbi import (
     tete_a_tete_difference,
     tete_a_tetes,
 )
-from plinth.separating import Point, make_point
+from plinth.separating import Point
 from plinth.sl2 import ComponentMembership, RepSum, SigmaAction, sigma_on_V0
 
 
@@ -259,9 +260,10 @@ def bareiss_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def dense_reduce(rows) -> tuple[list[list[int]], list[int]]:
-    """``linalg._reduce`` by the earlier dense route: the same integer
+    """``linalg._reduce`` by the earlier dense route: an integer
     Gauss-Jordan sweep (left to right, smallest |pivot|, content cleared
-    after every row operation) on full-width lists of ``int``."""
+    after every row operation) on full-width lists of ``int``, each reduced
+    row signed so that its pivot is positive."""
     m: list[list[int]] = []
     for row in rows:
         vals = [coefficient_value(x) for x in row]
@@ -289,7 +291,12 @@ def dense_reduce(rows) -> tuple[list[list[int]], list[int]]:
                 h = gcd(*new)
                 m[i] = [x // h for x in new] if h > 1 else new
         pivots.append(c)
-    return m[: len(pivots)], pivots
+    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)], pivots
+
+
+def in_span(vectors, target) -> bool:
+    """Is the target a linear combination of the given vectors?"""
+    return linalg.rank([*vectors, target]) == linalg.rank(vectors)
 
 
 def brute_monomials(
@@ -853,6 +860,52 @@ def all_weight_invariants(rep: RepSum, D: Derivation, degree_bound: int):
             if mons:
                 out.extend((d, w, f) for f in D.kernel_on_monomials(mons))
     return out
+
+
+def piece_dimension(rep: RepSum, degree: int, weight: int) -> int:
+    """Monomials of one total degree and torus weight, counted with no walk:
+    the coefficient of t^degree q^weight in the product of 1 / (1 - t q^w)
+    over the coordinate weights w, expanded one coordinate at a time."""
+    counts = [{0: 1}] + [{} for _ in range(degree)]  # counts[d][weight]
+    for w in rep.weights.values():
+        for d in range(1, degree + 1):  # ascending: any power of the coordinate
+            row = counts[d]
+            for s, c in counts[d - 1].items():
+                row[s + w] = row.get(s + w, 0) + c
+    return counts[degree].get(weight, 0)
+
+
+def cayley_sylvester(rep: RepSum, degree: int, weight: int) -> int:
+    """dim ker D on the (degree, torus weight) piece, by the Cayley-Sylvester
+    count: the raising derivation maps weight w onto weight w + 2 when
+    w >= 0 and is injective when w < 0."""
+    if weight < 0:
+        return 0
+    return piece_dimension(rep, degree, weight) - piece_dimension(rep, degree, weight + 2)
+
+
+def make_point(ambient_names, values) -> Point:
+    """A point from rational coordinates; PolyError if one is not rational."""
+    if len(ambient_names) != len(values):
+        raise PolyError("coordinate count mismatch")
+    return {n: Fraction(coefficient_value(v)) for n, v in zip(ambient_names, values)}
+
+
+def nullcone_test(rep: RepSum, v) -> bool:
+    """Is v in the null cone (all components of nonpositive weight vanish)?"""
+    return all(coefficient_value(v[n]) == 0 for n in rep.nonpositive_weight_coordinates())
+
+
+def extend_by_zero(D: Derivation, extended: VariableSet) -> Derivation:
+    """Lift D to a larger variable set, killing the new variables."""
+    images = {
+        name: D.images[name].lift(extended) if name in D.ambient else extended.zero()
+        for name in extended.names
+    }
+    lifted = Derivation(extended, images)
+    if D.witness is not None:
+        lifted.certify_locally_nilpotent(D.witness.bound())
+    return lifted
 
 
 def parse_point(ambient_names, text: str) -> Point:
