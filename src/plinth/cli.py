@@ -22,8 +22,8 @@ from .sagbi import verify_sagbi
 
 DEFAULT_SEED = 1729
 # Largest roberts-sagbi --bound: the pair count, and with it the work,
-# about doubles per unit of bound (S_3 took 3.8 s at bound 12, twice that
-# at 13); the acceptance criteria use at most 10.
+# about doubles per unit of bound (verify_sagbi on S_3 took 0.9 s at bound
+# 12, 1.9 s at 13); the acceptance criteria use at most 10.
 MAX_SAGBI_BOUND = 12
 # Largest --n of roberts-beta, roberts-sagbi and roberts-an: cold beta(1, n)
 # grows about threefold per 2 added to n (1.0 s at 14, 2.6 s at 16, 6.5 s

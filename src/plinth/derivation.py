@@ -22,7 +22,6 @@ from .polyring import (
     _FIELD_MASK,
     FIELD_BITS,
     INHOMOGENEOUS,
-    MONOMIAL_ONE,
     Coefficient,
     Monomial,
     PolyError,
@@ -206,22 +205,6 @@ class Derivation:
             name: _in_parameter(coeffs, extended)
             for name, coeffs in self.flow_coefficients().items()
         }
-
-    def exp_flow(self, f: Polynomial, s=None, param: str = "s") -> Polynomial:
-        """exp(s*D)(f) = sum_k s^k D^k(f) / k! (a finite sum).
-
-        With ``s`` None the result is symbolic over the ambient extended by
-        the fresh parameter; a rational ``s`` gives the numeric flow over
-        the original ambient.
-        """
-        self._require_certified()
-        if f.ambient != self.ambient:
-            raise VariableMismatchError("polynomial over a different variable set")
-        series = self._series(f)
-        if s is None:
-            return _in_parameter(series, self._with_parameter(param))
-        s = coefficient_value(s)
-        return combination(self.ambient, [(s**k, MONOMIAL_ONE, c) for k, c in enumerate(series)])
 
     def flow_at(self, point: Mapping[str, Fraction | int]) -> dict[str, list[Fraction]]:
         """The flow of a rational point as polynomials in s.

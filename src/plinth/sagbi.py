@@ -11,10 +11,17 @@ names, so a new product costs one multiplication.  Subduction repeatedly
 cancels the leading term of a polynomial by a product of generators and
 leaves a replayable certificate.  A generating set is verified to be a
 SAGBI basis (up to a degree bound) by showing that every tete-a-tete
-difference has a subduction to zero within a step budget.  Only coprime
-pairs are subducted: a pair that shares a generator has a smaller pair's
-difference times a generator product, and the same multiple of the
-smaller pair's subduction subducts it.
+difference has a subduction to zero within a step budget.  One walk on
+packed ints groups the generator multisets by leading-monomial product,
+and only coprime pairs, with no generator on both sides, are subducted.
+Every pair (L, R) is uniquely a coprime core (X, Y) plus the multiset A
+of shared names, with deg A <= bound - deg X, and every such sum is a
+pair.  With h = G^A / lc(G^A) the pair's monic difference is h times the
+core's, zero exactly when the core's is, and h times each step of the
+core's subduction cancels the leading monomial of the pair's running
+remainder, so the pair subducts to zero in as many steps.  So the pairs
+are counted, not built: C(k, 2) per group of k multisets, and per coprime
+pair the number of multisets A.
 
 ``subduct`` and ``x_ideal_membership`` share one cancellation loop: the
 first with the unit prefix, the second with a variable prefix in front of
@@ -24,19 +31,22 @@ chosen variables inside the subalgebra.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .polyring import (
     FIELD_BITS,
+    MAX_EXPONENT,
     MONOMIAL_ONE,
     Coefficient,
     Monomial,
     PolyError,
     Polynomial,
     VariableSet,
+    _overflow_error,
+    _packed,
     combination,
 )
 from .report import Checker, VerificationReport
@@ -342,36 +352,54 @@ class TeteATete:
     product: Monomial
 
 
-def tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
-    """All pairs of distinct generator multisets, up to the bound, whose
-    leading monomials have equal products; the walk meets each multiset once."""
+def _groups(G: GeneratorSet, total_degree_bound: int) -> list[tuple[int, int, list]]:
+    """The multisets of search generators of total degree 1 to the bound,
+    as (packed product of leading monomials, degree, members) per product,
+    products descending.  Each member is (names, mask with bit k for each
+    search generator k in it), in ascending walk order.  The walk keeps
+    its own stack, so thousands of factors stay clear of the recursion
+    limit."""
     if total_degree_bound < 0:
         raise SubductionError("degree bound must be nonnegative")
-    names = G._search_names
-    lts = [G.lt[name][0] for name in names]
-    degs = [lt.degree() for lt in lts]
-    by_product: dict[Monomial, list[tuple[str, ...]]] = {}
+    names, lts = G._search_names, G._lts
+    factors = [(k, G.lt[n][0].degree(), lts[k], n, 1 << k) for k, n in enumerate(names)]
+    # the factors a multiset whose largest index is i may take next, last first
+    later = [factors[i:][::-1] for i in range(len(names))]
+    # an exponent of a product is at most its total degree, at most the
+    # bound, so the sums reach no guard bit unless the bound does
+    guard = G.ambient.invalid_bits if total_degree_bound > MAX_EXPONENT else 0
+    by_product: dict[int, tuple[int, list]] = {}
+    # frames: (largest index, names, product, mask, degree left); children
+    # are pushed last index first, so they pop in walk order
+    stack = [
+        (k, (name,), lt, bit, total_degree_bound - deg)
+        for k, deg, lt, name, bit in reversed(factors)
+        if deg <= total_degree_bound
+    ]
+    while stack:
+        last, acc, prod, mask, budget = stack.pop()
+        entry = by_product.get(prod)
+        if entry is None:
+            entry = by_product[prod] = total_degree_bound - budget, []
+        entry[1].append((acc, mask))
+        for k, deg, lt, name, bit in later[last]:
+            if deg <= budget:
+                p = prod + lt
+                if p & guard:
+                    raise _overflow_error(G.ambient)
+                stack.append((k, acc + (name,), p, mask | bit, budget - deg))
+    return [(p, *by_product[p]) for p in sorted(by_product, reverse=True)]
 
-    def walk(start: int, acc_names: tuple[str, ...], acc_mono: Monomial, budget: int):
-        if acc_names:
-            by_product.setdefault(acc_mono, []).append(acc_names)
-        for k in range(start, len(names)):
-            if degs[k] <= budget:
-                walk(
-                    k,
-                    acc_names + (names[k],),
-                    acc_mono * lts[k],
-                    budget - degs[k],
-                )
 
-    walk(0, (), MONOMIAL_ONE, total_degree_bound)
+def tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
+    """All pairs of distinct generator multisets, up to the bound, whose
+    leading monomials have equal products: the pairs within each group of
+    ``_groups``, groups in descending product order."""
     out: list[TeteATete] = []
-    for mono, group in sorted(by_product.items(), key=itemgetter(0), reverse=True):
-        if len(group) < 2:
-            continue
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                out.append(TeteATete(group[a], group[b], mono))
+    for prod, _, group in _groups(G, total_degree_bound):
+        mono = _packed(prod)
+        for a, (left, _) in enumerate(group):
+            out.extend(TeteATete(left, right, mono) for right, _ in group[a + 1 :])
     return out
 
 
@@ -396,31 +424,44 @@ def verify_sagbi(
 ) -> VerificationReport:
     """Show that every tete-a-tete difference up to the bound subducts to 0.
 
-    Only coprime pairs, with no generator on both sides, are subducted;
-    see ``_coprime_nonzero`` for why every other pair follows.  The claim
-    is that each difference has *a* subduction to zero of at most
-    ``max_steps`` steps, not that ``subduct`` itself reaches zero on it
-    within that budget.  If a coprime pair fails, every pair is subducted
-    in the original order, so failure details list every failing pair; the
-    coprime pairs subducted before the failure keep their outcomes
+    Only the coprime pairs are subducted; every other pair is a core
+    (X, Y), one copy of each shared name removed from both sides, plus the
+    shared multiset A, and follows from it (see the module docstring).  So
+    there are sum C(k, 2) pairs over the group sizes k of ``_groups``, and
+    the nonzero differences number, summed over the coprime pairs that
+    subduct to a nonzero result, the multisets A of search generators,
+    the empty one included, of degree at most bound - deg X.
+
+    The claim is that each difference has *a* subduction to zero of at
+    most ``max_steps`` steps, not that ``subduct`` itself reaches zero on
+    it within that budget.  If a coprime pair fails, every pair of
+    ``tete_a_tetes`` is subducted in order, so failure details list every
+    failing pair; the coprime pairs subducted before keep their outcomes
     (``subduct`` is deterministic), so no difference is subducted twice.
     The report records the bound (completeness is only claimed up to it)
     and how many nonzero differences were subducted to zero.
     """
-    checker = Checker(
-        check_id,
-        anchor,
-        {"degree_bound": total_degree_bound, "generators": len(G)},
-    )
-    pairs = tete_a_tetes(G, total_degree_bound)
-    checker.note(f"tete-a-tetes up to total degree {total_degree_bound}: {len(pairs)}")
+    params = {"degree_bound": total_degree_bound, "generators": len(G)}
+    checker = Checker(check_id, anchor, params)
+    groups = _groups(G, total_degree_bound)
+    pairs = sum(len(group) * (len(group) - 1) // 2 for _, _, group in groups)
+    checker.note(f"tete-a-tetes up to total degree {total_degree_bound}: {pairs}")
+    # the degree of each nonempty multiset, sorted, so that bisect counts
+    # the multisets within a degree
+    degrees = sorted(degree for _, degree, group in groups for _ in group)
     # (left, right) -> ``_outcome`` of each coprime pair subducted so far,
     # kept for the rerun after a failure
     outcomes: dict[tuple[tuple[str, ...], tuple[str, ...]], int | SubductionCertificate] = {}
-    nonzero = _coprime_nonzero(G, pairs, max_steps, outcomes)
-    if nonzero is None:
+    nonzero, failed = 0, False
+    for tt, degree in _coprime_pairs(groups):
+        got = outcomes[tt.left, tt.right] = _outcome(G, tt, max_steps)
+        if type(got) is not int:
+            failed = True
+            break
+        nonzero += got * (1 + bisect_right(degrees, total_degree_bound - degree))
+    if failed:
         nonzero = 0
-        for tt in pairs:
+        for tt in tete_a_tetes(G, total_degree_bound):
             key = tt.left, tt.right
             got = outcomes[key] if key in outcomes else _outcome(G, tt, max_steps)
             if type(got) is int:
@@ -439,6 +480,16 @@ def verify_sagbi(
     return checker.report()
 
 
+def _coprime_pairs(groups: list[tuple[int, int, list]]) -> Iterator[tuple[TeteATete, int]]:
+    """(pair, degree of its product) for each pair of ``_groups`` with no
+    generator on both sides, groups in ascending product order."""
+    for prod, degree, group in reversed(groups):
+        for a, (left, left_mask) in enumerate(group):
+            for right, right_mask in group[a + 1 :]:
+                if not left_mask & right_mask:
+                    yield TeteATete(left, right, _packed(prod)), degree
+
+
 def _outcome(G: GeneratorSet, tt: TeteATete, max_steps: int) -> int | SubductionCertificate:
     """0 if the pair's difference is zero, 1 if it subducts to zero, else
     the certificate of the subduction that does not."""
@@ -447,39 +498,3 @@ def _outcome(G: GeneratorSet, tt: TeteATete, max_steps: int) -> int | Subduction
         return 0
     cert = subduct(diff, G, max_steps)
     return 1 if cert.ok else cert
-
-
-def _coprime_nonzero(
-    G: GeneratorSet,
-    pairs: Sequence[TeteATete],
-    max_steps: int,
-    outcomes: dict[tuple[tuple[str, ...], tuple[str, ...]], int | SubductionCertificate],
-) -> int | None:
-    """Count the nonzero differences, subducting only the coprime pairs.
-
-    A pair (aX, aY) with shared names takes the outcome of its core (X, Y),
-    one copy of each shared name removed from both sides: the core has a
-    smaller product, so it comes earlier in ascending order, and both
-    sides stay nonempty because no search name has a constant leading
-    term.  With h = G^a / lc(G^a) the pair's monic difference is h times
-    the core's, and h times each step of the core's subduction cancels
-    the leading monomial lm(h) * lm(r_i) of the pair's running remainder,
-    so the pair subducts to zero in as many steps.  Each coprime pair's
-    ``_outcome`` goes into ``outcomes``.  Returns None as soon as a coprime
-    pair does not subduct to zero.
-    """
-    nonzero: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
-    for tt in reversed(pairs):
-        shared = set(tt.left).intersection(tt.right)
-        if shared:
-            left, right = list(tt.left), list(tt.right)
-            for name in shared:
-                left.remove(name)
-                right.remove(name)
-            got = nonzero[tuple(left), tuple(right)]
-        else:
-            got = outcomes[tt.left, tt.right] = _outcome(G, tt, max_steps)
-            if type(got) is not int:
-                return None
-        nonzero[tt.left, tt.right] = got
-    return sum(nonzero.values())

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 from .derivation import Derivation
@@ -169,8 +170,9 @@ def build_raising_derivation(rep: RepSum) -> Derivation:
     return D
 
 
-def quadratic_invariants(n: int) -> list[Polynomial]:
-    """The quadratic flow invariants f_k of V[n], k = 0..floor(n/2).
+@cache
+def quadratic_invariants(n: int) -> tuple[Polynomial, ...]:
+    """The quadratic flow invariants f_k of V[n], k = 0..floor(n/2), once per n.
 
     Each lives in one torus weight 2n - 4k, spans a one-dimensional kernel
     there (a failure would contradict the multiplicity-one decomposition
@@ -198,7 +200,7 @@ def quadratic_invariants(n: int) -> list[Polynomial]:
         if set(f.monomials()) != {x[j] * x[2 * k - j] for j in range(k + 1)}:
             raise PolyError(f"f_{k} of V[{n}] has unexpected support: {f}")
         out.append(f)
-    return out
+    return tuple(out)
 
 
 def plinth_test(rep: RepSum, v: Mapping[str, Fraction | int]) -> bool:
@@ -282,11 +284,10 @@ def positive_weight_vanishing_check(
 
     # per-summand quadratic invariants, solved once per n over x0..xn and
     # renamed into the summand's coordinates
-    by_n = {n: quadratic_invariants(n) for n in set(rep.degrees)}
     lifted: dict[int, list[Polynomial]] = {}
     for s, space in enumerate(rep.summands):
         rename = {f"x{i}": rep.ambient.variable(name) for i, name in enumerate(space.coordinates)}
-        lifted[s] = [f.substitute(rename, rep.ambient) for f in by_n[space.n]]
+        lifted[s] = [f.substitute(rename, rep.ambient) for f in quadratic_invariants(space.n)]
 
     rng = random.Random(seed)
     if not negative:

@@ -17,6 +17,7 @@ from plinth.casebook import (
 )
 from plinth.polyring import PolyError, VariableSet
 from util import (
+    exp_flow,
     fraction_sub_scaled,
     fraction_terms,
     is_canonical,
@@ -146,7 +147,7 @@ def test_danielewski_full_suite():
 def test_danielewski_flow_preserves_quadric_ideal():
     D = danielewski_derivation()
     Q = QuadricRing()
-    flowed = D.exp_flow(Q.quadric)
+    flowed = exp_flow(D, Q.quadric)
     assert flowed == Q.quadric.lift(flowed.ambient)
 
 

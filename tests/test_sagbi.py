@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from plinth.polyring import Monomial, Polynomial, VariableSet
+import plinth.sagbi as sagbi_module
+from plinth.polyring import MAX_EXPONENT, Monomial, PolyError, Polynomial, VariableSet
 from plinth.roberts import roberts_action
 from plinth.sagbi import (
     GeneratorSet,
@@ -379,6 +380,88 @@ def test_tete_a_tetes_independent_leading_terms_empty():
     assert tete_a_tetes(G, 6) == []
 
 
+def test_tete_a_tetes_walk_5000_factors_without_recursion():
+    G = GeneratorSet(XYZ, [("a", XYZ.variable("x"))])
+    assert tete_a_tetes(G, 5000) == []
+    rep = verify_sagbi(G, 5000)
+    assert rep.ok
+    assert rep.details == [
+        "tete-a-tetes up to total degree 5000: 0",
+        "nonzero differences subducted to zero: 0",
+    ]
+
+
+def test_walk_guards_exponents_only_above_max_exponent():
+    # an exponent of a product is at most the bound, so a bound within
+    # MAX_EXPONENT never overflows; above it the guard bits are checked
+    G = GeneratorSet(XYZ, [("a", XYZ.poly(f"x^{2**30}"))])
+    assert verify_sagbi(G, MAX_EXPONENT).ok
+    with pytest.raises(PolyError):
+        verify_sagbi(G, MAX_EXPONENT + 1)
+
+
+def test_group_sizes_count_the_tete_a_tetes():
+    for N in range(4):
+        G = RA.catalog(N)
+        for bound in range(11):
+            groups = sagbi_module._groups(G, bound)
+            sizes = [len(group) for _, _, group in groups]
+            assert sum(k * (k - 1) // 2 for k in sizes) == len(tete_a_tetes(G, bound))
+            assert [p for p, _, _ in groups] == sorted({p for p, _, _ in groups}, reverse=True)
+
+
+def test_verify_sagbi_matches_exhaustive_oracle_on_random_sets():
+    # seeded generator sets over x, y, z: 2 to 5 generators of 1 to 3
+    # squarefree terms, bounds 2 to 7; both verdicts occur
+    rng = random.Random(2026)
+    verdicts = []
+    derived = 0
+    for _ in range(150):
+        gens = []
+        size = rng.randint(2, 5)
+        while len(gens) < size:
+            f = random_poly(rng, XYZ, max_terms=3, max_exp=1)
+            if not f.is_zero():
+                gens.append((f"g{len(gens)}", f))
+        bound = rng.randint(2, 7)
+        want = exhaustive_verify_sagbi(GeneratorSet(XYZ, gens), bound)
+        assert _stable(verify_sagbi(GeneratorSet(XYZ, gens), bound)) == _stable(want)
+        verdicts.append(want.ok)
+        if want.ok:
+            pairs = tete_a_tetes(GeneratorSet(XYZ, gens), bound)
+            derived += sum(bool(set(tt.left) & set(tt.right)) for tt in pairs)
+    assert min(verdicts.count(True), verdicts.count(False)) >= 20
+    # the passing sets have pairs whose outcome is counted, not subducted
+    assert derived > 0
+
+
+def test_passing_verify_sagbi_subducts_only_nonzero_coprime_pairs(monkeypatch):
+    G = RA.catalog(2)
+    coprime = [
+        tt
+        for tt in tete_a_tetes(G, 7)
+        if not set(tt.left) & set(tt.right)
+        and not tete_a_tete_difference(G, tt).is_zero()
+    ]
+    subducted = []
+    real = sagbi_module.subduct
+
+    def counting(f, G, max_steps=10_000):
+        subducted.append(f)
+        return real(f, G, max_steps)
+
+    def refused(G, bound):
+        raise AssertionError("the pass path builds no tete-a-tete list")
+
+    monkeypatch.setattr(sagbi_module, "subduct", counting)
+    monkeypatch.setattr(sagbi_module, "tete_a_tetes", refused)
+    assert verify_sagbi(G, 7).ok
+    assert len(subducted) == len(coprime)
+    assert sorted(map(str, subducted)) == sorted(
+        str(tete_a_tete_difference(G, tt)) for tt in coprime
+    )
+
+
 def test_verify_sagbi_s0():
     rep = verify_sagbi(RA.catalog(0), 10)
     assert rep.ok
@@ -436,8 +519,6 @@ def test_verify_sagbi_matches_exhaustive_oracle(N, bound, drop):
     "N, bound, drop", [(2, 8, "b1_1"), (2, 7, "u12"), (1, 8, "u13"), (2, 7, "b3_0")]
 )
 def test_failing_verify_sagbi_subducts_each_difference_once(N, bound, drop, monkeypatch):
-    import plinth.sagbi as sagbi_module
-
     G = _without(RA.catalog(N), drop)
     nonzero = sum(
         not tete_a_tete_difference(G, tt).is_zero() for tt in tete_a_tetes(G, bound)

@@ -356,6 +356,7 @@ def test_sl2_command_builds_each_graded_kernel_once(monkeypatch, capsys):
     # positive_weight_vanishing_check and component_containment_check read
     # the same invariants: one raising derivation per representation, and
     # each piece solved once by it
+    quadratic_invariants.cache_clear()
     solved = []
     real = Derivation.kernel_on_monomials
 
@@ -365,7 +366,9 @@ def test_sl2_command_builds_each_graded_kernel_once(monkeypatch, capsys):
 
     monkeypatch.setattr(Derivation, "kernel_on_monomials", counted)
     assert main(["sl2", "--rep", "V[4]+V[2]", "--samples", "20"]) == 0
-    assert len(solved) == len(set(solved)) > 20
+    # 15 pieces of V[4]+V[2] up to degree 3, and the 3 + 2 quadratic
+    # pieces of V[4] and V[2] alone
+    assert len(solved) == len(set(solved)) == 20
     rep = RepSum.parse("V[4]+V[4]")
     assert positive_weight_vanishing_check(rep, 3, samples=5).ok
     before = len(solved)
@@ -376,6 +379,26 @@ def test_sl2_command_builds_each_graded_kernel_once(monkeypatch, capsys):
     lower = [t for t in invariants_up_to_degree(rep, D, 3) if t[0] <= 2]
     assert invariants_up_to_degree(rep, D, 2) == lower
     assert len(solved) == before
+    capsys.readouterr()
+
+
+def test_sl2_command_solves_the_quadratic_invariants_once(monkeypatch, capsys):
+    # the quadratic pieces are solved over RepSum([n]) by quadratic_invariants
+    # alone, once per n and process, and shared as one immutable tuple
+    quadratic_invariants.cache_clear()
+    solved = []
+    real = Derivation.kernel_on_monomials
+
+    def counted(self, monomials):
+        solved.append(len(self.ambient))
+        return real(self, monomials)
+
+    monkeypatch.setattr(Derivation, "kernel_on_monomials", counted)
+    assert main(["sl2", "--rep", "V[3]+V[3]", "--degree", "2", "--samples", "5"]) == 0
+    # V[3] alone has 4 coordinates and 2 quadratic pieces
+    assert solved.count(4) == 2
+    fks = quadratic_invariants(3)
+    assert type(fks) is tuple and fks is quadratic_invariants(3)
     capsys.readouterr()
 
 

@@ -37,7 +37,7 @@ from itertools import combinations_with_replacement, product
 from math import factorial, gcd, lcm
 
 from plinth import linalg, polyring
-from plinth.derivation import Derivation
+from plinth.derivation import Derivation, _in_parameter
 from plinth.polyring import (
     FIELD_BITS,
     MAX_EXPONENT,
@@ -45,6 +45,7 @@ from plinth.polyring import (
     Monomial,
     PolyError,
     Polynomial,
+    VariableMismatchError,
     VariableSet,
     WeightSystem,
     _packed,
@@ -660,6 +661,22 @@ def oracle_exp_flow(D: Derivation, f: Polynomial, s=None, param: str = "s") -> P
         return oracle_exp_series(D, f, D.ambient.constant(s), D.ambient)
     extended = oracle_extended(D, param)
     return oracle_exp_series(D, f, extended.variable(extended.names[-1]), extended)
+
+
+def exp_flow(D: Derivation, f: Polynomial, s=None, param: str = "s") -> Polynomial:
+    """exp(s*D)(f) from the series D stores, not an oracle: the library's
+    route that ``oracle_exp_flow`` checks.  With ``s`` None the result is
+    symbolic over the ambient extended by a fresh parameter; a rational
+    ``s`` gives the numeric flow over the original ambient."""
+    D._require_certified()
+    if f.ambient != D.ambient:
+        raise VariableMismatchError("polynomial over a different variable set")
+    series = D._series(f)
+    if s is None:
+        return _in_parameter(series, D._with_parameter(param))
+    s = coefficient_value(s)
+    parts = [(s**k, polyring.MONOMIAL_ONE, c) for k, c in enumerate(series)]
+    return polyring.combination(D.ambient, parts)
 
 
 def oracle_flow_images(D: Derivation, param: str = "s"):
