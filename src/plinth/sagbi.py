@@ -15,7 +15,7 @@ difference has a subduction to zero within a step budget.  One walk on
 packed ints groups the generator multisets by leading-monomial product,
 and only coprime pairs, with no generator on both sides, are subducted.
 Every pair (L, R) is uniquely a coprime core (X, Y) plus the multiset A
-of shared names, with deg A <= bound - deg X, and every such sum is a
+the two sides share, with deg A <= bound - deg X, and every such sum is a
 pair.  With h = G^A / lc(G^A) the pair's monic difference is h times the
 core's, zero exactly when the core's is, and h times each step of the
 core's subduction cancels the leading monomial of the pair's running
@@ -424,9 +424,9 @@ def verify_sagbi(
 ) -> VerificationReport:
     """Show that every tete-a-tete difference up to the bound subducts to 0.
 
-    Only the coprime pairs are subducted; every other pair is a core
-    (X, Y), one copy of each shared name removed from both sides, plus the
-    shared multiset A, and follows from it (see the module docstring).  So
+    Only the coprime pairs are subducted; every other pair is a coprime
+    core (X, Y) plus the multiset A common to both sides, each name as
+    often as on both, and follows from it (see the module docstring).  So
     there are sum C(k, 2) pairs over the group sizes k of ``_groups``, and
     the nonzero differences number, summed over the coprime pairs that
     subduct to a nonzero result, the multisets A of search generators,

@@ -400,6 +400,23 @@ def test_walk_guards_exponents_only_above_max_exponent():
         verify_sagbi(G, MAX_EXPONENT + 1)
 
 
+def test_verify_sagbi_work_follows_the_multisets_not_the_bound():
+    # leading degrees of 10^8 at a bound of 10^9: a few hundred multisets,
+    # and the derived pairs are counted from them, with nothing sized by
+    # the bound
+    e = 10**8
+    gens = [
+        ("a", XYZ.poly(f"x^{e}*y^{e} + x^{e}")),
+        ("b", XYZ.poly(f"x^{e}")),
+        ("c", XYZ.poly(f"y^{e}")),
+    ]
+    G = GeneratorSet(XYZ, gens)
+    t0 = time.perf_counter()
+    rep = verify_sagbi(G, 10 * e)
+    assert time.perf_counter() - t0 < 1.0
+    assert _stable(rep) == _stable(exhaustive_verify_sagbi(GeneratorSet(XYZ, gens), 10 * e))
+
+
 def test_group_sizes_count_the_tete_a_tetes():
     for N in range(4):
         G = RA.catalog(N)
