@@ -66,6 +66,7 @@ class GradedKernelBasis:
 
     degree: tuple[int, ...]
     basis: list[Polynomial]
+    columns: int  # the monomials of the piece
 
     @property
     def dimension(self) -> int:
@@ -334,7 +335,7 @@ class Derivation:
                     f"over the {MAX_KERNEL_COLUMNS} an elimination takes"
                 )
             basis = self.kernel_on_monomials(monomials)
-            got = self._kernels[key] = GradedKernelBasis(key[1], basis)
+            got = self._kernels[key] = GradedKernelBasis(key[1], basis, len(monomials))
         return got
 
     # -- slices ------------------------------------------------------------

@@ -11,12 +11,11 @@ The public ``Polynomial(ambient, terms)`` brings every value to that form,
 rejects anything that is not rational (a ``float`` above all) and any key
 that is not a ``Monomial`` over the ambient's variables; arithmetic keeps
 it and builds its results through the trusted ``Polynomial._raw``, which
-skips the check.  Every sum of scaled, shifted polynomials, the product
-and D applied included, is one call of ``combination``: c * shift * g
-summed over its parts in one dict on packed-int keys, the keys checked
-once on their OR.  Two measured fast paths stay outside it: the fused
-subduction step ``sub_scaled`` (through ``combination``, ``verify_sagbi``
-on S_3 at bound 10 took 326 ms, not 237) and ``Derivation.image_rows``
+skips the check.  Every sum of scaled, shifted polynomials, the
+subduction step f - c * m * g, the product and D applied included, is one
+call of ``combination``: c * shift * g summed over its parts into one dict,
+each sum made canonical as it is written and each new key checked once, on
+their OR.  One measured fast path stays outside it: ``Derivation.image_rows``
 (applied columns read by ``coefficient_matrix`` took beta-construct's
 calls to 6.0 ms, not 5.5).  One walk enumerates graded pieces; its leaf
 reads the bottom variables' exponents through d * M^-1 (``_walk_plan``).
@@ -380,56 +379,25 @@ class Polynomial:
 
     # -- arithmetic ------------------------------------------------------
 
-    def _check(self, other: "Polynomial") -> None:
-        if self.ambient != other.ambient:
-            raise VariableMismatchError(
-                f"operands over {self.ambient!r} and {other.ambient!r}"
-            )
-
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self.sub_scaled(-1, other)
+        return combination(self.ambient, ((1, MONOMIAL_ONE, self), (1, MONOMIAL_ONE, other)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self.sub_scaled(1, other)
+        return combination(self.ambient, ((1, MONOMIAL_ONE, self), (-1, MONOMIAL_ONE, other)))
 
-    def sub_scaled(
-        self, c, g: "Polynomial", shift: Monomial | None = None
-    ) -> "Polynomial":
-        """self - c * shift * g in one pass, building no scaled copy of g.
-
-        ``c`` is any rational; ``shift`` defaults to the monomial 1.  A
-        shifted exponent above MAX_EXPONENT raises PolyError.  Each term of
-        g is patched into a copy of self and made canonical as it is written.
-        """
-        self._check(g)
+    def sub_scaled(self, c, g: "Polynomial", shift: Monomial = MONOMIAL_ONE) -> "Polynomial":
+        """self - c * shift * g: one ``combination`` of (1, 1, self) and
+        (-c, shift, g), so its rules hold (c = 0 adds nothing)."""
         if type(c) is not int:
-            c = coefficient_value(c)
-        d = dict(self._terms)
-        if not c:
-            return Polynomial._raw(self.ambient, d)
-        terms = g._terms.items()
-        if shift:
-            terms = [(_packed(m + shift), v) for m, v in terms]
-            if any(m & self.ambient.invalid_bits for m, _ in terms):
-                raise PolyError(
-                    f"shift {shift!r} makes a term with a variable outside {self.ambient!r}"
-                    " or an exponent above the limit 2^31 - 1"
-                )
-        for m, v in terms:
-            s = d.get(m, 0) - c * v
-            if type(s) is not int and s.denominator == 1:
-                s = s.numerator
-            if s:
-                d[m] = s
-            else:
-                del d[m]
-        return Polynomial._raw(self.ambient, d)
+            c = coefficient_value(c)  # a non-rational c raises before -c
+        return combination(self.ambient, ((1, MONOMIAL_ONE, self), (-c, shift, g)))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self.ambient, {m: -c for m, c in self._terms.items()})
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
+        if other.ambient != self.ambient:
+            raise _mismatch_error(other.ambient, self.ambient)
         a, b = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
         return combination(self.ambient, [(c, m, b) for m, c in a._terms.items()])
 
@@ -591,32 +559,52 @@ def combination(
 
     c is any rational and every g must live over ``ambient``
     (VariableMismatchError otherwise); a shift may be any packed monomial
-    int.  A shifted exponent above MAX_EXPONENT, or a shift by a variable
-    outside ``ambient``, raises PolyError, even where those terms cancel.
+    int.  A part whose c is 0 adds nothing: its g is checked against
+    ``ambient``, its shifted keys are not.  A shifted exponent above
+    MAX_EXPONENT, or a shift by a variable outside ``ambient``, raises
+    PolyError, even where those terms cancel.  A first part (1, 1, g)
+    starts the sum as a copy of g's terms.
     """
-    acc: dict[int, Coefficient] = {}
-    get = acc.get
+    terms: dict[Monomial, Coefficient] = {}
+    get, made, new = terms.get, 0, int.__new__
     for c, shift, g in parts:
         if g.ambient is not ambient and g.ambient != ambient:
-            raise VariableMismatchError(f"term over {g.ambient!r}, expected {ambient!r}")
-        if type(c) is not int:
+            raise _mismatch_error(g.ambient, ambient)
+        # an int, or a Fraction whose denominator is not 1, is canonical
+        if type(c) is not int and (type(c) is not Fraction or c.denominator == 1):
             c = coefficient_value(c)
+        if not c:
+            continue
+        if not terms and c == 1 and not shift:
+            terms = dict(g._terms)
+            get = terms.get
+            continue
+        # each sum is made canonical as it is written, a zero sum dropped;
+        # a key is made a Monomial, and OR-ed into the check (an
+        # overflowing field sets its own guard bit), only when first written
         for m, v in g._terms.items():
-            k = m + shift
-            acc[k] = get(k, 0) + c * v
-    # the keys are checked once, on their OR (an overflowing field sets its
-    # own guard bit); each sum is made canonical once, zero sums dropped
-    made, new = 0, int.__new__
-    terms: dict[Monomial, Coefficient] = {}
-    for k, v in acc.items():
-        made |= k
-        if v:
-            if type(v) is not int and v.denominator == 1:
-                v = v.numerator
-            terms[new(Monomial, k)] = v
+            # a zero shift, as in every subduction step, skips the addition
+            # (without the test, verify_sagbi on S_3 at bound 12 took 6% longer)
+            k = m + shift if shift else m
+            s = get(k)
+            if s is None:
+                s = c * v
+                made |= k
+                k = new(Monomial, k)
+            else:
+                s += c * v
+                if not s:
+                    del terms[k]
+                    continue
+            terms[k] = s if type(s) is int or s.denominator != 1 else s.numerator
     if made & ambient.invalid_bits:
         raise _overflow_error(ambient)
     return Polynomial._raw(ambient, terms)
+
+
+def _mismatch_error(got: VariableSet, expected: VariableSet) -> VariableMismatchError:
+    """The one error of a sum or product over two ambients."""
+    return VariableMismatchError(f"term over {got!r}, expected {expected!r}")
 
 
 def _overflow_error(ambient: VariableSet) -> PolyError:
@@ -898,7 +886,8 @@ def parse_polynomial(ambient: VariableSet, text: str) -> Polynomial:
     tokens = _tokenize(text)
     if not tokens:
         raise PolyError("empty polynomial text")
-    terms: dict[Monomial, Fraction] = {}
+    one = ambient.one()
+    parts: list[tuple[Fraction, Monomial, Polynomial]] = []
     pos = 0
 
     def peek():
@@ -948,11 +937,7 @@ def parse_polynomial(ambient: VariableSet, text: str) -> Polynomial:
                 pos += 1
                 continue
             break
-        s = terms.get(m, Fraction(0)) + coef
-        if s:
-            terms[m] = s
-        else:
-            terms.pop(m, None)
+        parts.append((coef, m, one))
 
     sign = 1
     if peek() in ("+", "-"):
@@ -965,7 +950,7 @@ def parse_polynomial(ambient: VariableSet, text: str) -> Polynomial:
             raise PolyError(f"expected sign, got {tok!r} in {text!r}")
         pos += 1
         parse_term(-1 if tok == "-" else 1)
-    return Polynomial(ambient, terms)
+    return combination(ambient, parts)
 
 
 def format_monomial(ambient: VariableSet, m: Monomial) -> str:

@@ -66,6 +66,13 @@ class BinaryFormSpace:
 # V[n], which happens while a --rep argument is parsed, stays instant.
 MAX_SUMMAND_DEGREE = 64
 
+# Most monomials the graded pieces of one ``invariants_up_to_degree`` call
+# may hold in total.  On a 2-core Xeon at 2 GHz, ``plinth sl2`` with
+# V[64] at degree 3 (25,347 monomials, 1.9 s) and V[6] at degree 12
+# (26,237, 2.4 s) stay under it; V[8] at degree 10 (47,946, 11.8 s to
+# finish) is refused once its running total passes it.
+MAX_INVARIANT_MONOMIALS = 30_000
+
 
 class RepSum:
     """A direct sum of binary-form spaces with its combined coordinate ring."""
@@ -222,18 +229,26 @@ def invariants_up_to_degree(
     those weights are walked.  Each piece comes from ``D.graded_kernel``,
     which solves it once per derivation, so a second call with the same D
     (``build_raising_derivation`` returns one per representation) rebuilds
-    no kernel.
+    no kernel.  Once the pieces solved hold more than
+    MAX_INVARIANT_MONOMIALS monomials in total, PolyError is raised.
     """
     ws = rep.weight_system()
     p = rep.degrees[0] % 2
     one_parity = all(n % 2 == p for n in rep.degrees)
     out: list[tuple[int, int, Polynomial]] = []
+    monomials = 0
     for d in range(1, degree_bound + 1):
         span = d * rep.max_weight
         weights = range(d * p % 2, span + 1, 2) if one_parity else range(span + 1)
         for w in weights:
-            for f in D.graded_kernel(ws, rep.piece(d, w)).basis:
-                out.append((d, w, f))
+            kernel = D.graded_kernel(ws, rep.piece(d, w))
+            monomials += kernel.columns
+            if monomials > MAX_INVARIANT_MONOMIALS:
+                raise PolyError(
+                    f"invariants of {rep} up to degree {degree_bound}: the graded"
+                    f" pieces hold over {MAX_INVARIANT_MONOMIALS} monomials"
+                )
+            out.extend((d, w, f) for f in kernel.basis)
     return out
 
 

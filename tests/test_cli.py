@@ -6,6 +6,7 @@ import pytest
 from plinth.cli import MAX_CATALOG_N, build_parser, main
 from plinth.derivation import MAX_KERNEL_COLUMNS
 from plinth.polyring import MAX_PIECE_MONOMIALS, PolyError, VariableSet, WeightSystem
+from plinth.sl2 import MAX_INVARIANT_MONOMIALS
 
 
 def test_invariants_subcommand(capsys):
@@ -223,4 +224,24 @@ def test_piece_too_large_to_eliminate_is_a_quick_usage_error(capsys):
         "plinth kernel: error: graded piece (24, 144): 11963 monomials, "
         f"over the {MAX_KERNEL_COLUMNS} an elimination takes"
     )
+    assert time.perf_counter() - start < 3.0
+
+
+def test_sl2_degree_is_bounded_by_the_monomials_of_its_pieces(capsys):
+    # the pieces of V[1]+V[1] up to degree 31 hold 26,927 monomials, and
+    # up to degree 32 30,344; V[8] at degree 10 (47,946) once ran 11.8 s
+    args = ["sl2", "--rep", "V[1]+V[1]", "--samples", "5"]
+    assert main(args + ["--degree", "31"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--degree", "32"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "plinth sl2: error: invariants of V[1]+V[1] up to degree 32: the graded pieces "
+        f"hold over {MAX_INVARIANT_MONOMIALS} monomials"
+    )
+    assert MAX_INVARIANT_MONOMIALS == 30_000
     assert time.perf_counter() - start < 3.0

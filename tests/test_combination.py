@@ -1,11 +1,11 @@
 """Differential tests of ``polyring.combination`` and the sums built on it.
 
 Every sum of scaled, shifted polynomials in the library goes through
-``combination``, the product and D applied included.  The oracles are the
-``Fraction``-only term dicts and the earlier summation loops of ``util``,
-which add one polynomial at a time to a running total, and, for the sl2
-raising derivation, its symbolic expansion from the substitution
-X -> X + s Y.  ``restrict_to_zero`` is checked against the
+``combination``, the subduction step, the product and D applied included.
+The oracles are the ``Fraction``-only term dicts and the earlier summation
+loops of ``util``, which add one polynomial at a time to a running total,
+and, for the sl2 raising derivation, its symbolic expansion from the
+substitution X -> X + s Y.  ``restrict_to_zero`` is checked against the
 zero-or-identity substitution it replaced.
 """
 
@@ -31,6 +31,8 @@ from plinth.sagbi import subduct, x_ideal_membership
 from plinth.sl2 import RepSum, build_raising_derivation
 from util import (
     fraction_combination,
+    fraction_sub_scaled,
+    fraction_terms,
     is_canonical,
     looped_combination,
     looped_divide_out,
@@ -85,6 +87,63 @@ def test_combination_matches_fraction_oracle_and_earlier_loop():
     assert combination(R4, iter([(Fraction(4, 2), MONOMIAL_ONE, R4.one())])) == R4.constant(2)
 
 
+def test_sum_started_from_a_copy_matches_fraction_sub_scaled():
+    # a first part (1, 1, f) starts the sum as a copy of f's terms; every
+    # later term is made canonical as it is written
+    rng = random.Random(1723)
+    zero = fractional = cancelled = 0
+    for _ in range(400):
+        f = random_poly(rng, R4, max_terms=6)
+        parts = [(rng.choice((1, Fraction(1), Fraction(3, 3))), MONOMIAL_ONE, f)]
+        for _ in range(rng.randint(0, 4)):
+            c = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4)), 0))
+            shift = _random_shift(rng, R4) if rng.random() < 0.5 else MONOMIAL_ONE
+            g = random_poly(rng, R4, max_terms=5)
+            kind = rng.randrange(4)
+            if kind == 0:  # the part and its negative
+                parts += [(c, shift, g), (-c, shift, g)]
+            elif kind == 1:  # the sum so far cancelled in full
+                parts += [(-1, MONOMIAL_ONE, f), (c, shift, g)]
+            else:
+                parts.append((c, shift, g))
+        inputs = [(g, dict(g._terms)) for _, _, g in parts]
+        want = fraction_terms(f)
+        for c, shift, g in parts[1:]:
+            want = fraction_sub_scaled(want, -Fraction(c), shift, fraction_terms(g))
+        got = combination(R4, parts)
+        assert got._terms == want
+        assert is_canonical(got) and all(type(m) is Monomial for m in got._terms)
+        assert all(got._terms is not g._terms and g._terms == terms for g, terms in inputs)
+        if len(parts) == 2:
+            (_, _, f), (c, shift, g) = parts
+            assert f.sub_scaled(-c, g, shift)._terms == want
+        zero += got.is_zero()
+        fractional += any(type(c) is Fraction for c in got._terms.values())
+        cancelled += any(p[0] == -1 for p in parts)
+    assert zero >= 40 and fractional >= 100 and cancelled >= 50
+    f = R4.poly("1/2*x + y")
+    for h in (f.sub_scaled(0, f), f + R4.zero(), combination(R4, [(1, MONOMIAL_ONE, f)])):
+        assert h == f and h._terms is not f._terms
+
+
+def test_a_zero_part_adds_nothing_and_checks_only_its_ambient():
+    R3 = VariableSet(("x", "y", "z"))
+    x, y = R3.variable("x"), R3.variable("y")
+    top = Monomial(((0, MAX_EXPONENT),))
+    # the overflowing shift of a zero part is not checked
+    assert combination(R3, [(0, top, x)]) == R3.zero()
+    assert combination(R3, [(1, MONOMIAL_ONE, y), (Fraction(0), top, x)]) == y
+    assert y.sub_scaled(0, x, top) == y == y.sub_scaled(Fraction(0, 5), x, top)
+    with pytest.raises(PolyError, match=r"limit 2\^31 - 1"):
+        y.sub_scaled(1, x, top)
+    # its ambient is
+    foreign = VariableSet(("x", "y")).variable("x")
+    with pytest.raises(VariableMismatchError):
+        combination(R3, [(1, MONOMIAL_ONE, y), (0, MONOMIAL_ONE, foreign)])
+    with pytest.raises(VariableMismatchError):
+        y.sub_scaled(0, foreign)
+
+
 def test_combination_rejects_overflow_foreign_ambient_and_bad_scalars():
     x = R4.variable("x")
     near = Monomial(((1, MAX_EXPONENT),))
@@ -126,6 +185,8 @@ def test_product_apply_image_rows_and_combination_raise_one_overflow_message():
         lambda: D.apply(Polynomial(R3, {top * Monomial(((1, 1),)): 3})),
         lambda: D.image_rows([top * Monomial(((1, 1),))]),
         lambda: D.image_rows([MONOMIAL_ONE], {top * Monomial(((1, 1),)): 1}),
+        lambda: R3.poly("y").sub_scaled(1, x, top),
+        lambda: x.sub_scaled(Fraction(-1, 2), R3.poly("x*y + 1"), top),
     ]
     messages = set()
     for raise_it in raisers:
@@ -135,9 +196,26 @@ def test_product_apply_image_rows_and_combination_raise_one_overflow_message():
     assert messages == {
         f"a term has an exponent above the limit 2^31 - 1 or a variable outside {R3!r}"
     }
-    # one below the limit is fine for all four
+    # one below the limit is fine
     edge = Polynomial(R3, {Monomial(((0, MAX_EXPONENT - 1),)): 1})
     assert str(edge * x) == f"x^{MAX_EXPONENT}" == str(D.apply(edge * R3.variable("y")))
+    assert str(R3.zero().sub_scaled(-1, x, Monomial(((0, MAX_EXPONENT - 1),)))) == str(edge * x)
+    # and a sum, difference or product over two ambients has one message
+    R2 = VariableSet(("x", "y"))
+    other = R2.variable("x")
+    messages = set()
+    for raise_it in (
+        lambda: x + other,
+        lambda: x - other,
+        lambda: x * other,
+        lambda: R3.zero() * R2.zero(),
+        lambda: x.sub_scaled(3, other),
+        lambda: combination(R3, [(1, MONOMIAL_ONE, other)]),
+    ):
+        with pytest.raises(VariableMismatchError) as err:
+            raise_it()
+        messages.add(str(err.value))
+    assert messages == {f"term over {R2!r}, expected {R3!r}"}
 
 
 def test_substitute_matches_earlier_loop():

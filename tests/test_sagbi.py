@@ -417,6 +417,32 @@ def test_verify_sagbi_work_follows_the_multisets_not_the_bound():
     assert _stable(rep) == _stable(exhaustive_verify_sagbi(GeneratorSet(XYZ, gens), 10 * e))
 
 
+def test_walk_past_its_multiset_cap_is_refused_quickly(monkeypatch):
+    # z leads x^e*y^e + z with degree 1, so the multisets up to a bound of
+    # 10^9 include z^k for every k <= 10^9: such a walk once ran out of
+    # memory within seconds
+    e = 10**8
+    gens = [
+        ("a", XYZ.poly(f"x^{e}*y^{e} + z")),
+        ("b", XYZ.poly(f"x^{e}")),
+        ("c", XYZ.poly(f"y^{e}")),
+    ]
+    G = GeneratorSet(XYZ, gens)
+    cap = sagbi_module.MAX_WALK_MULTISETS
+    t0 = time.perf_counter()
+    with pytest.raises(SubductionError) as err:
+        verify_sagbi(G, 10 * e)
+    assert time.perf_counter() - t0 < 2.0
+    assert str(err.value) == f"degree bound {10 * e}: over {cap} generator multisets up to it"
+    # z, z^2, ..., z^k are k multisets: a walk of exactly the cap passes
+    monkeypatch.setattr(sagbi_module, "MAX_WALK_MULTISETS", 40)
+    single = GeneratorSet(XYZ, [("a", XYZ.poly("z"))])
+    assert len(sagbi_module._groups(single, 40)) == 40 and verify_sagbi(single, 40).ok
+    for run in (verify_sagbi, tete_a_tetes):
+        with pytest.raises(SubductionError, match="^degree bound 41: over 40 generator multisets"):
+            run(single, 41)
+
+
 def test_group_sizes_count_the_tete_a_tetes():
     for N in range(4):
         G = RA.catalog(N)
