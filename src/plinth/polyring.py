@@ -46,9 +46,11 @@ Text grammar (both input and canonical output)::
     rational   := integer [ "/" positive-integer ]
     variable   := [A-Za-z][A-Za-z0-9_]*
 
-Whitespace is ignored.  Canonical output sorts terms descending in the
-monomial order, writes each monomial's factors from the most significant
-variable down, elides coefficient 1 and renders -1 as a leading minus.
+Input is read in one regex scan, whitespace ignored; every error in it,
+a numeral past Python's int-string digit limit included, is a PolyError.
+Canonical output sorts terms descending in the monomial order, writes
+each monomial's factors from the most significant variable down, elides
+coefficient 1 and renders -1 as a leading minus.
 """
 
 from __future__ import annotations
@@ -864,92 +866,48 @@ class WeightSystem:
 
 # -- parsing and formatting ----------------------------------------------
 
-_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+|[\^*+/-])")
-
-
-def _tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip():
-                raise PolyError(f"bad character at {text[pos:pos+10]!r}")
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+# The grammar as three patterns, each skipping the whitespace before it.
+_SIGN = re.compile(r"\s*([+-])")
+_FACTOR = re.compile(
+    r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|([A-Za-z][A-Za-z0-9_]*)(?:\s*\^\s*(\d+))?)"
+)
+_TIMES = re.compile(r"\s*\*")
 
 
 def parse_polynomial(ambient: VariableSet, text: str) -> Polynomial:
-    """Parse the polynomial text grammar over the given variable set."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise PolyError("empty polynomial text")
-    one = ambient.one()
-    parts: list[tuple[Fraction, Monomial, Polynomial]] = []
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def parse_nat() -> int:
-        nonlocal pos
-        tok = peek()
-        if tok is None or not tok.isdigit():
-            raise PolyError(f"expected integer near token {pos} in {text!r}")
-        pos += 1
-        return int(tok)
-
-    def parse_factor() -> tuple[Fraction, Monomial]:
-        nonlocal pos
-        tok = peek()
-        if tok is None:
-            raise PolyError(f"unexpected end of input in {text!r}")
-        if tok.isdigit():
-            pos += 1
-            num = int(tok)
-            if peek() == "/":
-                pos += 1
-                den = parse_nat()
-                if den == 0:
-                    raise PolyError("zero denominator")
-                return Fraction(num, den), MONOMIAL_ONE
-            return Fraction(num), MONOMIAL_ONE
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
-            pos += 1
-            idx = ambient.index(tok)
-            exp = 1
-            if peek() == "^":
-                pos += 1
-                exp = parse_nat()
-            return Fraction(1), Monomial(((idx, exp),))
-        raise PolyError(f"unexpected token {tok!r} in {text!r}")
-
-    def parse_term(sign: int) -> None:
-        nonlocal pos
-        coef, m = Fraction(sign), MONOMIAL_ONE
+    """Parse the polynomial text grammar over the given variable set in one
+    regex scan: each signed term is one part (coef, monomial, one) of a
+    single ``combination``."""
+    one, parts, pos, times = ambient.one(), [], 0, None
+    sign = _SIGN.match(text)
+    try:
         while True:
-            c, e = parse_factor()
-            coef *= c
-            m *= e
-            if peek() == "*":
-                pos += 1
+            if not times:  # a term opens; only the first may omit its sign
+                coef, m = -1 if sign and sign[1] == "-" else 1, MONOMIAL_ONE
+                pos = sign.end() if sign else pos
+            factor = _FACTOR.match(text, pos)
+            if factor is None:
+                raise PolyError(f"expected a factor at {text[pos:pos + 10]!r}")
+            num, den, name, exp = factor.groups()
+            if name:
+                m *= Monomial(((ambient.index(name), int(exp or 1)),))
+            elif den and not int(den):
+                raise PolyError("zero denominator")
+            else:
+                coef *= Fraction(int(num), int(den)) if den else int(num)
+            pos = factor.end()
+            times = _TIMES.match(text, pos)
+            if times:
+                pos = times.end()
                 continue
-            break
-        parts.append((coef, m, one))
-
-    sign = 1
-    if peek() in ("+", "-"):
-        sign = -1 if tokens[pos] == "-" else 1
-        pos += 1
-    parse_term(sign)
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok not in ("+", "-"):
-            raise PolyError(f"expected sign, got {tok!r} in {text!r}")
-        pos += 1
-        parse_term(-1 if tok == "-" else 1)
+            parts.append((coef, m, one))
+            sign = _SIGN.match(text, pos)
+            if sign is None:
+                break
+    except ValueError as exc:  # a numeral over Python's int-string digit limit
+        raise PolyError(f"numeral too long in polynomial text: {exc}") from None
+    if text[pos:].strip():
+        raise PolyError(f"expected a sign at {text[pos:pos + 10]!r}")
     return combination(ambient, parts)
 
 

@@ -464,15 +464,17 @@ def _names(linked: tuple) -> tuple[str, ...]:
 
 def tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
     """All pairs of distinct generator multisets, up to the bound, whose
-    leading monomials have equal products: the pairs within each group of
-    ``_groups``, groups in descending product order."""
-    out: list[TeteATete] = []
-    for prod, _, group in _groups(G, total_degree_bound):
+    leading monomials have equal products: ``_pairs`` of ``_groups``."""
+    return list(_pairs(_groups(G, total_degree_bound)))
+
+
+def _pairs(groups: list[tuple[int, int, list]]) -> Iterator[TeteATete]:
+    """The pairs within each group of ``_groups``, in the groups' order."""
+    for prod, _, group in groups:
         if len(group) > 1:
             mono, sides = _packed(prod), [_names(linked) for linked, _ in group]
             for a, left in enumerate(sides):
-                out.extend(TeteATete(left, right, mono) for right in sides[a + 1 :])
-    return out
+                yield from (TeteATete(left, right, mono) for right in sides[a + 1 :])
 
 
 def tete_a_tete_difference(G: GeneratorSet, tt: TeteATete) -> Polynomial:
@@ -506,10 +508,10 @@ def verify_sagbi(
 
     The claim is that each difference has *a* subduction to zero of at
     most ``max_steps`` steps, not that ``subduct`` itself reaches zero on
-    it within that budget.  If a coprime pair fails, every pair of
-    ``tete_a_tetes`` is subducted in order, so failure details list every
-    failing pair; the coprime pairs subducted before keep their outcomes
-    (``subduct`` is deterministic), so no difference is subducted twice.
+    it within that budget.  If a coprime pair fails, every pair of the
+    groups in hand is subducted in ``tete_a_tetes`` order, so failure details
+    list every failing pair; the coprime pairs subducted before keep their
+    outcomes (``subduct`` is deterministic), so no difference is subducted twice.
     The report records the bound (completeness is only claimed up to it)
     and how many nonzero differences were subducted to zero.
     """
@@ -533,7 +535,7 @@ def verify_sagbi(
         nonzero += got * (1 + bisect_right(degrees, total_degree_bound - degree))
     if failed:
         nonzero = 0
-        for tt in tete_a_tetes(G, total_degree_bound):
+        for tt in _pairs(groups):
             key = tt.left, tt.right
             got = outcomes[key] if key in outcomes else _outcome(G, tt, max_steps)
             if type(got) is int:

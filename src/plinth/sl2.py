@@ -117,12 +117,6 @@ class RepSum:
     def __str__(self) -> str:
         return "+".join(f"V[{n}]" for n in self.degrees)
 
-    def gm_weight(self, name: str) -> int:
-        try:
-            return self.weights[name]
-        except KeyError:
-            raise PolyError(f"unknown coordinate {name!r}") from None
-
     def weight_system(self) -> WeightSystem:
         """Rank-2 grading (total degree, shifted torus weight).
 

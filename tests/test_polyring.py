@@ -29,6 +29,7 @@ from util import (
     PairsMonomial,
     brute_monomials,
     dense_coefficient_matrix,
+    descent_parse_polynomial,
     fraction_add,
     fraction_evaluate,
     fraction_mul,
@@ -378,6 +379,90 @@ def test_parse_rationals_and_signs():
     assert str(R7.zero()) == "0"
     assert str(R7.poly("0")) == "0"
     assert str(-R7.variable("z")) == "-z"
+
+
+# a variable set whose names juxtapose with digits and underscores
+RX = VariableSet(("x", "y", "x1", "y_2"))
+# the token alphabet, an unknown name, an exponent past the limit, a
+# non-ASCII decimal digit, whitespace, a stray character and nothing
+PARSE_PIECES = (
+    "x", "y", "x1", "y_2", "q", "0", "1", "2", "12", "007", "\u0663", "2147483648",
+    "+", "-", "*", "/", "^", " ", "\t", "$", "",
+)
+
+
+def _parse_text(rng: random.Random) -> str:
+    """A seeded string: token soup, a grammatical polynomial with random
+    spacing, or such a polynomial with one piece inserted or deleted."""
+    kind = rng.random()
+    if kind < 0.4:
+        return "".join(rng.choice(PARSE_PIECES) for _ in range(rng.randint(0, 9)))
+
+    def space() -> str:
+        return rng.choice(("", "", " ", "  ", "\t"))
+
+    def factor() -> str:
+        if rng.random() < 0.4:
+            text = str(rng.randint(0, 30))
+            if rng.random() < 0.4:
+                text += f"{space()}/{space()}{rng.randint(0, 9)}"
+            return text
+        text = rng.choice(RX.names)
+        if rng.random() < 0.5:
+            text += f"{space()}^{space()}{rng.randint(0, 5)}"
+        return text
+
+    text = space() + rng.choice(("", "", "-", "+"))
+    for k in range(rng.randint(1, 4)):
+        if k:
+            text += space() + rng.choice("+-") + space()
+        text += f"{space()}*{space()}".join(factor() for _ in range(rng.randint(1, 3)))
+    text += space()
+    if kind > 0.8:
+        i = rng.randint(0, len(text))
+        if rng.random() < 0.5:
+            return text[:i] + text[i + 1 :]
+        return text[:i] + rng.choice(PARSE_PIECES) + text[i:]
+    return text
+
+
+def _parse_outcome(parse, text: str) -> str | None:
+    """The canonical text of the parse, or None for a one-line PolyError."""
+    try:
+        return str(parse(RX, text))
+    except PolyError as err:
+        assert "\n" not in str(err), text
+        return None
+
+
+def test_regex_scan_matches_the_descent_parser_on_seeded_strings():
+    rng = random.Random(2025)
+    accepted = 0
+    for _ in range(100_000):
+        text = _parse_text(rng)
+        got = _parse_outcome(parse_polynomial, text)
+        assert got == _parse_outcome(descent_parse_polynomial, text), text
+        accepted += got is not None
+    # both outcomes are well represented
+    assert 30_000 < accepted < 70_000
+
+
+def test_parser_rejects_malformed_text():
+    for text in ("2x", "x 1", "x^2^3", "x/2", "--x", "x +", "3/0", "x^-1", "", "  "):
+        for parse in (parse_polynomial, descent_parse_polynomial):
+            with pytest.raises(PolyError) as err:
+                parse(RX, text)
+            assert "\n" not in str(err.value), text
+    assert str(RX.poly(" - 2 / 4 * x ^ 2 * y_2 + x1 ")) == "-1/2*y_2*x^2 + x1"
+
+
+def test_numeral_past_the_int_digit_limit_is_a_poly_error():
+    # 5,000 digits is past Python's default int-string limit of 4,300
+    digits = "1" * 5000
+    for text in (digits, f"x^{digits}", f"1/{digits}"):
+        with pytest.raises(PolyError, match="numeral too long") as err:
+            RX.poly(text)
+        assert "\n" not in str(err.value)
 
 
 def test_format_orders_terms_descending():

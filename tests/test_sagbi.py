@@ -625,6 +625,23 @@ def test_failing_verify_sagbi_subducts_each_difference_once(N, bound, drop, monk
     assert len(subducted) == nonzero
 
 
+@pytest.mark.parametrize("N, bound, drop", [(2, 7, "u12"), (1, 8, "u13")])
+def test_failing_verify_sagbi_walks_the_multisets_once(N, bound, drop, monkeypatch):
+    G = _without(RA.catalog(N), drop)
+    want = exhaustive_verify_sagbi(G, bound)
+    walks = []
+    real = sagbi_module._groups
+
+    def counting(G, total_degree_bound):
+        walks.append(total_degree_bound)
+        return real(G, total_degree_bound)
+
+    monkeypatch.setattr(sagbi_module, "_groups", counting)
+    got = verify_sagbi(G, bound)
+    assert not got.ok and walks == [bound]
+    assert _stable(got) == _stable(want)
+
+
 def test_shared_factor_pairs_have_derived_certificates():
     # ascending product order: every core is certified before its multiples
     G = RA.catalog(2)

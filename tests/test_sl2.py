@@ -53,14 +53,12 @@ def test_rep_parse_and_names():
 def test_weight_table_matches_the_per_summand_loops(spec):
     rep = RepSum.parse(spec)
     assert list(rep.weights) == list(rep.ambient.names)
-    assert [rep.gm_weight(name) for name in rep.ambient.names] == [
+    assert [rep.weights[name] for name in rep.ambient.names] == [
         space.n - 2 * i for space in rep.summands for i in range(space.n + 1)
     ]
     assert rep.zero_weight_coordinates() == looped_zero_weight_coordinates(rep)
     assert rep.negative_weight_coordinates() == looped_negative_weight_coordinates(rep)
     assert rep.nonpositive_weight_coordinates() == looped_nonpositive_weight_coordinates(rep)
-    with pytest.raises(PolyError, match="unknown coordinate 'w'"):
-        rep.gm_weight("w")
     # plinth pairs whose zero-weight parts are equal, reflected, or unrelated
     rng = random.Random(spec)
     negative = set(rep.negative_weight_coordinates())

@@ -26,13 +26,15 @@ counted by the Cayley-Sylvester formula from a generating function, the
 earlier graded walk that goes down to variable 0 with no leaf solve, the
 rows of D read back by ``coefficient_matrix`` from one applied polynomial
 per monomial (and beta(i, n) built on them), the factorization read
-out afresh on every query, and the generator multisets within a degree
-bound counted by enumerating every vector of multiplicities.
+out afresh on every query, the generator multisets within a degree
+bound counted by enumerating every vector of multiplicities, and the
+earlier polynomial text parser: a tokenizer and a recursive descent.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd, lcm
@@ -42,6 +44,7 @@ from plinth.derivation import Derivation, _in_parameter
 from plinth.polyring import (
     FIELD_BITS,
     MAX_EXPONENT,
+    MONOMIAL_ONE,
     InfiniteGradedPieceError,
     Monomial,
     PolyError,
@@ -52,6 +55,7 @@ from plinth.polyring import (
     _packed,
     coefficient_matrix,
     coefficient_value,
+    combination,
 )
 from plinth.roberts import RobertsAction
 from plinth.report import Checker, VerificationReport
@@ -1289,3 +1293,88 @@ def applied_beta(action: RobertsAction, i: int, n: int) -> Polynomial:
     solution = linalg.solve(rows, len(cols))
     assert solution is not None
     return Polynomial(R, {**pinned, **{m: c for m, c in zip(cols, solution) if c}})
+
+
+_TOKEN = re.compile(r"\s*([A-Za-z][A-Za-z0-9_]*|\d+|[\^*+/-])")
+
+
+def descent_parse_polynomial(ambient: VariableSet, text: str) -> Polynomial:
+    """``polyring.parse_polynomial`` by the earlier route: the text split
+    into tokens first, then parsed by recursive descent over them."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos:].strip():
+                raise PolyError(f"bad character at {text[pos:pos+10]!r}")
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    if not tokens:
+        raise PolyError("empty polynomial text")
+    one = ambient.one()
+    parts: list[tuple[Fraction, Monomial, Polynomial]] = []
+    pos = 0
+
+    def peek():
+        return tokens[pos] if pos < len(tokens) else None
+
+    def parse_nat() -> int:
+        nonlocal pos
+        tok = peek()
+        if tok is None or not tok.isdigit():
+            raise PolyError(f"expected integer near token {pos} in {text!r}")
+        pos += 1
+        return int(tok)
+
+    def parse_factor() -> tuple[Fraction, Monomial]:
+        nonlocal pos
+        tok = peek()
+        if tok is None:
+            raise PolyError(f"unexpected end of input in {text!r}")
+        if tok.isdigit():
+            pos += 1
+            num = int(tok)
+            if peek() == "/":
+                pos += 1
+                den = parse_nat()
+                if den == 0:
+                    raise PolyError("zero denominator")
+                return Fraction(num, den), MONOMIAL_ONE
+            return Fraction(num), MONOMIAL_ONE
+        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", tok):
+            pos += 1
+            idx = ambient.index(tok)
+            exp = 1
+            if peek() == "^":
+                pos += 1
+                exp = parse_nat()
+            return Fraction(1), Monomial(((idx, exp),))
+        raise PolyError(f"unexpected token {tok!r} in {text!r}")
+
+    def parse_term(sign: int) -> None:
+        nonlocal pos
+        coef, m = Fraction(sign), MONOMIAL_ONE
+        while True:
+            c, e = parse_factor()
+            coef *= c
+            m *= e
+            if peek() == "*":
+                pos += 1
+                continue
+            break
+        parts.append((coef, m, one))
+
+    sign = 1
+    if peek() in ("+", "-"):
+        sign = -1 if tokens[pos] == "-" else 1
+        pos += 1
+    parse_term(sign)
+    while pos < len(tokens):
+        tok = tokens[pos]
+        if tok not in ("+", "-"):
+            raise PolyError(f"expected sign, got {tok!r} in {text!r}")
+        pos += 1
+        parse_term(-1 if tok == "-" else 1)
+    return combination(ambient, parts)
