@@ -126,6 +126,11 @@ def run_roberts_fixed() -> list[VerificationReport]:
 
 def run_sl2(rep: str, degree: int, samples: int, seed: int) -> list[VerificationReport]:
     parsed = sl2.RepSum.parse(rep)
+    # first, so an oversized --degree is refused before any piece is solved
+    checks = [
+        sl2.positive_weight_vanishing_check(parsed, degree, seed=seed),
+        sl2.component_containment_check(parsed, degree, samples=samples, seed=seed),
+    ]
     checker = Checker(
         f"sl2.quadratic.{parsed}",
         "one quadratic invariant per even weight, full support",
@@ -135,11 +140,7 @@ def run_sl2(rep: str, degree: int, samples: int, seed: int) -> list[Verification
         fks = sl2.quadratic_invariants(n)
         checker.note(f"V[{n}]: {len(fks)} quadratic invariants")
         checker.note(f"V[{n}] zero-weight reflection: {sl2.sigma_on_V0(n).value}")
-    return [
-        checker.report(),
-        sl2.positive_weight_vanishing_check(parsed, degree, seed=seed),
-        sl2.component_containment_check(parsed, degree, samples=samples, seed=seed),
-    ]
+    return [checker.report(), *checks]
 
 
 def run_separating(trials: int, seed: int) -> list[VerificationReport]:

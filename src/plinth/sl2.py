@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
 
-from .derivation import Derivation
+from .derivation import MAX_KERNEL_COLUMNS, Derivation
 from .polyring import Monomial, PolyError, Polynomial, VariableSet, WeightSystem
 from .polyring import coefficient_value
 from .report import Checker, VerificationReport
@@ -66,11 +66,11 @@ class BinaryFormSpace:
 # V[n], which happens while a --rep argument is parsed, stays instant.
 MAX_SUMMAND_DEGREE = 64
 
-# Most monomials the graded pieces of one ``invariants_up_to_degree`` call
-# may hold in total.  On a 2-core Xeon at 2 GHz, ``plinth sl2`` with
-# V[64] at degree 3 (25,347 monomials, 1.9 s) and V[6] at degree 12
-# (26,237, 2.4 s) stay under it; V[8] at degree 10 (47,946, 11.8 s to
-# finish) is refused once its running total passes it.
+# Most monomials the graded pieces of weight >= 0 up to one degree bound may
+# hold in total, read from the piece-size table before any piece is solved.
+# It bounds the weight-0 eliminations that ``plinth sl2`` runs: V[1]+V[1] at
+# degree 31 (26,927 monomials) passes and at degree 32 (30,344) is refused;
+# V[8] at degree 10 (47,946) is refused without solving a piece.
 MAX_INVARIANT_MONOMIALS = 30_000
 
 
@@ -102,6 +102,8 @@ class RepSum:
         # every check on this representation shares one graded kernel per piece
         self._grading: WeightSystem | None = None
         self._raising: Derivation | None = None
+        # piece_sizes rows, per degree and coordinate prefix
+        self._rows: list[list[dict[int, int]]] = [[{0: 1}] * (len(self.weights) + 1)]
 
     @classmethod
     def parse(cls, spec: str) -> "RepSum":
@@ -141,9 +143,20 @@ class RepSum:
         """Coordinates x_i with 2i < n: these vanish on the plinth locus."""
         return [name for name, w in self.weights.items() if w > 0]
 
-    def nonpositive_weight_coordinates(self) -> list[str]:
-        """Coordinates x_i with 2i <= n: these vanish on the null cone."""
-        return [name for name, w in self.weights.items() if w >= 0]
+    def piece_sizes(self, degree: int) -> dict[int, int]:
+        """Monomials of each torus weight in one degree: the coefficients of
+        the product of 1 / (1 - t q^w) over the coordinate weights w, grown a
+        degree at a time.  The row h(d, k) of the first k coordinates is
+        h(d, k - 1) + q^w h(d - 1, k)."""
+        while len(self._rows) <= degree:
+            rows: list[dict[int, int]] = [{}]
+            for w, below in zip(self.weights.values(), self._rows[-1][1:]):
+                row = dict(rows[-1])
+                for s, c in below.items():
+                    row[s + w] = row.get(s + w, 0) + c
+                rows.append(row)
+            self._rows.append(rows)
+        return self._rows[degree][-1]
 
 
 def build_raising_derivation(rep: RepSum) -> Derivation:
@@ -209,41 +222,50 @@ def plinth_test(rep: RepSum, v: Mapping[str, Fraction | int]) -> bool:
     return all(coefficient_value(v[n]) == 0 for n in rep.negative_weight_coordinates())
 
 
-def invariants_up_to_degree(
-    rep: RepSum, D: Derivation, degree_bound: int
-) -> list[tuple[int, int, Polynomial]]:
-    """Kernel bases of all (degree, weight) pieces up to the degree bound.
+def positive_weight_kernel_count(rep: RepSum, D: Derivation, degree_bound: int) -> int:
+    """Kernel elements of positive weight up to the degree bound, counted
+    from ``rep.piece_sizes`` by a theorem checked in tests, not eliminated.
 
-    Returns (degree, torus weight, basis element) triples; only weights
-    with nonzero kernel appear.  Kernel elements of the raising derivation
-    are highest-weight vectors, whose weight is >= 0, so the pieces of
-    negative weight are never built.  Each coordinate of V[n] has weight
-    n - 2i, of the parity of n; when every summand's n has one parity p, a
-    piece of degree d and weight w is empty unless w = d*p mod 2, so only
-    those weights are walked.  Each piece comes from ``D.graded_kernel``,
-    which solves it once per derivation, so a second call with the same D
-    (``build_raising_derivation`` returns one per representation) rebuilds
-    no kernel.  Once the pieces solved hold more than
-    MAX_INVARIANT_MONOMIALS monomials in total, PolyError is raised.
+    By Cayley-Sylvester, D maps weight w >= 0 onto weight w + 2, so its
+    kernel there has size(d, w) - size(d, w + 2) elements, which over w > 0
+    sum to size(d, 1) + size(d, 2).  That holds for the true D, built in
+    closed form by ``build_raising_derivation``; for a planted wrong D the
+    count may differ from an elimination's, and only a failing report's
+    details match solving every piece.  First the pieces of weight >= 0
+    are visited in the order they are solved: one over MAX_KERNEL_COLUMNS
+    is refused by ``D.graded_kernel``, and PolyError is raised once they
+    hold over MAX_INVARIANT_MONOMIALS monomials.
     """
-    ws = rep.weight_system()
-    p = rep.degrees[0] % 2
-    one_parity = all(n % 2 == p for n in rep.degrees)
-    out: list[tuple[int, int, Polynomial]] = []
-    monomials = 0
+    monomials = positive = 0
     for d in range(1, degree_bound + 1):
-        span = d * rep.max_weight
-        weights = range(d * p % 2, span + 1, 2) if one_parity else range(span + 1)
-        for w in weights:
-            kernel = D.graded_kernel(ws, rep.piece(d, w))
-            monomials += kernel.columns
+        sizes = rep.piece_sizes(d)
+        positive += sizes.get(1, 0) + sizes.get(2, 0)
+        for w in sorted(w for w in sizes if w >= 0):
+            monomials += sizes[w]
+            if sizes[w] > MAX_KERNEL_COLUMNS:  # refused there, before its elimination
+                D.graded_kernel(rep.weight_system(), rep.piece(d, w))
             if monomials > MAX_INVARIANT_MONOMIALS:
                 raise PolyError(
                     f"invariants of {rep} up to degree {degree_bound}: the graded"
                     f" pieces hold over {MAX_INVARIANT_MONOMIALS} monomials"
                 )
-            out.extend((d, w, f) for f in kernel.basis)
-    return out
+    return positive
+
+
+def invariants_up_to_degree(
+    rep: RepSum, D: Derivation, degree_bound: int
+) -> list[tuple[int, int, Polynomial]]:
+    """(degree, 0, basis element) triples of the weight-0 kernels only.
+
+    Invariants of positive weight vanish on the plinth locus by weight alone,
+    so neither check can fail on them; none has negative weight.  An
+    oversized bound is refused first (``positive_weight_kernel_count``).
+    ``D.graded_kernel`` solves each piece once per derivation.
+    """
+    positive_weight_kernel_count(rep, D, degree_bound)
+    ws = rep.weight_system()
+    degrees = [d for d in range(1, degree_bound + 1) if rep.piece_sizes(d).get(0)]
+    return [(d, 0, f) for d in degrees for f in D.graded_kernel(ws, rep.piece(d, 0)).basis]
 
 
 def positive_weight_vanishing_check(
@@ -260,35 +282,21 @@ def positive_weight_vanishing_check(
     invariant attached to the first nonzero coordinate of a violating
     summand is nonzero at the point.
 
-    Part (i) holds by weight alone: every monomial of a correctly labelled
-    positive-weight piece has a factor of positive coordinate weight, so
-    only an element filed under the wrong piece can fail it.  The content
-    of the check is part (ii).
+    Part (i) is the weight argument, per piece: every monomial of positive
+    weight has a factor of positive coordinate weight, so it vanishes once
+    those coordinates are all set to 0.  No piece is solved, and the count
+    it notes is ``positive_weight_kernel_count``.  The content is part (ii).
     """
     checker = Checker(
         f"sl2.positive_weight.{rep}",
         "positive-weight invariants vanish exactly on the plinth locus",
         {"rep": str(rep), "degree_bound": degree_bound, "samples": samples, "seed": seed},
     )
-    D = build_raising_derivation(rep)
+    positive = positive_weight_kernel_count(rep, build_raising_derivation(rep), degree_bound)
     negative = rep.negative_weight_coordinates()
-    positive = 0
-    for d, w, f in invariants_up_to_degree(rep, D, degree_bound):
-        if w <= 0:
-            continue
-        positive += 1
-        restricted = f.restrict_to_zero(negative)
-        if not restricted.is_zero():
-            checker.require(
-                False,
-                {
-                    "part": "vanishing",
-                    "degree": d,
-                    "weight": w,
-                    "invariant": str(f),
-                    "restriction": str(restricted),
-                },
-            )
+    for name, w in rep.weights.items():
+        if w > 0 and name not in negative:
+            checker.require(False, {"part": "vanishing", "coordinate": name, "weight": w})
     checker.note(f"positive-weight kernel elements checked: {positive}")
 
     # per-summand quadratic invariants, solved once per n over x0..xn and
@@ -312,20 +320,11 @@ def positive_weight_vanishing_check(
             if bad not in space.coordinates:
                 continue
             # k <= the index of bad, so 2k < n and f_k exists
-            k = next(
-                i for i, name in enumerate(space.coordinates) if v[name] != 0
-            )
+            k = next(i for i, name in enumerate(space.coordinates) if v[name] != 0)
             value = lifted[s][k].evaluate(v)
             witnessed += 1
-            checker.require(
-                value != 0,
-                {
-                    "part": "witness",
-                    "summand": s,
-                    "k": k,
-                    "value": str(value),
-                },
-            )
+            detail = {"part": "witness", "summand": s, "k": k, "value": str(value)}
+            checker.require(value != 0, detail)
             break
     checker.note(f"off-plinth witnesses confirmed: {witnessed}")
     return checker.report()
@@ -369,7 +368,9 @@ def component_containment_check(
 
     Both components sit inside the separating variety: every kernel element
     up to the degree bound takes equal values on the two points of each
-    sampled pair.
+    sampled pair.  Only the weight-0 invariants are evaluated: those of
+    positive weight are 0 at both points, and are counted in the notes by
+    ``positive_weight_kernel_count``.
     """
     checker = Checker(
         f"sl2.components.{rep}",
@@ -377,8 +378,9 @@ def component_containment_check(
         {"rep": str(rep), "degree_bound": degree_bound, "samples": samples, "seed": seed},
     )
     D = build_raising_derivation(rep)
+    positive = positive_weight_kernel_count(rep, D, degree_bound)
     invariants = [f for _, _, f in invariants_up_to_degree(rep, D, degree_bound)]
-    checker.note(f"invariants tested: {len(invariants)}")
+    checker.note(f"invariants tested: {len(invariants) + positive}")
     rng = random.Random(seed)
     negative = set(rep.negative_weight_coordinates())
     # every sampled point is 0 on the negative-weight coordinates, so each
@@ -405,13 +407,9 @@ def component_containment_check(
                     coord = space.coordinates[space.n // 2]
                     vp[coord] = -v[coord]
         membership = component_membership(rep, v, vp)
-        expected = (
-            (ComponentMembership.IN_C_SIGMA, ComponentMembership.BOTH)
-            if twist
-            else (ComponentMembership.IN_C, ComponentMembership.BOTH)
-        )
+        expected = ComponentMembership.IN_C_SIGMA if twist else ComponentMembership.IN_C
         checker.require(
-            membership in expected,
+            membership in (expected, ComponentMembership.BOTH),
             {"part": "construction", "trial": trial, "membership": membership.value},
         )
         at_v = rep.ambient.integer_point(v)
@@ -430,5 +428,5 @@ def component_containment_check(
                     },
                 )
                 break
-    checker.note(f"invariant evaluations compared: {checked}")
+    checker.note(f"invariant evaluations compared: {checked + positive * samples}")
     return checker.report()

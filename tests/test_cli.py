@@ -4,7 +4,7 @@ import time
 import pytest
 
 from plinth.cli import MAX_CATALOG_N, build_parser, main
-from plinth.derivation import MAX_KERNEL_COLUMNS
+from plinth.derivation import MAX_KERNEL_COLUMNS, Derivation
 from plinth.polyring import MAX_PIECE_MONOMIALS, PolyError, VariableSet, WeightSystem
 from plinth.sl2 import MAX_INVARIANT_MONOMIALS
 
@@ -225,6 +225,37 @@ def test_piece_too_large_to_eliminate_is_a_quick_usage_error(capsys):
         f"over the {MAX_KERNEL_COLUMNS} an elimination takes"
     )
     assert time.perf_counter() - start < 3.0
+
+
+def test_sl2_oversized_degree_is_refused_before_any_elimination(monkeypatch, capsys):
+    # the sizes of the pieces come from a table, so no piece is solved before
+    # the refusal: V[8] up to degree 10 once eliminated for 10 s first
+    solved = []
+    real = Derivation.graded_kernel
+    monkeypatch.setattr(
+        Derivation, "graded_kernel", lambda self, *args: solved.append(args) or real(self, *args)
+    )
+    with pytest.raises(SystemExit) as exc:
+        main(["sl2", "--rep", "V[8]", "--degree", "10"])
+    assert exc.value.code == 2 and solved == []
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "plinth sl2: error: invariants of V[8] up to degree 10: the graded pieces "
+        f"hold over {MAX_INVARIANT_MONOMIALS} monomials"
+    )
+    # a piece of positive weight too large to eliminate is refused as it was
+    # when every piece was solved, though it is not solved now: weight 1 in
+    # degree 3 of 20 V[1] and a V[0] holds 4,220 monomials
+    rep = "+".join(["V[1]"] * 20 + ["V[0]"])
+    with pytest.raises(SystemExit) as exc:
+        main(["sl2", "--rep", rep, "--degree", "3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == (
+        "plinth sl2: error: graded piece (3, 4): 4220 monomials, "
+        f"over the {MAX_KERNEL_COLUMNS} an elimination takes"
+    )
 
 
 def test_sl2_degree_is_bounded_by_the_monomials_of_its_pieces(capsys):

@@ -16,6 +16,7 @@ from plinth.cli import main
 from plinth.derivation import Derivation
 from plinth.polyring import VariableSet
 from plinth.roberts import RobertsAction, roberts_action
+from util import walked_component_containment_check
 
 
 def _keys(report) -> list[list[str]]:
@@ -80,24 +81,26 @@ def test_component_agreement_fails_on_a_wrong_raising_derivation(monkeypatch, ca
     report = sl2.component_containment_check(rep, samples=40)
     assert set(map(tuple, _keys(report))) == {("part", "trial", "invariant", "v", "vp")}
     assert {detail["part"] for detail in report.details} == {"agreement"}
+    # only the weight-0 invariants are evaluated, yet the failing report is
+    # the one the walk over every piece gives: a positive-weight invariant
+    # is 0 at both points of a pair, so it is never the first to fail
+    assert report.to_dict() | {"ms": 0} == (
+        walked_component_containment_check(rep, samples=40).to_dict() | {"ms": 0}
+    )
     _cli_fails(["sl2", "--rep", "V[4]+V[2]", "--samples", "40"], capsys, "sl2.components.V[4]+V[2]")
 
 
-def test_positive_weight_check_fails_on_a_mislabelled_piece(monkeypatch, capsys):
-    # A homogeneous polynomial of positive weight always restricts to zero,
-    # whatever the derivation, so the vanishing branch is reached only by an
-    # element whose piece label is wrong: here the zero-weight coordinate of
-    # the first summand, listed as a degree-1 invariant of weight 2.
-    original = sl2.invariants_up_to_degree
-
-    def with_intruder(rep, D, degree_bound):
-        intruder = rep.ambient.variable(rep.zero_weight_coordinates()[0])
-        return original(rep, D, degree_bound) + [(1, 2, intruder)]
-
-    monkeypatch.setattr(sl2, "invariants_up_to_degree", with_intruder)
+def test_positive_weight_check_fails_on_a_restriction_that_misses_a_coordinate(
+    monkeypatch, capsys
+):
+    # Part (i) holds by weight once every coordinate of positive weight is
+    # set to 0: here the coordinates set to 0 miss x0_0, of weight 4, which
+    # is itself an invariant of positive weight that would survive.
+    original = sl2.RepSum.negative_weight_coordinates
+    monkeypatch.setattr(sl2.RepSum, "negative_weight_coordinates", lambda rep: original(rep)[1:])
     report = sl2.positive_weight_vanishing_check(sl2.RepSum.parse("V[4]+V[2]"))
-    assert _keys(report) == [["part", "degree", "weight", "invariant", "restriction"]]
-    assert report.details[0]["part"] == "vanishing"
+    assert _keys(report) == [["part", "coordinate", "weight"]]
+    assert report.details == [{"part": "vanishing", "coordinate": "x0_0", "weight": 4}]
     _cli_fails(["sl2", "--rep", "V[4]+V[2]"], capsys, "sl2.positive_weight.V[4]+V[2]")
 
 

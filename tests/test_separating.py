@@ -18,8 +18,9 @@ from plinth.separating import (
     separating_set_equivalence,
     solve_group_element,
 )
-from plinth.sl2 import RepSum, build_raising_derivation, invariants_up_to_degree
+from plinth.sl2 import RepSum, build_raising_derivation
 from util import (
+    every_piece_invariants,
     fraction_evaluate,
     make_point,
     parse_point,
@@ -377,7 +378,7 @@ def test_agrees_and_witness_match_fraction_oracle():
     rng = random.Random(31337)
     rep = RepSum([4, 2])
     D_sl2 = build_raising_derivation(rep)
-    sl2_invariants = [f for _, _, f in invariants_up_to_degree(rep, D_sl2, 3)]
+    sl2_invariants = [f for _, _, f in every_piece_invariants(rep, D_sl2, 3)]
     fraction_polys = []
     while len(fraction_polys) < 12:
         f = random_poly(rng, R7, max_terms=3, max_exp=3, coef_range=7)

@@ -17,6 +17,7 @@ from plinth.sl2 import (
     component_membership,
     invariants_up_to_degree,
     plinth_test,
+    positive_weight_kernel_count,
     positive_weight_vanishing_check,
     quadratic_invariants,
     sigma_on_V0,
@@ -24,6 +25,7 @@ from plinth.sl2 import (
 from util import (
     all_weight_invariants,
     cayley_sylvester,
+    every_piece_invariants,
     fraction_scale,
     fraction_terms,
     is_canonical,
@@ -31,7 +33,11 @@ from util import (
     looped_negative_weight_coordinates,
     looped_nonpositive_weight_coordinates,
     looped_zero_weight_coordinates,
+    nonpositive_weight_coordinates,
     nullcone_test,
+    piece_dimension,
+    walked_component_containment_check,
+    walked_positive_weight_vanishing_check,
 )
 
 
@@ -58,7 +64,7 @@ def test_weight_table_matches_the_per_summand_loops(spec):
     ]
     assert rep.zero_weight_coordinates() == looped_zero_weight_coordinates(rep)
     assert rep.negative_weight_coordinates() == looped_negative_weight_coordinates(rep)
-    assert rep.nonpositive_weight_coordinates() == looped_nonpositive_weight_coordinates(rep)
+    assert nonpositive_weight_coordinates(rep) == looped_nonpositive_weight_coordinates(rep)
     # plinth pairs whose zero-weight parts are equal, reflected, or unrelated
     rng = random.Random(spec)
     negative = set(rep.negative_weight_coordinates())
@@ -175,7 +181,7 @@ def test_nullcone_points_kill_positive_degree_invariants():
             if 2 * i > 4:
                 v[name] = Fraction(rng.randint(-9, 9))
         assert nullcone_test(rep, v)
-        for d, w, f in invariants_up_to_degree(rep, D, 3):
+        for d, w, f in every_piece_invariants(rep, D, 3):
             assert f.evaluate(v) == 0
 
 
@@ -345,9 +351,12 @@ def test_invariants_skip_negative_weights_matches_all_weight_oracle(spec):
     rep = RepSum.parse(spec)
     D = build_raising_derivation(rep)
     got = invariants_up_to_degree(rep, D, 3)
-    want = all_weight_invariants(rep, D, 3)
+    every = all_weight_invariants(rep, D, 3)
+    want = [t for t in every if t[1] == 0]
     assert [(d, w, str(f)) for d, w, f in got] == [(d, w, str(f)) for d, w, f in want]
-    assert got == want and all(w >= 0 for _, w, _ in got)
+    assert got == want and all(w >= 0 for _, w, _ in every)
+    # the positive-weight pieces are counted, not solved
+    assert positive_weight_kernel_count(rep, D, 3) == sum(w > 0 for _, w, _ in every)
 
 
 def test_sl2_command_builds_each_graded_kernel_once(monkeypatch, capsys):
@@ -364,19 +373,22 @@ def test_sl2_command_builds_each_graded_kernel_once(monkeypatch, capsys):
 
     monkeypatch.setattr(Derivation, "kernel_on_monomials", counted)
     assert main(["sl2", "--rep", "V[4]+V[2]", "--samples", "20"]) == 0
-    # 15 pieces of V[4]+V[2] up to degree 3, and the 3 + 2 quadratic
+    # the 3 weight-0 pieces of V[4]+V[2] up to degree 3 (its 12 pieces of
+    # positive weight are counted, not solved), and the 3 + 2 quadratic
     # pieces of V[4] and V[2] alone
-    assert len(solved) == len(set(solved)) == 20
+    assert len(solved) == len(set(solved)) == 8
     rep = RepSum.parse("V[4]+V[4]")
-    assert positive_weight_vanishing_check(rep, 3, samples=5).ok
     before = len(solved)
+    assert positive_weight_vanishing_check(rep, 3, samples=5).ok
+    assert len(solved) == before  # it counts the pieces and solves none
     assert component_containment_check(rep, 3, samples=5).ok
-    assert len(solved) == before
+    assert len(solved) == before + 3  # the weight-0 pieces, once
+    assert component_containment_check(rep, 3, samples=5).ok
     D = build_raising_derivation(rep)
     assert D is build_raising_derivation(rep) and rep.weight_system() is rep.weight_system()
     lower = [t for t in invariants_up_to_degree(rep, D, 3) if t[0] <= 2]
     assert invariants_up_to_degree(rep, D, 2) == lower
-    assert len(solved) == before
+    assert len(solved) == before + 3
     capsys.readouterr()
 
 
@@ -428,3 +440,56 @@ def test_large_v6_weight_zero_kernels_match_the_cayley_sylvester_count():
         assert cayley_sylvester(rep, d, 0) == dim
         assert len(D.graded_kernel(ws, rep.piece(d, 0)).basis) == dim
     assert time.perf_counter() - start < 2.0
+
+
+def test_sl2_reports_match_the_every_piece_walk():
+    # the positive-weight counts in the notes come from the piece-size table;
+    # the walk solves every piece of weight >= 0 and checks each element
+    rng = random.Random(2600)
+    for _ in range(30):
+        rep = RepSum([rng.randint(0, 5) for _ in range(rng.randint(1, 3))])
+        degree, seed = rng.randint(1, 4), rng.randint(0, 10**6)
+        pairs = (
+            (positive_weight_vanishing_check, walked_positive_weight_vanishing_check, 9),
+            (component_containment_check, walked_component_containment_check, 12),
+        )
+        for fast, slow, samples in pairs:
+            report = fast(rep, degree, samples=samples, seed=seed)
+            got = report.to_dict()
+            want = slow(rep, degree, samples=samples, seed=seed).to_dict()
+            del got["ms"], want["ms"]
+            assert got == want and report.ok, (str(rep), degree, seed)
+
+
+def test_piece_size_table_matches_the_monomial_walk():
+    rng = random.Random(2601)
+    reps = [RepSum([64]), RepSum([12]), RepSum([0, 0])]
+    reps += [RepSum([rng.randint(0, 7) for _ in range(rng.randint(1, 4))]) for _ in range(10)]
+    for rep in reps:
+        ws = rep.weight_system()
+        bound = 2 if rep.max_weight > 8 else 4
+        for d in range(bound + 1):
+            sizes = rep.piece_sizes(d)
+            span = d * rep.max_weight
+            assert set(sizes) <= set(range(-span, span + 1))
+            for w in range(-span - 1, span + 2):
+                walked = len(ws.monomial_basis(rep.piece(d, w)))
+                assert sizes.get(w, 0) == walked == piece_dimension(rep, d, w), (str(rep), d, w)
+
+
+def test_cayley_sylvester_count_matches_the_eliminated_kernels():
+    # weight 0 as the checks solve it, and the positive weights the count
+    # telescopes over, against their eliminated kernel dimensions
+    rng = random.Random(2602)
+    reps = [RepSum([6]), RepSum([3, 3, 0]), RepSum([1, 1])]
+    reps += [RepSum([rng.randint(0, 6) for _ in range(rng.randint(1, 3))]) for _ in range(8)]
+    for rep in reps:
+        D = build_raising_derivation(rep)
+        ws = rep.weight_system()
+        bound = 8 if len(rep.ambient) <= 4 else 4
+        for d in range(1, bound + 1):
+            sizes = rep.piece_sizes(d)
+            kernel = D.graded_kernel(ws, rep.piece(d, 0))
+            assert sizes.get(0, 0) - sizes.get(2, 0) == len(kernel.basis), (str(rep), d)
+        positive = sum(w > 0 for _, w, _ in every_piece_invariants(rep, D, bound))
+        assert positive_weight_kernel_count(rep, D, bound) == positive, str(rep)

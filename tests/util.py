@@ -27,7 +27,8 @@ earlier graded walk that goes down to variable 0 with no leaf solve, the
 rows of D read back by ``coefficient_matrix`` from one applied polynomial
 per monomial (and beta(i, n) built on them), the factorization read
 out afresh on every query, the generator multisets within a degree
-bound counted by enumerating every vector of multiplicities, and the
+bound counted by enumerating every vector of multiplicities, the sl2
+checks walking every kernel element of weight >= 0, and the
 earlier polynomial text parser: a tokenizer and a recursive descent.
 """
 
@@ -69,6 +70,7 @@ from plinth.sagbi import (
     tete_a_tetes,
 )
 from plinth.separating import Point
+from plinth import sl2
 from plinth.sl2 import ComponentMembership, RepSum, SigmaAction, sigma_on_V0
 
 
@@ -871,8 +873,8 @@ def fraction_subduct(
 
 
 def all_weight_invariants(rep: RepSum, D: Derivation, degree_bound: int):
-    """``sl2.invariants_up_to_degree`` over every torus weight -span..span,
-    the negative ones included."""
+    """(degree, weight, element) triples of every piece of torus weight
+    -span..span, the negative ones included, each solved afresh."""
     ws = rep.weight_system()
     out = []
     for d in range(1, degree_bound + 1):
@@ -913,9 +915,123 @@ def make_point(ambient_names, values) -> Point:
     return {n: Fraction(coefficient_value(v)) for n, v in zip(ambient_names, values)}
 
 
+def nonpositive_weight_coordinates(rep: RepSum) -> list[str]:
+    """Coordinates x_i with 2i <= n: these vanish on the null cone."""
+    return [name for name, w in rep.weights.items() if w >= 0]
+
+
 def nullcone_test(rep: RepSum, v) -> bool:
     """Is v in the null cone (all components of nonpositive weight vanish)?"""
-    return all(coefficient_value(v[n]) == 0 for n in rep.nonpositive_weight_coordinates())
+    return all(coefficient_value(v[n]) == 0 for n in nonpositive_weight_coordinates(rep))
+
+
+def every_piece_invariants(rep: RepSum, D: Derivation, degree_bound: int):
+    """The earlier ``sl2.invariants_up_to_degree``: (degree, weight, element)
+    triples of every piece of weight 0..span, each solved by ``D``, with no
+    size cap."""
+    ws = rep.weight_system()
+    out = []
+    for d in range(1, degree_bound + 1):
+        for w in range(d * rep.max_weight + 1):
+            out.extend((d, w, f) for f in D.graded_kernel(ws, rep.piece(d, w)).basis)
+    return out
+
+
+def walked_positive_weight_vanishing_check(
+    rep: RepSum, degree_bound: int = 3, samples: int = 25, seed: int = 1729
+) -> VerificationReport:
+    """The earlier ``sl2.positive_weight_vanishing_check``: part (i) restricts
+    every positive-weight kernel element of ``every_piece_invariants``."""
+    checker = Checker(
+        f"sl2.positive_weight.{rep}",
+        "positive-weight invariants vanish exactly on the plinth locus",
+        {"rep": str(rep), "degree_bound": degree_bound, "samples": samples, "seed": seed},
+    )
+    D = sl2.build_raising_derivation(rep)
+    negative = rep.negative_weight_coordinates()
+    positive = 0
+    for d, w, f in every_piece_invariants(rep, D, degree_bound):
+        if w <= 0:
+            continue
+        positive += 1
+        restricted = f.restrict_to_zero(negative)
+        if not restricted.is_zero():
+            checker.require(False, {"part": "vanishing", "degree": d, "weight": w,
+                                    "invariant": str(f), "restriction": str(restricted)})
+    checker.note(f"positive-weight kernel elements checked: {positive}")
+    lifted = {}
+    for s, space in enumerate(rep.summands):
+        rename = {f"x{i}": rep.ambient.variable(name) for i, name in enumerate(space.coordinates)}
+        lifted[s] = [f.substitute(rename, rep.ambient) for f in sl2.quadratic_invariants(space.n)]
+    rng = random.Random(seed)
+    if not negative:
+        checker.note("no negative-weight coordinates: witness sampling skipped")
+        return checker.report()
+    witnessed = 0
+    for _ in range(samples):
+        v = {name: Fraction(rng.randint(-9, 9)) for name in rep.ambient.names}
+        bad = rng.choice(negative)
+        v[bad] = Fraction(rng.randint(1, 9))
+        for s, space in enumerate(rep.summands):
+            if bad not in space.coordinates:
+                continue
+            k = next(i for i, name in enumerate(space.coordinates) if v[name] != 0)
+            value = lifted[s][k].evaluate(v)
+            witnessed += 1
+            checker.require(value != 0, {"part": "witness", "summand": s, "k": k, "value": str(value)})
+            break
+    checker.note(f"off-plinth witnesses confirmed: {witnessed}")
+    return checker.report()
+
+
+def walked_component_containment_check(
+    rep: RepSum, degree_bound: int = 3, samples: int = 200, seed: int = 1729
+) -> VerificationReport:
+    """The earlier ``sl2.component_containment_check``: every kernel element
+    of ``every_piece_invariants`` is evaluated, in full and over Fraction,
+    at both points of each sampled pair."""
+    checker = Checker(
+        f"sl2.components.{rep}",
+        "C and C_sigma pairs agree on all invariants up to the degree bound",
+        {"rep": str(rep), "degree_bound": degree_bound, "samples": samples, "seed": seed},
+    )
+    D = sl2.build_raising_derivation(rep)
+    invariants = [f for _, _, f in every_piece_invariants(rep, D, degree_bound)]
+    checker.note(f"invariants tested: {len(invariants)}")
+    rng = random.Random(seed)
+    negative = set(rep.negative_weight_coordinates())
+    checked = 0
+    for trial in range(samples):
+        v, vp = (
+            {n: Fraction(0) if n in negative else Fraction(rng.randint(-9, 9))
+             for n in rep.ambient.names}
+            for _ in range(2)
+        )
+        twist = trial % 2 == 1
+        for name in rep.zero_weight_coordinates():
+            vp[name] = v[name]
+        if twist:
+            for space in rep.summands:
+                if space.n % 2 == 0 and sigma_on_V0(space.n) is SigmaAction.MINUS_IDENTITY:
+                    coord = space.coordinates[space.n // 2]
+                    vp[coord] = -v[coord]
+        membership = sl2.component_membership(rep, v, vp)
+        expected = ComponentMembership.IN_C_SIGMA if twist else ComponentMembership.IN_C
+        checker.require(
+            membership in (expected, ComponentMembership.BOTH),
+            {"part": "construction", "trial": trial, "membership": membership.value},
+        )
+        for f in invariants:
+            checked += 1
+            if f.evaluate(v) != f.evaluate(vp):
+                checker.require(False, {
+                    "part": "agreement", "trial": trial, "invariant": str(f),
+                    "v": {n: str(x) for n, x in v.items()},
+                    "vp": {n: str(x) for n, x in vp.items()},
+                })
+                break
+    checker.note(f"invariant evaluations compared: {checked}")
+    return checker.report()
 
 
 def extend_by_zero(D: Derivation, extended: VariableSet) -> Derivation:
