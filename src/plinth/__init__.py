@@ -19,7 +19,7 @@ from .polyring import (
     WeightSystem,
     ZeroPolynomialError,
 )
-from .derivation import Derivation, GradedKernelBasis, NilpotencyWitness
+from .derivation import Derivation
 from .sagbi import GeneratorSet, SubductionCertificate, TeteATete
 from .report import VerificationReport
 
@@ -30,10 +30,8 @@ __all__ = [
     "INHOMOGENEOUS",
     "Derivation",
     "GeneratorSet",
-    "GradedKernelBasis",
     "InfiniteGradedPieceError",
     "Monomial",
-    "NilpotencyWitness",
     "PolyError",
     "Polynomial",
     "SubductionCertificate",

@@ -47,7 +47,7 @@ def run_roberts_invariants() -> list[VerificationReport]:
         ("b2_1", ra.beta(2, 1)),
         ("b3_1", ra.beta(3, 1)),
     ):
-        invariant = ra.D.is_invariant(f)
+        invariant = ra.D.apply(f).is_zero()
         line = f"D({name}) = 0: {invariant}; {name} = {f}"
         checker.require(invariant, line)
         checker.note(line)
@@ -199,7 +199,7 @@ def run_kernel(ring: str, degree: tuple[int, ...]) -> list[VerificationReport]:
             raise argparse.ArgumentTypeError("sl2 kernel needs degree,weight")
         rep = sl2.RepSum.parse(ring[4:])
         D = sl2.build_raising_derivation(rep)
-        basis = D.graded_kernel(rep.weight_system(), rep.piece(*degree)).basis
+        basis = D.graded_kernel(rep.weight_system(), rep.piece(*degree))
     for p in basis:
         print(p)
     checker.note(f"dimension {len(basis)} at degree {degree}")

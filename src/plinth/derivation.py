@@ -13,7 +13,6 @@ system cut out by D on the monomial basis of one graded piece.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -39,6 +38,14 @@ from .polyring import (
 MAX_KERNEL_COLUMNS = 3_000
 
 
+def oversized_piece_error(degree: tuple[int, ...], monomials: int) -> PolyError:
+    """The refusal of a graded piece too large for ``graded_kernel``."""
+    return PolyError(
+        f"graded piece {degree}: {monomials} monomials, "
+        f"over the {MAX_KERNEL_COLUMNS} an elimination takes"
+    )
+
+
 class DerivationError(PolyError):
     """Raised for ill-formed derivations or uncertified flow requests."""
 
@@ -48,29 +55,6 @@ class NotCertifiedError(DerivationError):
 
     This is not a disproof; a larger bound may succeed.
     """
-
-
-@dataclass(frozen=True)
-class NilpotencyWitness:
-    """Per-variable order of vanishing: smallest m with D^m(variable) = 0."""
-
-    orders: Mapping[str, int]
-
-    def bound(self) -> int:
-        return max(self.orders.values(), default=1)
-
-
-@dataclass
-class GradedKernelBasis:
-    """Exact basis of one graded piece of the kernel of a derivation."""
-
-    degree: tuple[int, ...]
-    basis: list[Polynomial]
-    columns: int  # the monomials of the piece
-
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
 
 
 class Derivation:
@@ -95,13 +79,14 @@ class Derivation:
             for i, g in enumerate(self.images.values())
             if g
         ]
-        self._witness: NilpotencyWitness | None = None
+        # the orders of the last successful certify_locally_nilpotent
+        self.witness: dict[str, int] | None = None
         self._flow_coeffs: dict[str, list[Polynomial]] = {}
         # the last weight system ``graded_kernel`` found D homogeneous for;
         # the images are never changed after construction
         self._homogeneous_for: WeightSystem | None = None
         # graded_kernel's answers, per (weight system, degree)
-        self._kernels: dict[tuple[WeightSystem, tuple[int, ...]], GradedKernelBasis] = {}
+        self._kernels: dict[tuple[WeightSystem, tuple[int, ...]], list[Polynomial]] = {}
 
     def __repr__(self) -> str:
         parts = ", ".join(f"D({n}) = {g}" for n, g in self.images.items())
@@ -127,15 +112,12 @@ class Derivation:
         ]
         return combination(self.ambient, parts)
 
-    def is_invariant(self, f: Polynomial) -> bool:
-        """True iff D(f) = 0, i.e. f is constant along the flow."""
-        return self.apply(f).is_zero()
-
     # -- local nilpotency and the flow ------------------------------------
 
-    def certify_locally_nilpotent(self, bound: int = 32) -> NilpotencyWitness:
-        """Iterate D on each variable until it hits 0; record the order.
+    def certify_locally_nilpotent(self, bound: int = 32) -> dict[str, int]:
+        """Iterate D on each variable until it hits 0; return the orders.
 
+        ``{variable: least m with D^m(variable) = 0}``, in ambient order.
         Local nilpotency on the generators extends to the whole algebra, so
         success certifies the derivation.  Exceeding ``bound`` raises
         NotCertifiedError (distinct from a disproof).  The series of each
@@ -147,16 +129,12 @@ class Derivation:
             name: self._series(self.ambient.variable(name), bound)
             for name in self.ambient.names
         }
-        witness = NilpotencyWitness({name: len(c) for name, c in coeffs.items()})
-        self._witness, self._flow_coeffs = witness, coeffs
-        return witness
-
-    @property
-    def witness(self) -> NilpotencyWitness | None:
-        return self._witness
+        self.witness = {name: len(c) for name, c in coeffs.items()}
+        self._flow_coeffs = coeffs
+        return self.witness
 
     def _require_certified(self) -> None:
-        if self._witness is None:
+        if self.witness is None:
             raise NotCertifiedError(
                 "flow requested for an uncertified derivation; "
                 "call certify_locally_nilpotent first"
@@ -313,14 +291,17 @@ class Derivation:
             for vec in vectors
         ]
 
-    def graded_kernel(self, ws: WeightSystem, degree: Sequence[int]) -> GradedKernelBasis:
+    def graded_kernel(self, ws: WeightSystem, degree: Sequence[int]) -> list[Polynomial]:
         """Basis of the kernel in one graded piece (exact linear algebra).
 
-        Requires D weight-homogeneous for ``ws`` and a finite graded piece;
-        homogeneity is checked once per weight system (``weight_shift``).
-        Each piece is solved once per derivation: the answer is kept per
-        (weight system, degree) and returned again on a repeated call.  A
-        piece of more than MAX_KERNEL_COLUMNS monomials raises PolyError.
+        The canonical basis of ``kernel_on_monomials`` on the piece's
+        monomials.  Requires D weight-homogeneous for ``ws`` and a finite
+        graded piece; homogeneity is checked once per weight system
+        (``weight_shift``).  Each piece is solved once per derivation: the
+        list is kept per (weight system, degree) and the same list is
+        returned on a repeated call, so callers must not change it.  A piece
+        of more than MAX_KERNEL_COLUMNS monomials raises PolyError
+        (``oversized_piece_error``).
         """
         if ws is not self._homogeneous_for:
             self.weight_shift(ws)
@@ -330,12 +311,8 @@ class Derivation:
         if got is None:
             monomials = ws.monomial_basis(key[1])
             if len(monomials) > MAX_KERNEL_COLUMNS:
-                raise PolyError(
-                    f"graded piece {key[1]}: {len(monomials)} monomials, "
-                    f"over the {MAX_KERNEL_COLUMNS} an elimination takes"
-                )
-            basis = self.kernel_on_monomials(monomials)
-            got = self._kernels[key] = GradedKernelBasis(key[1], basis, len(monomials))
+                raise oversized_piece_error(key[1], len(monomials))
+            got = self._kernels[key] = self.kernel_on_monomials(monomials)
         return got
 
     # -- slices ------------------------------------------------------------

@@ -234,7 +234,7 @@ class RobertsAction:
 
     def graded_invariants(self, degree: Sequence[int]) -> list[Polynomial]:
         """Basis of ker D in one multidegree, solved once (``graded_kernel``)."""
-        return self.D.graded_kernel(self.weights, degree).basis
+        return self.D.graded_kernel(self.weights, degree)
 
     def graded_invariants_z_capped(
         self, degree: Sequence[int], z_cap: int

@@ -1,7 +1,8 @@
 """Point-level separation semantics for additive-group flows.
 
 A finite set of invariants separates a pair of rational points when some
-generator evaluates differently on them.  For pairs that no generator
+generator evaluates differently on them; ``separates`` returns the name of
+the first such generator, or None.  For pairs that no generator
 tells apart, the group element moving one point to the other is recovered
 exactly from the gcd of the univariate flow equations: a point that is not
 fixed has a trivial stabilizer, so the gcd has a single rational root.
@@ -14,7 +15,6 @@ All sampling is seeded; identical inputs and seed give identical reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -31,20 +31,6 @@ def point_text(point: Mapping[str, Fraction]) -> str:
     return ",".join(str(point[name]) for name in point)
 
 
-@dataclass
-class SeparationReport:
-    """Outcome of evaluating a generator set on a pair of points."""
-
-    v: Point
-    v_prime: Point
-    generator_set: str
-    witness: str | None = None
-
-    @property
-    def separated(self) -> bool:
-        return self.witness is not None
-
-
 def _verdict(witness: str | None) -> str:
     return "not separated" if witness is None else "separated"
 
@@ -53,20 +39,15 @@ def separates(
     v: Mapping[str, Fraction | int],
     v_prime: Mapping[str, Fraction | int],
     G: GeneratorSet,
-    label: str = "G",
-) -> SeparationReport:
-    """Evaluate every generator at both points; first disagreement decides.
+) -> str | None:
+    """The first generator of G, in ``G.names`` order, whose values at the
+    two points differ, or None when G does not separate them.
 
     Each point goes through ``integer_point`` once, which rejects a
-    coordinate that is not rational; the witness is the first generator,
-    in ``G.names`` order, whose values differ (``Polynomial.agrees``).
+    coordinate that is not rational; the values are compared by
+    ``Polynomial.agrees``.
     """
-    names = G.ambient.names
-    at_v = G.ambient.integer_point(v)
-    at_w = G.ambient.integer_point(v_prime)
-    pv = {n: x if type(x := v[n]) is Fraction else Fraction(x) for n in names}
-    pw = {n: x if type(x := v_prime[n]) is Fraction else Fraction(x) for n in names}
-    return SeparationReport(pv, pw, label, _witness(G, at_v, at_w))
+    return _witness(G, G.ambient.integer_point(v), G.ambient.integer_point(v_prime))
 
 
 def _witness(G: GeneratorSet, at_v: tuple, at_w: tuple) -> str | None:
@@ -200,10 +181,10 @@ def graph_vs_separation_sampling(
             s = Fraction(rng.randint(-9, 9))
             vp = D.flow_point(v, s)
             flow_pairs += 1
-            rep = separates(v, vp, G_ref)
+            witness = separates(v, vp, G_ref)
             checker.require(
-                not rep.separated,
-                {"mode": "flow", "s": str(s), "witness": rep.witness},
+                witness is None,
+                {"mode": "flow", "s": str(s), "witness": witness},
             )
             solved = solve_group_element(v, vp, D)
             checker.require(
@@ -212,8 +193,8 @@ def graph_vs_separation_sampling(
             )
         elif mode == 1:
             vp = sample()
-            rep = separates(v, vp, G_ref)
-            if not rep.separated and not plinth_indicator(v) and not plinth_indicator(vp):
+            unseparated = separates(v, vp, G_ref) is None
+            if unseparated and not plinth_indicator(v) and not plinth_indicator(vp):
                 graph_pairs += 1
                 if solve_group_element(v, vp, D) is None:
                     checker.require(
@@ -230,15 +211,15 @@ def graph_vs_separation_sampling(
             vp = plinth_sampler(rng)
             plinth_pairs += 1
             if plinth_unseparated:
-                rep = separates(v, vp, G_ref)
-                if rep.separated:
+                witness = separates(v, vp, G_ref)
+                if witness is not None:
                     checker.require(
                         False,
                         {
                             "mode": "plinth",
                             "v": point_text(v),
                             "vp": point_text(vp),
-                            "witness": rep.witness,
+                            "witness": witness,
                         },
                     )
     checker.note(

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Sequence
 
-from .derivation import MAX_KERNEL_COLUMNS, Derivation
+from .derivation import MAX_KERNEL_COLUMNS, Derivation, oversized_piece_error
 from .polyring import Monomial, PolyError, Polynomial, VariableSet, WeightSystem
 from .polyring import coefficient_value
 from .report import Checker, VerificationReport
@@ -201,7 +201,7 @@ def quadratic_invariants(n: int) -> tuple[Polynomial, ...]:
     out: list[Polynomial] = []
     for k in range(n // 2 + 1):
         piece = rep.piece(2, 2 * n - 4 * k)
-        basis = D.graded_kernel(ws, piece).basis
+        basis = D.graded_kernel(ws, piece)
         if len(basis) != 1:
             raise PolyError(
                 f"quadratic invariant of weight {2 * n - 4 * k} in V[{n}]: "
@@ -222,7 +222,7 @@ def plinth_test(rep: RepSum, v: Mapping[str, Fraction | int]) -> bool:
     return all(coefficient_value(v[n]) == 0 for n in rep.negative_weight_coordinates())
 
 
-def positive_weight_kernel_count(rep: RepSum, D: Derivation, degree_bound: int) -> int:
+def positive_weight_kernel_count(rep: RepSum, degree_bound: int) -> int:
     """Kernel elements of positive weight up to the degree bound, counted
     from ``rep.piece_sizes`` by a theorem checked in tests, not eliminated.
 
@@ -232,9 +232,9 @@ def positive_weight_kernel_count(rep: RepSum, D: Derivation, degree_bound: int) 
     closed form by ``build_raising_derivation``; for a planted wrong D the
     count may differ from an elimination's, and only a failing report's
     details match solving every piece.  First the pieces of weight >= 0
-    are visited in the order they are solved: one over MAX_KERNEL_COLUMNS
-    is refused by ``D.graded_kernel``, and PolyError is raised once they
-    hold over MAX_INVARIANT_MONOMIALS monomials.
+    are visited in the order they are solved, from their sizes alone: one
+    over MAX_KERNEL_COLUMNS raises ``oversized_piece_error``, and PolyError
+    is raised once they hold over MAX_INVARIANT_MONOMIALS monomials.
     """
     monomials = positive = 0
     for d in range(1, degree_bound + 1):
@@ -242,8 +242,8 @@ def positive_weight_kernel_count(rep: RepSum, D: Derivation, degree_bound: int) 
         positive += sizes.get(1, 0) + sizes.get(2, 0)
         for w in sorted(w for w in sizes if w >= 0):
             monomials += sizes[w]
-            if sizes[w] > MAX_KERNEL_COLUMNS:  # refused there, before its elimination
-                D.graded_kernel(rep.weight_system(), rep.piece(d, w))
+            if sizes[w] > MAX_KERNEL_COLUMNS:
+                raise oversized_piece_error(rep.piece(d, w), sizes[w])
             if monomials > MAX_INVARIANT_MONOMIALS:
                 raise PolyError(
                     f"invariants of {rep} up to degree {degree_bound}: the graded"
@@ -252,20 +252,18 @@ def positive_weight_kernel_count(rep: RepSum, D: Derivation, degree_bound: int) 
     return positive
 
 
-def invariants_up_to_degree(
-    rep: RepSum, D: Derivation, degree_bound: int
-) -> list[tuple[int, int, Polynomial]]:
-    """(degree, 0, basis element) triples of the weight-0 kernels only.
+def invariants_up_to_degree(rep: RepSum, D: Derivation, degree_bound: int) -> list[Polynomial]:
+    """A basis of the weight-0 kernels of degree 1 to ``degree_bound``.
 
     Invariants of positive weight vanish on the plinth locus by weight alone,
-    so neither check can fail on them; none has negative weight.  An
-    oversized bound is refused first (``positive_weight_kernel_count``).
-    ``D.graded_kernel`` solves each piece once per derivation.
+    so neither check can fail on them; none has negative weight.  The bound
+    is not checked here: callers refuse an oversized one first
+    (``positive_weight_kernel_count``).  ``D.graded_kernel`` solves each
+    piece once per derivation.
     """
-    positive_weight_kernel_count(rep, D, degree_bound)
     ws = rep.weight_system()
     degrees = [d for d in range(1, degree_bound + 1) if rep.piece_sizes(d).get(0)]
-    return [(d, 0, f) for d in degrees for f in D.graded_kernel(ws, rep.piece(d, 0)).basis]
+    return [f for d in degrees for f in D.graded_kernel(ws, rep.piece(d, 0))]
 
 
 def positive_weight_vanishing_check(
@@ -292,7 +290,7 @@ def positive_weight_vanishing_check(
         "positive-weight invariants vanish exactly on the plinth locus",
         {"rep": str(rep), "degree_bound": degree_bound, "samples": samples, "seed": seed},
     )
-    positive = positive_weight_kernel_count(rep, build_raising_derivation(rep), degree_bound)
+    positive = positive_weight_kernel_count(rep, degree_bound)
     negative = rep.negative_weight_coordinates()
     for name, w in rep.weights.items():
         if w > 0 and name not in negative:
@@ -377,9 +375,8 @@ def component_containment_check(
         "C and C_sigma pairs agree on all invariants up to the degree bound",
         {"rep": str(rep), "degree_bound": degree_bound, "samples": samples, "seed": seed},
     )
-    D = build_raising_derivation(rep)
-    positive = positive_weight_kernel_count(rep, D, degree_bound)
-    invariants = [f for _, _, f in invariants_up_to_degree(rep, D, degree_bound)]
+    positive = positive_weight_kernel_count(rep, degree_bound)
+    invariants = invariants_up_to_degree(rep, build_raising_derivation(rep), degree_bound)
     checker.note(f"invariants tested: {len(invariants) + positive}")
     rng = random.Random(seed)
     negative = set(rep.negative_weight_coordinates())

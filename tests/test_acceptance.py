@@ -117,13 +117,13 @@ def test_criterion_04_graded_kernels():
         assert linalg.same_span([vec(p) for p in k544], [vec(p) for p in stated])
 
         kfull = RA.D.graded_kernel(RA.weights, (3, 2, 2))
-        assert kfull.dimension == 2
+        assert len(kfull) == 2
         monos = sorted(
-            {m for p in kfull.basis for m in p.monomials()}
+            {m for p in kfull for m in p.monomials()}
             | set(RA.beta(1, 1).monomials())
         )
         vec = lambda p: [p.coefficient(m) for m in monos]
-        span = [vec(p) for p in kfull.basis]
+        span = [vec(p) for p in kfull]
         assert in_span(span, vec(RA.beta(1, 1)))
 
 
@@ -219,7 +219,7 @@ def test_criterion_10_separation_sampling():
             v = {n: Fraction(rng.randint(-9, 9)) for n in names}
             s = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
             vp = RA.D.flow_point(v, s)
-            assert not separates(v, vp, RA.catalog(4)).separated
+            assert separates(v, vp, RA.catalog(4)) is None
             if any(v[x] != 0 for x in ("x1", "x2", "x3")):
                 assert solve_group_element(v, vp, RA.D) == s
 

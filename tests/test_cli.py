@@ -244,13 +244,13 @@ def test_sl2_oversized_degree_is_refused_before_any_elimination(monkeypatch, cap
         "plinth sl2: error: invariants of V[8] up to degree 10: the graded pieces "
         f"hold over {MAX_INVARIANT_MONOMIALS} monomials"
     )
-    # a piece of positive weight too large to eliminate is refused as it was
-    # when every piece was solved, though it is not solved now: weight 1 in
-    # degree 3 of 20 V[1] and a V[0] holds 4,220 monomials
+    # a piece of positive weight too large to eliminate is refused from its
+    # size in the table, with graded_kernel's message, and nothing is solved:
+    # weight 1 in degree 3 of 20 V[1] and a V[0] holds 4,220 monomials
     rep = "+".join(["V[1]"] * 20 + ["V[0]"])
     with pytest.raises(SystemExit) as exc:
         main(["sl2", "--rep", rep, "--degree", "3"])
-    assert exc.value.code == 2
+    assert exc.value.code == 2 and solved == []
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines()[-1] == (
         "plinth sl2: error: graded piece (3, 4): 4220 monomials, "

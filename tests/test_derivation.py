@@ -51,15 +51,15 @@ def test_images_on_variables():
 def test_u_polynomials_are_invariant():
     # D(u12) = x1^3 x2^3 - x2^3 x1^3 = 0
     assert D.apply(RA.u12).is_zero()
-    assert D.is_invariant(RA.u13)
-    assert D.is_invariant(RA.u23)
-    assert not D.is_invariant(R7.variable("y1"))
+    assert D.apply(RA.u13).is_zero()
+    assert D.apply(RA.u23).is_zero()
+    assert not D.apply(R7.variable("y1")).is_zero()
 
 
 def test_y0_combination_is_literally_zero():
     f = R7.poly("x1^3") * RA.u23 - R7.poly("x2^3") * RA.u13 + R7.poly("x3^3") * RA.u12
     assert f.is_zero()
-    assert D.is_invariant(f)
+    assert D.apply(f).is_zero()
 
 
 def test_leibniz_rule_randomized():
@@ -149,19 +149,19 @@ def test_apply_on_ten_thousand_terms_is_fast():
 
 def test_certify_roberts_witness():
     w = D.certify_locally_nilpotent(bound=4)
-    assert w.orders == {"x1": 1, "x2": 1, "x3": 1, "y1": 2, "y2": 2, "y3": 2, "z": 2}
+    assert w == {"x1": 1, "x2": 1, "x3": 1, "y1": 2, "y2": 2, "y3": 2, "z": 2}
 
 
 def test_certify_zero_derivation():
     A = VariableSet(("a", "b"))
     Z = Derivation(A, {"a": A.zero(), "b": A.zero()})
-    assert Z.certify_locally_nilpotent().orders == {"a": 1, "b": 1}
+    assert Z.certify_locally_nilpotent() == {"a": 1, "b": 1}
 
 
 def test_certify_partial_derivative():
     A = VariableSet(("x", "y"))
     Dy = Derivation(A, {"x": A.zero(), "y": A.one()})
-    assert Dy.certify_locally_nilpotent().orders == {"x": 1, "y": 2}
+    assert Dy.certify_locally_nilpotent() == {"x": 1, "y": 2}
 
 
 def test_certify_bound_exceeded_is_distinct():
@@ -277,7 +277,7 @@ def test_flow_matches_extended_ring_oracle(which):
 def test_witness_orders_are_the_series_lengths(which):
     Dc = _flow_case(which)
     orders = nilpotency_orders(Dc)
-    assert dict(Dc.witness.orders) == orders
+    assert Dc.witness == orders
     assert {n: len(c) for n, c in Dc.flow_coefficients().items()} == orders
 
 
@@ -330,7 +330,7 @@ def test_graded_kernel_checks_homogeneity_once_per_weight_system(monkeypatch):
     E.graded_kernel(RA.weights, (1, 1, 1))
     assert calls == [RA.weights]
     same_weights = WeightSystem(R7, RA.weights.weights)
-    assert E.graded_kernel(same_weights, (3, 2, 2)).basis == first.basis
+    assert E.graded_kernel(same_weights, (3, 2, 2)) == first
     assert calls == [RA.weights, same_weights]
     # a derivation that is not homogeneous fails on every call
     bad = Derivation(R7, {**D.images, "y1": R7.poly("x1^2")})
@@ -364,14 +364,14 @@ def test_graded_kernel_544_xy_matches_stated_basis():
 
 def test_graded_kernel_322_full_contains_beta11():
     got = D.graded_kernel(RA.weights, (3, 2, 2))
-    assert got.dimension == 2
+    assert len(got) == 2
     monos = sorted(
-        {m for p in got.basis for m in p.monomials()}
+        {m for p in got for m in p.monomials()}
         | set(RA.beta(1, 1).monomials())
         | set(R7.poly("x1^3*x2^2*x3^2").monomials())
     )
     vec = lambda p: [p.coefficient(m) for m in monos]
-    span = [vec(p) for p in got.basis]
+    span = [vec(p) for p in got]
     assert in_span(span, vec(RA.beta(1, 1)))
     assert in_span(span, vec(R7.poly("x1^3*x2^2*x3^2")))
 
@@ -385,7 +385,7 @@ def test_graded_kernel_oracle_cross_check():
     rows_monos = sorted({m for g in images for m in g.monomials()}, key=key)
     matrix = [[g.coefficient(rm) for g in images] for rm in rows_monos]
     naive = naive_nullspace(matrix, len(cols))
-    ours = D.graded_kernel(RA.weights, (3, 2, 2)).basis
+    ours = D.graded_kernel(RA.weights, (3, 2, 2))
     assert len(naive) == len(ours)
 
 
@@ -443,21 +443,21 @@ def test_graded_kernel_dimension_matches_sympy(ring, degree):
         derivation, ws = build_raising_derivation(rep), rep.weight_system()
         piece = rep.piece(*degree)
     got = derivation.graded_kernel(ws, piece)
-    assert len(got.basis) == _sympy_kernel_dimension(derivation, ws, piece)
+    assert len(got) == _sympy_kernel_dimension(derivation, ws, piece)
 
 
 def test_graded_kernel_elements_recheck_invariant():
     for degree in ((3, 2, 2), (5, 4, 4), (4, 4, 4)):
-        for p in D.graded_kernel(RA.weights, degree).basis:
-            assert D.is_invariant(p)
+        for p in D.graded_kernel(RA.weights, degree):
+            assert D.apply(p).is_zero()
 
 
 def test_kernel_is_multiplicatively_closed():
-    a = D.graded_kernel(RA.weights, (3, 2, 2)).basis
-    b = D.graded_kernel(RA.weights, (3, 3, 0)).basis
+    a = D.graded_kernel(RA.weights, (3, 2, 2))
+    b = D.graded_kernel(RA.weights, (3, 3, 0))
     for p in a:
         for q in b:
-            assert D.is_invariant(p * q)
+            assert D.apply(p * q).is_zero()
 
 
 def test_known_invariants_lie_in_matching_kernel_spans():
@@ -469,7 +469,7 @@ def test_known_invariants_lie_in_matching_kernel_spans():
         (RA.beta(2, 2), (4, 5, 4)),
     ]
     for f, degree in cases:
-        basis = D.graded_kernel(RA.weights, degree).basis
+        basis = D.graded_kernel(RA.weights, degree)
         monos = sorted(
             {m for p in basis for m in p.monomials()} | set(f.monomials())
         )

@@ -933,7 +933,7 @@ def every_piece_invariants(rep: RepSum, D: Derivation, degree_bound: int):
     out = []
     for d in range(1, degree_bound + 1):
         for w in range(d * rep.max_weight + 1):
-            out.extend((d, w, f) for f in D.graded_kernel(ws, rep.piece(d, w)).basis)
+            out.extend((d, w, f) for f in D.graded_kernel(ws, rep.piece(d, w)))
     return out
 
 
@@ -1042,7 +1042,7 @@ def extend_by_zero(D: Derivation, extended: VariableSet) -> Derivation:
     }
     lifted = Derivation(extended, images)
     if D.witness is not None:
-        lifted.certify_locally_nilpotent(D.witness.bound())
+        lifted.certify_locally_nilpotent(max(D.witness.values(), default=1))
     return lifted
 
 
