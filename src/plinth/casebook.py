@@ -18,12 +18,17 @@ from fractions import Fraction
 
 from . import linalg
 from .derivation import Derivation
-from .polyring import Monomial, PolyError, Polynomial, VariableSet, coefficient_matrix
-from .polyring import combination
+from .polyring import Monomial, PolyError, Polynomial, VariableSet, WeightSystem
+from .polyring import coefficient_matrix, combination
 from .report import Checker, VerificationReport
 from .separating import solve_group_element
 
 PLANE = VariableSet(("x", "y"))
+# In the lex order x < y < z the leading monomial of the quadric is xz.  One
+# polynomial is a Groebner basis of the ideal it generates, so the remainder
+# divide_out(f, QUADRIC), no monomial of it divisible by xz, is the unique
+# normal form of f on the surface.
+QUADRIC = VariableSet(("x", "y", "z")).poly("x*z - y^2 + y")
 
 
 def example1_membership(f: Polynomial) -> bool:
@@ -34,12 +39,10 @@ def example1_membership(f: Polynomial) -> bool:
     )
 
 
-def _plane_monomials(bound: int) -> list[Monomial]:
-    out = []
-    for a in range(bound + 1):
-        for b in range(bound + 1 - a):
-            out.append(Monomial(((0, a), (1, b))))
-    return out
+def _monomials_up_to(ring: VariableSet, bound: int) -> list[Monomial]:
+    """Every monomial of total degree <= bound, from degree bound down to 0."""
+    ws = WeightSystem(ring, [(1,)] * len(ring))
+    return [m for d in range(bound, -1, -1) for m in ws.monomial_basis((d,))]
 
 
 def _membership_constraint_rows(
@@ -81,7 +84,7 @@ def example1_conductor_check(f: Polynomial, degree_bound: int = 6) -> Verificati
         "f*k[x,y] meets R in f*k[x,y], f*R or (x f)*R according to the case",
         {"f": str(f), "degree_bound": degree_bound, "case": case},
     )
-    h_monomials = _plane_monomials(degree_bound)
+    h_monomials = _monomials_up_to(f.ambient, degree_bound)
     rows = _membership_constraint_rows(f, h_monomials)
     solution = linalg.nullspace(rows, len(h_monomials))
     x_index = f.ambient.index("x")
@@ -141,43 +144,6 @@ def example1_phi_separation(
     return checker.report()
 
 
-class QuadricRing:
-    """k[x,y,z] modulo y^2 = y + x*z, kept in the normal form y-degree <= 1."""
-
-    def __init__(self) -> None:
-        self.ambient = VariableSet(("x", "y", "z"))
-        self.quadric = self.ambient.poly("x*z - y^2 + y")
-        # y^e = alpha_e(x z) * y + beta_e(x z)
-        self._alpha_beta: list[tuple[Polynomial, Polynomial]] = [
-            (self.ambient.zero(), self.ambient.one()),
-            (self.ambient.one(), self.ambient.zero()),
-        ]
-
-    def _powers(self, e: int) -> tuple[Polynomial, Polynomial]:
-        t = self.ambient.poly("x*z")
-        while len(self._alpha_beta) <= e:
-            alpha, beta = self._alpha_beta[-1]
-            self._alpha_beta.append((alpha + beta, alpha * t))
-        return self._alpha_beta[e]
-
-    def reduce(self, f: Polynomial) -> Polynomial:
-        """The unique normal form of f modulo the quadric relation: a term
-        c * m * y^e, m free of y and e >= 2, becomes c * m * (alpha_e y + beta_e)."""
-        y_index = self.ambient.index("y")
-        y = Monomial(((y_index, 1),))
-        one = self.ambient.one()
-        parts = []
-        for m, c in f.terms():
-            e = m.exponent(y_index)
-            if e <= 1:
-                parts.append((c, m, one))
-                continue
-            rest = m.divide(Monomial(((y_index, e),)))
-            alpha, beta = self._powers(e)
-            parts += ((c, rest * y, alpha), (c, rest, beta))
-        return combination(self.ambient, parts)
-
-
 def divide_out(f: Polynomial, g: Polynomial) -> Polynomial:
     """Remainder of f on division by the single polynomial g (exact)."""
     lt_m, lt_c = g.leading_term()
@@ -222,8 +188,7 @@ def danielewski_checks(samples: int = 50, seed: int = 1729) -> VerificationRepor
         "quadric surface: quotient map, plinth structure, fiber over zero",
         {"samples": samples, "seed": seed},
     )
-    Q = QuadricRing()
-    Rq = Q.ambient
+    Rq = QUADRIC.ambient
     # order the matrix entries so that LT(ad - bc - 1) = bc
     Rm = VariableSet(("a", "d", "b", "c"))
     det_rel = Rm.poly("a*d - b*c - 1")
@@ -234,7 +199,7 @@ def danielewski_checks(samples: int = 50, seed: int = 1729) -> VerificationRepor
     }
 
     # (i) the image satisfies the quadric equation modulo the determinant
-    image_q = Q.quadric.substitute(pi, Rm)
+    image_q = QUADRIC.substitute(pi, Rm)
     checker.require(
         divide_out(image_q, det_rel).is_zero(),
         {"part": "i", "residue": str(image_q)},
@@ -242,7 +207,7 @@ def danielewski_checks(samples: int = 50, seed: int = 1729) -> VerificationRepor
 
     # (ii) derivation facts
     D = danielewski_derivation()
-    checker.require(D.apply(Q.quadric).is_zero(), {"part": "ii", "detail": "D(quadric) != 0"})
+    checker.require(D.apply(QUADRIC).is_zero(), {"part": "ii", "detail": "D(quadric) != 0"})
     checker.require(D.apply(Rq.variable("z")).is_zero(), {"part": "ii", "detail": "D(z) != 0"})
     checker.require(
         D.local_slice_check(Rq.variable("z"), Rq.variable("y")),
@@ -276,7 +241,7 @@ def danielewski_checks(samples: int = 50, seed: int = 1729) -> VerificationRepor
         )
 
     # (iv) the fiber over z = 0
-    at_z0 = Q.quadric.restrict_to_zero(["z"])
+    at_z0 = QUADRIC.restrict_to_zero(["z"])
     expected = -(Rq.variable("y") * (Rq.variable("y") - Rq.one()))
     checker.require(
         at_z0 == expected,
@@ -322,38 +287,39 @@ def danielewski_checks(samples: int = 50, seed: int = 1729) -> VerificationRepor
     return checker.report()
 
 
+def _sigma_images(R: VariableSet) -> dict[str, Polynomial]:
+    """The involution (x, y, z) -> (-x, 1 - y, -z) as images over R; every
+    other variable of R is fixed."""
+    images = {name: R.variable(name) for name in R.names}
+    images.update(x=-R.variable("x"), y=R.one() - R.variable("y"), z=-R.variable("z"))
+    return images
+
+
 def sigma_hat(f: Polynomial) -> Polynomial:
     """The substitution (x, y, z) -> (-x, 1 - y, -z)."""
-    R = f.ambient
-    return f.substitute(
-        {
-            "x": -R.variable("x"),
-            "y": R.one() - R.variable("y"),
-            "z": -R.variable("z"),
-        },
-        R,
-    )
+    return f.substitute(_sigma_images(f.ambient), f.ambient)
 
 
 def sl2_mod_n_checks(degree_bound: int = 6) -> VerificationReport:
     """The order-2 symmetry of the quadric and its quotient coordinate.
 
-    The involution (x,y,z) -> (-x, 1-y, -z) preserves the quadric, commutes
-    with the flow (the sign of the commutation is computed, not assumed),
-    negates the quotient coordinate z, and leaves z^2 as the coordinate of
-    the double quotient: among flow invariants of degree <= bound fixed by
-    the involution, the normal forms span exactly the even powers of z.
+    The involution sigma: (x,y,z) -> (-x, 1-y, -z) preserves the quadric,
+    commutes with the flow up to the sign of its parameter (sigma after
+    flow_s is compared with flow_(+s) and flow_(-s) after sigma, so the sign
+    is computed, not assumed), negates the quotient coordinate z, and leaves
+    z^2 as the coordinate of the double quotient: among flow invariants of
+    degree <= bound fixed by the involution, the normal forms modulo the
+    quadric (``divide_out``) span exactly the even powers of z.
     """
     checker = Checker(
         "sl2_mod_n",
         "involution of the quadric: z -> -z downstairs, z^2 survives",
         {"degree_bound": degree_bound},
     )
-    Q = QuadricRing()
-    R = Q.ambient
+    R = QUADRIC.ambient
     checker.require(
-        sigma_hat(Q.quadric) == Q.quadric,
-        {"part": "quadric", "image": str(sigma_hat(Q.quadric))},
+        sigma_hat(QUADRIC) == QUADRIC,
+        {"part": "quadric", "image": str(sigma_hat(QUADRIC))},
     )
     ident = sigma_hat(sigma_hat(R.variable("x"))) == R.variable("x") and sigma_hat(
         sigma_hat(R.variable("y"))
@@ -362,42 +328,22 @@ def sl2_mod_n_checks(degree_bound: int = 6) -> VerificationReport:
 
     D = danielewski_derivation()
     extended, flow = D.flow_images("s")
-    sigma_images = {
-        "x": -extended.variable("x"),
-        "y": extended.one() - extended.variable("y"),
-        "z": -extended.variable("z"),
-        "s": extended.variable("s"),
-    }
+    sigma = _sigma_images(extended)
+    s = extended.variable("s")
+    # sigma after flow_s: sigma's images with x, y, z replaced by the flow
+    sigma_after_flow = [sigma[n].substitute({**flow, "s": s}, extended) for n in R.names]
     sign_found = None
     for sign in (1, -1):
-        ok = True
-        for name in ("x", "y", "z"):
-            # sigma then flow: substitute sigma's coordinates into the flow
-            after_sigma = flow[name].substitute(sigma_images, extended)
-            # flow with rescaled parameter, then sigma
-            rescaled = flow[name].substitute(
-                {
-                    "x": extended.variable("x"),
-                    "y": extended.variable("y"),
-                    "z": extended.variable("z"),
-                    "s": extended.variable("s").scale(sign),
-                },
-                extended,
-            )
-            before_sigma = rescaled.substitute(sigma_images, extended)
-            # compare the two composite point maps coordinatewise:
-            # sigma(flow_sign*s(p)) vs flow_s(sigma(p))
-            if before_sigma != after_sigma:
-                ok = False
-                break
-        if ok:
+        # flow_(sign*s) after sigma: the flow with sigma's images for x, y, z
+        scaled = {**sigma, "s": s.scale(sign)}
+        if [flow[n].substitute(scaled, extended) for n in R.names] == sigma_after_flow:
             sign_found = sign
             break
-    checker.require(
+    if checker.require(
         sign_found is not None,
         {"part": "commutation", "detail": "no sign makes the flows commute"},
-    )
-    checker.note(f"commutation sign: {sign_found:+d} (the maps commute exactly)")
+    ):
+        checker.note(f"commutation sign: {sign_found:+d} (the maps commute exactly)")
 
     z = R.variable("z")
     checker.require(sigma_hat(z) == -z, {"part": "quotient", "detail": "z not negated"})
@@ -409,20 +355,16 @@ def sl2_mod_n_checks(degree_bound: int = 6) -> VerificationReport:
 
     # joint kernel of the flow and the involution in degree <= bound,
     # reduced to normal form on the quadric
-    monos = [
-        Monomial(((0, a), (1, b), (2, c)))
-        for a in range(degree_bound + 1)
-        for b in range(degree_bound + 1 - a)
-        for c in range(degree_bound + 1 - a - b)
-    ]
-    monos.sort(reverse=True)
+    monos = _monomials_up_to(R, degree_bound)
     basis = [Polynomial(R, {m: 1}) for m in monos]
     rows = D.image_rows(monos) + coefficient_matrix([sigma_hat(p) - p for p in basis])
     combos = linalg.nullspace(rows, len(monos))
     reduced_polys = [
-        Q.reduce(Polynomial(R, {m: c for m, c in zip(monos, vec) if c})) for vec in combos
+        divide_out(Polynomial(R, {m: c for m, c in zip(monos, vec) if c}), QUADRIC)
+        for vec in combos
     ]
-    even_z = [Q.reduce(R.poly(f"z^{2 * k}")) for k in range(degree_bound // 2 + 1)]
+    # z^(2k) has no monomial divisible by xz, so it is its own normal form
+    even_z = [R.poly(f"z^{2 * k}") for k in range(degree_bound // 2 + 1)]
     # the normal forms as columns: two spans agree when both have the rank
     # of their union
     observed = linalg.rank(coefficient_matrix(reduced_polys))

@@ -81,12 +81,12 @@ class Derivation:
         ]
         # the orders of the last successful certify_locally_nilpotent
         self.witness: dict[str, int] | None = None
-        self._flow_coeffs: dict[str, list[Polynomial]] = {}
+        self._flow_coeffs: dict[str, tuple[Polynomial, ...]] = {}
         # the last weight system ``graded_kernel`` found D homogeneous for;
         # the images are never changed after construction
         self._homogeneous_for: WeightSystem | None = None
         # graded_kernel's answers, per (weight system, degree)
-        self._kernels: dict[tuple[WeightSystem, tuple[int, ...]], list[Polynomial]] = {}
+        self._kernels: dict[tuple[WeightSystem, tuple[int, ...]], tuple[Polynomial, ...]] = {}
 
     def __repr__(self) -> str:
         parts = ", ".join(f"D({n}) = {g}" for n, g in self.images.items())
@@ -126,7 +126,7 @@ class Derivation:
         if bound < 1:
             raise DerivationError("bound must be >= 1")
         coeffs = {
-            name: self._series(self.ambient.variable(name), bound)
+            name: tuple(self._series(self.ambient.variable(name), bound))
             for name in self.ambient.names
         }
         self.witness = {name: len(c) for name, c in coeffs.items()}
@@ -164,15 +164,15 @@ class Derivation:
             name += "_"
         return self.ambient.extend((name,))
 
-    def flow_coefficients(self) -> dict[str, list[Polynomial]]:
+    def flow_coefficients(self) -> dict[str, tuple[Polynomial, ...]]:
         """The symbolic flow of every coordinate as a polynomial in s.
 
-        ``name -> [c_0, c_1, ...]`` with exp(s*D)(name) = sum_k c_k s^k and
+        ``name -> (c_0, c_1, ...)`` with exp(s*D)(name) = sum_k c_k s^k and
         every c_k = D^k(name) / k! over the original ambient: the series
-        kept by ``certify_locally_nilpotent``.
+        kept by ``certify_locally_nilpotent``, in a fresh dict.
         """
         self._require_certified()
-        return self._flow_coeffs
+        return dict(self._flow_coeffs)
 
     def flow_images(self, param: str = "s") -> tuple[VariableSet, dict[str, Polynomial]]:
         """Symbolic flow of every coordinate: variable -> exp(s*D)(variable).
@@ -192,10 +192,11 @@ class Derivation:
         evaluated once by the integer kernel of ``polyring``.  A missing or
         non-rational coordinate raises PolyError.
         """
+        self._require_certified()
         nums, den = self.ambient.integer_point(point)
         return {
             name: [c.evaluate_integer(nums, den) for c in series]
-            for name, series in self.flow_coefficients().items()
+            for name, series in self._flow_coeffs.items()
         }
 
     def flow_point(self, point: Mapping[str, Fraction | int], s) -> dict[str, Fraction]:
@@ -291,15 +292,15 @@ class Derivation:
             for vec in vectors
         ]
 
-    def graded_kernel(self, ws: WeightSystem, degree: Sequence[int]) -> list[Polynomial]:
+    def graded_kernel(self, ws: WeightSystem, degree: Sequence[int]) -> tuple[Polynomial, ...]:
         """Basis of the kernel in one graded piece (exact linear algebra).
 
         The canonical basis of ``kernel_on_monomials`` on the piece's
         monomials.  Requires D weight-homogeneous for ``ws`` and a finite
         graded piece; homogeneity is checked once per weight system
         (``weight_shift``).  Each piece is solved once per derivation: the
-        list is kept per (weight system, degree) and the same list is
-        returned on a repeated call, so callers must not change it.  A piece
+        basis is kept per (weight system, degree), as a tuple, so a repeated
+        call returns it unchanged whatever a caller does with it.  A piece
         of more than MAX_KERNEL_COLUMNS monomials raises PolyError
         (``oversized_piece_error``).
         """
@@ -312,7 +313,7 @@ class Derivation:
             monomials = ws.monomial_basis(key[1])
             if len(monomials) > MAX_KERNEL_COLUMNS:
                 raise oversized_piece_error(key[1], len(monomials))
-            got = self._kernels[key] = self.kernel_on_monomials(monomials)
+            got = self._kernels[key] = tuple(self.kernel_on_monomials(monomials))
         return got
 
     # -- slices ------------------------------------------------------------

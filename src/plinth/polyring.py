@@ -46,11 +46,14 @@ Text grammar (both input and canonical output)::
     rational   := integer [ "/" positive-integer ]
     variable   := [A-Za-z][A-Za-z0-9_]*
 
-Input is read in one regex scan, whitespace ignored; every error in it,
-a numeral past Python's int-string digit limit included, is a PolyError.
-Canonical output sorts terms descending in the monomial order, writes
-each monomial's factors from the most significant variable down, elides
-coefficient 1 and renders -1 as a leading minus.
+Input is read in one regex scan, whitespace ignored; every error in it is
+a PolyError.  Canonical output sorts terms descending in the monomial
+order, writes each monomial's factors from the most significant variable
+down, elides coefficient 1 and renders -1 as a leading minus.  Numerals
+of any length convert exactly both ways: one past 4,000 digits is
+split at a power of 10 and its halves converted in turn, so no conversion
+meets Python's int-string digit limit (4,300 by default), and the
+process-wide limit is left as it is.
 """
 
 from __future__ import annotations
@@ -217,7 +220,7 @@ class Monomial(int):
                 raise PolyError(f"monomial pair {(i, e)!r} is not two ints, index >= 0")
             if not 0 <= e <= MAX_EXPONENT:
                 raise PolyError(
-                    f"exponent {e} of index {i} is negative or above the limit 2^31 - 1"
+                    f"exponent {numeral(e)} of index {i} is negative or above the limit 2^31 - 1"
                 )
             if packed >> FIELD_BITS * i & _FIELD_MASK and e:
                 raise PolyError(f"duplicate variable index {i}")
@@ -880,35 +883,62 @@ def parse_polynomial(ambient: VariableSet, text: str) -> Polynomial:
     single ``combination``."""
     one, parts, pos, times = ambient.one(), [], 0, None
     sign = _SIGN.match(text)
-    try:
-        while True:
-            if not times:  # a term opens; only the first may omit its sign
-                coef, m = -1 if sign and sign[1] == "-" else 1, MONOMIAL_ONE
-                pos = sign.end() if sign else pos
-            factor = _FACTOR.match(text, pos)
-            if factor is None:
-                raise PolyError(f"expected a factor at {text[pos:pos + 10]!r}")
-            num, den, name, exp = factor.groups()
-            if name:
-                m *= Monomial(((ambient.index(name), int(exp or 1)),))
-            elif den and not int(den):
-                raise PolyError("zero denominator")
-            else:
-                coef *= Fraction(int(num), int(den)) if den else int(num)
-            pos = factor.end()
-            times = _TIMES.match(text, pos)
-            if times:
-                pos = times.end()
-                continue
-            parts.append((coef, m, one))
-            sign = _SIGN.match(text, pos)
-            if sign is None:
-                break
-    except ValueError as exc:  # a numeral over Python's int-string digit limit
-        raise PolyError(f"numeral too long in polynomial text: {exc}") from None
+    while True:
+        if not times:  # a term opens; only the first may omit its sign
+            coef, m = -1 if sign and sign[1] == "-" else 1, MONOMIAL_ONE
+            pos = sign.end() if sign else pos
+        factor = _FACTOR.match(text, pos)
+        if factor is None:
+            raise PolyError(f"expected a factor at {text[pos:pos + 10]!r}")
+        num, den, name, exp = factor.groups()
+        if name:
+            m *= Monomial(((ambient.index(name), _integer(exp or "1")),))
+        elif den and not _integer(den):
+            raise PolyError("zero denominator")
+        else:
+            coef *= Fraction(_integer(num), _integer(den)) if den else _integer(num)
+        pos = factor.end()
+        times = _TIMES.match(text, pos)
+        if times:
+            pos = times.end()
+            continue
+        parts.append((coef, m, one))
+        sign = _SIGN.match(text, pos)
+        if sign is None:
+            break
     if text[pos:].strip():
         raise PolyError(f"expected a sign at {text[pos:pos + 10]!r}")
     return combination(ambient, parts)
+
+
+# Python converts between int and decimal text only up to 4,300 digits by
+# default; a numeral past this many digits is converted half by half
+_LONG_DIGITS = 4_000
+_LONG = 10**_LONG_DIGITS
+
+
+def _integer(digits: str) -> int:
+    """int(digits), exact at any length: a numeral of more than _LONG_DIGITS
+    digits is read as two halves joined at a power of 10."""
+    if len(digits) <= _LONG_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _integer(digits[:-k]) * 10**k + _integer(digits[-k:])
+
+
+def numeral(c: Coefficient) -> str:
+    """str(c), exact at any length: an integer of more than _LONG_DIGITS
+    digits is split at a power of 10 into two halves, each written in turn."""
+    if type(c) is not int:  # a Fraction, written as str writes it
+        num, den = c.numerator, c.denominator
+        return numeral(num) if den == 1 else f"{numeral(num)}/{numeral(den)}"
+    if -_LONG < c < _LONG:
+        return str(c)
+    if c < 0:
+        return "-" + numeral(-c)
+    k = c.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(c, 10**k)
+    return numeral(high) + numeral(low).zfill(k)
 
 
 def format_monomial(ambient: VariableSet, m: Monomial) -> str:
@@ -930,11 +960,11 @@ def format_polynomial(f: Polynomial) -> str:
         neg = c < 0
         mag = -c if neg else c
         if m.is_one():
-            body = str(mag)
+            body = numeral(mag)
         elif mag == 1:
             body = format_monomial(f.ambient, m)
         else:
-            body = f"{mag}*{format_monomial(f.ambient, m)}"
+            body = f"{numeral(mag)}*{format_monomial(f.ambient, m)}"
         if k == 0:
             chunks.append(f"-{body}" if neg else body)
         else:

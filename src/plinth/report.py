@@ -8,9 +8,12 @@ and enough detail to reproduce a failure.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Any
+
+from .polyring import numeral
 
 PASS = "pass"
 FAIL = "fail"
@@ -83,4 +86,29 @@ class Checker:
 
 
 def reports_to_json(reports: list[VerificationReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    """The reports as indented JSON.
+
+    ``json`` writes an int by ``int.__repr__``, which refuses one past
+    Python's int-string digit limit.  Then every int is written as the
+    placeholder "\\0<k>" and replaced by its exact digits (``numeral``);
+    no report text holds a NUL character.
+    """
+    data = [r.to_dict() for r in reports]
+    try:
+        return json.dumps(data, indent=2)
+    except ValueError:
+        pass
+    found: list[int] = []
+
+    def marked(value: Any) -> Any:
+        if isinstance(value, dict):
+            return {k: marked(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [marked(v) for v in value]
+        if type(value) is int:
+            found.append(value)
+            return f"\0{len(found) - 1}"
+        return value
+
+    text = json.dumps(marked(data), indent=2)
+    return re.sub(r'"\\u0000(\d+)"', lambda m: numeral(found[int(m[1])]), text)

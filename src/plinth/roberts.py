@@ -232,23 +232,23 @@ class RobertsAction:
 
     # -- graded kernels -----------------------------------------------------
 
-    def graded_invariants(self, degree: Sequence[int]) -> list[Polynomial]:
+    def graded_invariants(self, degree: Sequence[int]) -> tuple[Polynomial, ...]:
         """Basis of ker D in one multidegree, solved once (``graded_kernel``)."""
         return self.D.graded_kernel(self.weights, degree)
 
     def graded_invariants_z_capped(
         self, degree: Sequence[int], z_cap: int
-    ) -> list[Polynomial]:
+    ) -> tuple[Polynomial, ...]:
         """Basis of the invariants of one multidegree with z-degree <= z_cap."""
         full = self.graded_invariants(degree)
         z_index = self.ring.index("z")
         rows = coefficient_matrix(full, lambda m: m.exponent(z_index) > z_cap)
         if not rows:
             return full
-        return [
+        return tuple(
             combination(self.ring, [(c, MONOMIAL_ONE, p) for c, p in zip(combo, full) if c])
             for combo in linalg.nullspace(rows, len(full))
-        ]
+        )
 
     # -- verification suites -------------------------------------------------
 
@@ -452,17 +452,7 @@ class RobertsAction:
         for degree in _degree_box(degree_bound):
             for f in self.graded_invariants_z_capped(degree, N):
                 swept += 1
-                cert = subduct(f, G, max_steps)
-                if not cert.ok:
-                    checker.require(
-                        False,
-                        {
-                            "part": "a",
-                            "degree": degree,
-                            "poly": str(f),
-                            "remainder": str(cert.remainder),
-                        },
-                    )
+                _require_subducts(checker, f, G, max_steps, part="a", degree=degree, poly=f)
         checker.note(f"part (a): {swept} invariants subducted over S_{N}")
 
         if N == 0:
@@ -483,12 +473,7 @@ class RobertsAction:
                     diff.is_zero() or diff.max_exponent("z") <= N,
                     {"part": "b", "i": i, "j": j, "detail": "z-degree too high"},
                 )
-                cert = subduct(diff, G, max_steps)
-                if not cert.ok:
-                    checker.require(
-                        False,
-                        {"part": "b", "i": i, "j": j, "remainder": str(cert.remainder)},
-                    )
+                _require_subducts(checker, diff, G, max_steps, part="b", i=i, j=j)
         checker.note("part (b): 9 comparison products subducted")
 
         # (c) forward: elements of (x)A_0 stay in the conductor
@@ -498,19 +483,11 @@ class RobertsAction:
             for i in (1, 2, 3):
                 xg = self.ring.variable(f"x{i}") * g
                 for j in (1, 2, 3):
-                    cert = subduct(xg * self.beta(j, N + 1), G, max_steps)
                     forward += 1
-                    if not cert.ok:
-                        checker.require(
-                            False,
-                            {
-                                "part": "c-forward",
-                                "i": i,
-                                "j": j,
-                                "g": str(g),
-                                "remainder": str(cert.remainder),
-                            },
-                        )
+                    _require_subducts(
+                        checker, xg * self.beta(j, N + 1), G, max_steps,
+                        part="c-forward", i=i, j=j, g=g,
+                    )
         checker.note(f"part (c) forward: {forward} products subducted")
 
         # (c) reverse: pure u-products are not in the conductor
@@ -670,6 +647,19 @@ class RobertsAction:
             if not restricted.is_constant():
                 return False
         return True
+
+
+def _require_subducts(
+    checker: Checker, f: Polynomial, G: GeneratorSet, max_steps: int, **detail
+) -> None:
+    """Subduct f over G; on failure record ``detail`` with the remainder
+    last, each polynomial in it as text (written only then)."""
+    cert = subduct(f, G, max_steps)
+    if not cert.ok:
+        detail["remainder"] = cert.remainder
+        checker.require(
+            False, {k: str(v) if isinstance(v, Polynomial) else v for k, v in detail.items()}
+        )
 
 
 def _degree_box(bound: int) -> Iterable[tuple[int, int, int]]:

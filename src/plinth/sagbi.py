@@ -50,6 +50,7 @@ from .polyring import (
     _overflow_error,
     _packed,
     combination,
+    numeral,
 )
 from .report import Checker, VerificationReport
 
@@ -272,7 +273,7 @@ class SubductionCertificate:
         return {
             "steps": [
                 {
-                    "coefficient": str(s.coefficient),
+                    "coefficient": numeral(s.coefficient),
                     "factors": list(s.factors),
                     "prefix": s.prefix,
                 }

@@ -5,7 +5,7 @@ import pytest
 
 from plinth.casebook import (
     PLANE,
-    QuadricRing,
+    QUADRIC,
     danielewski_checks,
     danielewski_derivation,
     divide_out,
@@ -83,24 +83,39 @@ def test_phi_collapse_on_x_zero_line():
 
 
 def test_quadric_reduce_idempotent_and_sound():
-    Q = QuadricRing()
+    R = QUADRIC.ambient
     rng = random.Random(33)
     for _ in range(50):
-        f = random_poly(rng, Q.ambient, max_terms=5, max_exp=4)
-        nf = Q.reduce(f)
+        f = random_poly(rng, R, max_terms=5, max_exp=4)
+        nf = divide_out(f, QUADRIC)
         assert is_quadric_normal(nf)
-        assert Q.reduce(nf) == nf
+        assert divide_out(nf, QUADRIC) == nf
         # soundness: the difference is divisible by the quadric relation
-        assert divide_out(f - nf, Q.ambient.poly("y^2 - y - x*z")).is_zero()
+        assert divide_out(f - nf, R.poly("y^2 - y - x*z")).is_zero()
 
 
 def test_quadric_normal_form_respects_products():
-    Q = QuadricRing()
+    R = QUADRIC.ambient
     rng = random.Random(34)
     for _ in range(60):
-        f = random_poly(rng, Q.ambient, max_terms=4, max_exp=3)
-        g = random_poly(rng, Q.ambient, max_terms=4, max_exp=3)
-        assert Q.reduce(f * g) == Q.reduce(Q.reduce(f) * Q.reduce(g))
+        f = random_poly(rng, R, max_terms=4, max_exp=3)
+        g = random_poly(rng, R, max_terms=4, max_exp=3)
+        nf = divide_out(f * g, QUADRIC)
+        assert nf == divide_out(divide_out(f, QUADRIC) * divide_out(g, QUADRIC), QUADRIC)
+
+
+def test_quadric_normal_form_matches_sympy_lex_remainder():
+    # one generator is a Groebner basis, so both remainders are the normal form
+    sympy = pytest.importorskip("sympy")
+    x, y, z = sympy.symbols("x y z")
+    R = QUADRIC.ambient
+    q = x * z - y**2 + y
+    rng = random.Random(36)
+    for _ in range(60):
+        f = random_poly(rng, R, max_terms=5, max_exp=4)
+        _, want = sympy.reduced(sympy.sympify(str(f).replace("^", "**")), [q], z, y, x, order="lex")
+        got = sympy.sympify(str(divide_out(f, QUADRIC)).replace("^", "**"))
+        assert sympy.expand(got - want) == 0, f
 
 
 def test_divide_out_exact_multiples():
@@ -134,9 +149,8 @@ def test_divide_out_integer_leading_coefficient_matches_fraction_oracle():
 
 def test_danielewski_derivation_kills_quadric():
     D = danielewski_derivation()
-    Q = QuadricRing()
-    assert D.apply(Q.quadric).is_zero()
-    assert D.local_slice_check(Q.ambient.variable("z"), Q.ambient.variable("y"))
+    assert D.apply(QUADRIC).is_zero()
+    assert D.local_slice_check(QUADRIC.ambient.variable("z"), QUADRIC.ambient.variable("y"))
 
 
 def test_danielewski_full_suite():
@@ -146,15 +160,13 @@ def test_danielewski_full_suite():
 
 def test_danielewski_flow_preserves_quadric_ideal():
     D = danielewski_derivation()
-    Q = QuadricRing()
-    flowed = exp_flow(D, Q.quadric)
-    assert flowed == Q.quadric.lift(flowed.ambient)
+    flowed = exp_flow(D, QUADRIC)
+    assert flowed == QUADRIC.lift(flowed.ambient)
 
 
 def test_sigma_hat_involution():
-    Q = QuadricRing()
-    R = Q.ambient
-    assert sigma_hat(Q.quadric) == Q.quadric
+    R = QUADRIC.ambient
+    assert sigma_hat(QUADRIC) == QUADRIC
     rng = random.Random(35)
     for _ in range(20):
         f = random_poly(rng, R, max_terms=4)
@@ -165,3 +177,10 @@ def test_sl2_mod_n_suite():
     rep = sl2_mod_n_checks(degree_bound=6)
     assert rep.ok, rep.details
     assert any("commutation sign: +1" in str(note) for note in rep.details)
+
+
+def test_sl2_mod_n_passes_at_every_bound_to_12():
+    for bound in range(1, 13):
+        rep = sl2_mod_n_checks(degree_bound=bound)
+        assert rep.ok, (bound, rep.details)
+        assert rep.details[0] == "commutation sign: +1 (the maps commute exactly)"

@@ -6,6 +6,7 @@ import pytest
 from plinth.cli import MAX_CATALOG_N, build_parser, main
 from plinth.derivation import MAX_KERNEL_COLUMNS, Derivation
 from plinth.polyring import MAX_PIECE_MONOMIALS, PolyError, VariableSet, WeightSystem
+from plinth.report import VerificationReport, reports_to_json
 from plinth.sl2 import MAX_INVARIANT_MONOMIALS
 
 
@@ -276,3 +277,14 @@ def test_sl2_degree_is_bounded_by_the_monomials_of_its_pieces(capsys):
     )
     assert MAX_INVARIANT_MONOMIALS == 30_000
     assert time.perf_counter() - start < 3.0
+
+
+def test_json_writes_ints_past_the_int_digit_limit_exactly():
+    big = 7 * 10**5000 + 3
+    report = VerificationReport("id", "anchor", "pass", {"n": big, "k": [1, -big, "\x01"]})
+    text = reports_to_json([report])
+    digits = "7" + "0" * 4999 + "3"
+    assert f'"n": {digits},' in text and f"-{digits}," in text
+    small = VerificationReport("id", "anchor", "pass", {"n": 12, "k": [1, -12, "\x01"]})
+    assert text.replace(digits, "12") == reports_to_json([small])
+    assert json.loads(reports_to_json([small]))[0]["params"] == small.params

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from plinth.casebook import QuadricRing, divide_out
+from plinth.casebook import QUADRIC, divide_out
 from plinth.derivation import Derivation
 from plinth.polyring import (
     MAX_EXPONENT,
@@ -34,9 +34,9 @@ from util import (
     fraction_sub_scaled,
     fraction_terms,
     is_canonical,
+    is_quadric_normal,
     looped_combination,
     looped_divide_out,
-    looped_quadric_reduce,
     looped_replay,
     looped_substitute,
     looped_z_capped,
@@ -253,14 +253,13 @@ def test_restrict_to_zero_matches_substitute():
 
 def test_quadric_reduce_and_divide_out_match_earlier_loops():
     rng = random.Random(1719)
-    Q = QuadricRing()
-    R = Q.ambient
-    divisors = [Q.quadric, R.poly("2*y^2 - x"), R.poly("1/3*z*x + y"), R.poly("x - 1")]
+    R = QUADRIC.ambient
+    divisors = [QUADRIC, R.poly("2*y^2 - x"), R.poly("1/3*z*x + y"), R.poly("x - 1")]
     for _ in range(200):
         f = random_poly(rng, R, max_terms=6, max_exp=6)
-        nf = Q.reduce(f)
-        assert nf == looped_quadric_reduce(Q, f) and is_canonical(nf)
-        assert nf.max_exponent("y") <= 1
+        nf = divide_out(f, QUADRIC)
+        assert nf == looped_divide_out(f, QUADRIC) and is_canonical(nf)
+        assert is_quadric_normal(nf)
         g = rng.choice(divisors)
         rem = divide_out(f, g)
         assert rem == looped_divide_out(f, g) and is_canonical(rem)

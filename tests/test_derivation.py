@@ -339,6 +339,24 @@ def test_graded_kernel_checks_homogeneity_once_per_weight_system(monkeypatch):
             bad.graded_kernel(RA.weights, (3, 2, 2))
 
 
+def test_cached_answers_cannot_be_changed_by_a_caller():
+    # a caller that appends to a cached kernel, or rebinds a flow series,
+    # leaves every later answer as it was
+    basis = RA.graded_invariants((3, 2, 2))
+    with pytest.raises(AttributeError):
+        basis.append(R7.variable("x1"))
+    assert len(RA.graded_invariants((3, 2, 2))) == len(basis) == 2
+    assert len(RA.graded_invariants_z_capped((3, 2, 2), 2)) == 2
+    E = Derivation(R7, D.images)
+    E.certify_locally_nilpotent()
+    series = E.flow_coefficients()
+    with pytest.raises(AttributeError):
+        series["z"].append(R7.one())
+    series["z"] = ()
+    assert E.flow_coefficients() == D.flow_coefficients() != series
+    assert E.flow_at({n: 1 for n in R7.names}) == D.flow_at({n: 1 for n in R7.names})
+
+
 def test_graded_kernel_322_xy():
     got = xy_graded_kernel(RA, (3, 2, 2))
     assert got == [R7.poly("x1^3*x2^2*x3^2")]

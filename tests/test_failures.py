@@ -11,7 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from plinth import casebook, separating, sl2
-from plinth.casebook import QuadricRing, sl2_mod_n_checks
+from plinth.casebook import QUADRIC, sl2_mod_n_checks
 from plinth.cli import main
 from plinth.derivation import Derivation
 from plinth.polyring import VariableSet
@@ -45,13 +45,34 @@ def test_an_lemma_part_a_fails_on_a_basis_past_its_z_cap(monkeypatch, capsys):
 
 
 def test_quotient_ring_check_fails_on_a_wrong_normal_form(monkeypatch, capsys):
-    # a normal form that leaves y^2 = y + x*z unapplied
-    monkeypatch.setattr(QuadricRing, "reduce", lambda self, f: f)
+    # an identity normal form: x*z = y^2 - y left unapplied
+    divide_out = casebook.divide_out
+    monkeypatch.setattr(
+        casebook, "divide_out", lambda f, g: f if g is QUADRIC else divide_out(f, g)
+    )
     report = sl2_mod_n_checks()
     assert _keys(report) == [["part", "observed_dim", "expected_dim"]]
     [detail] = report.details
     assert detail["part"] == "quotient-ring"
     assert detail["observed_dim"] > detail["expected_dim"] == 4
+    _cli_fails(["danielewski"], capsys, "sl2_mod_n")
+
+
+def test_commutation_check_fails_on_a_flow_the_involution_does_not_respect(
+    monkeypatch, capsys
+):
+    # D(x) = y, D(y) = D(z) = 0: sigma after flow_s moves x to -x - s*y, and
+    # flow_(+-s) after sigma to -x +- s*(1 - y)
+    R = VariableSet(("x", "y", "z"))
+    D = Derivation(R, {"x": R.variable("y"), "y": R.zero(), "z": R.zero()})
+    D.certify_locally_nilpotent(bound=4)
+    monkeypatch.setattr(casebook, "danielewski_derivation", lambda: D)
+    report = sl2_mod_n_checks()
+    assert report.details[0] == {
+        "part": "commutation",
+        "detail": "no sign makes the flows commute",
+    }
+    assert all("commutation sign" not in str(detail) for detail in report.details)
     _cli_fails(["danielewski"], capsys, "sl2_mod_n")
 
 

@@ -21,6 +21,7 @@ from plinth.polyring import (
     ZeroPolynomialError,
     coefficient_matrix,
     format_polynomial,
+    numeral,
     parse_polynomial,
 )
 from plinth.roberts import RobertsAction, _degree_box
@@ -456,13 +457,59 @@ def test_parser_rejects_malformed_text():
     assert str(RX.poly(" - 2 / 4 * x ^ 2 * y_2 + x1 ")) == "-1/2*y_2*x^2 + x1"
 
 
-def test_numeral_past_the_int_digit_limit_is_a_poly_error():
+def test_numeral_past_the_int_digit_limit_parses_exactly():
     # 5,000 digits is past Python's default int-string limit of 4,300
     digits = "1" * 5000
-    for text in (digits, f"x^{digits}", f"1/{digits}"):
-        with pytest.raises(PolyError, match="numeral too long") as err:
-            RX.poly(text)
-        assert "\n" not in str(err.value)
+    ones = (10**5000 - 1) // 9
+    assert RX.poly(digits).constant_term() == ones
+    assert RX.poly(f" - 2/{digits}").constant_term() == Fraction(-2, ones)
+    assert str(RX.poly(f"{digits}*x")) == f"{digits}*x"
+    # (10^4000 - 1)^2 = 10^8000 - 2*10^4000 + 1, written out digit by digit
+    square = RX.poly("9" * 4000 + "*x") ** 2
+    assert str(square) == "9" * 3999 + "8" + "0" * 3999 + "1*x^2"
+    assert str(-square.scale(Fraction(1, 10**4500))).startswith("-" + "9" * 3999 + "8")
+    # so long an exponent is past the exponent limit: a one-line PolyError
+    with pytest.raises(PolyError, match="above the limit") as err:
+        RX.poly(f"x^{digits}")
+    assert "\n" not in str(err.value)
+
+
+def test_numeral_matches_str_under_the_int_digit_limit():
+    rng = random.Random(4301)
+    for _ in range(300):
+        c = rng.randint(-(10**4200), 10**4200) // 10 ** rng.randint(0, 4200)
+        for value in (c, Fraction(c), Fraction(c, rng.randint(1, 10**30))):
+            assert numeral(value) == str(value)
+
+
+def _long_text(rng: random.Random) -> str:
+    """A sum of terms whose numerals run from 1 to 6,000 digits."""
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        numeral = str(rng.randint(1, 9)) + "".join(
+            rng.choice("0123456789") for _ in range(rng.choice((0, 2, 3000, 4400, 6000)))
+        )
+        if rng.random() < 0.3:
+            numeral += "/" + str(rng.randint(1, 9)) * rng.choice((1, 4500))
+        monomial = "*".join(rng.sample(["x", "y^2", "x1", "y_2^3"], rng.randint(0, 2)))
+        terms.append(f"{numeral}*{monomial}" if monomial else numeral)
+    return rng.choice(("", "-")) + " + ".join(terms)
+
+
+def test_text_round_trips_with_coefficients_past_the_int_digit_limit():
+    rng = random.Random(4300)
+    long_coefficients = 0
+    for _ in range(60):
+        f, g = RX.poly(_long_text(rng)), RX.poly(_long_text(rng))
+        op = rng.choice("+-*^")
+        h = f + g if op == "+" else f - g if op == "-" else f * g if op == "*" else f ** 2
+        for p in (f, g, h):
+            text = str(p)
+            assert RX.poly(text) == p and str(RX.poly(text)) == text
+        long_coefficients += any(
+            abs(c) >= 10**4300 or c.denominator >= 10**4300 for _, c in h.terms()
+        )
+    assert long_coefficients >= 20
 
 
 def test_format_orders_terms_descending():

@@ -712,6 +712,10 @@ def test_certificate_to_dict():
     d = cert.to_dict()
     assert d["complete"] is True
     assert d["remainder"] == "0"
+    # a coefficient past Python's int-string digit limit is written exactly
+    big = 10**5000
+    d = subduct((RA.u12 * RA.u23).scale(big) + R7.one(), G).to_dict()
+    assert [step["coefficient"] for step in d["steps"]] == ["1" + "0" * 5000, "1"]
 
 
 def test_generator_set_validation():

@@ -695,7 +695,7 @@ def oracle_flow_images(D: Derivation, param: str = "s"):
     }
 
 
-def oracle_flow_coefficients(D: Derivation) -> dict[str, list[Polynomial]]:
+def oracle_flow_coefficients(D: Derivation) -> dict[str, tuple[Polynomial, ...]]:
     """The oracle flow images grouped by the power of the parameter."""
     extended, images = oracle_flow_images(D)
     param = len(extended) - 1
@@ -706,9 +706,9 @@ def oracle_flow_coefficients(D: Derivation) -> dict[str, list[Polynomial]]:
             k = m.exponent(param)
             rest = Monomial((i, e) for i, e in m.pairs if i != param)
             groups.setdefault(k, {})[rest] = c
-        out[name] = [
+        out[name] = tuple(
             Polynomial(D.ambient, groups.get(k, {})) for k in range(max(groups) + 1)
-        ]
+        )
     return out
 
 
@@ -1097,22 +1097,6 @@ def looped_substitute(f: Polynomial, images, target: VariableSet) -> Polynomial:
     return total
 
 
-def looped_quadric_reduce(Q, f: Polynomial) -> Polynomial:
-    """``casebook.QuadricRing.reduce`` by the earlier route: each reduced
-    term added to the total as it is made."""
-    y_index = Q.ambient.index("y")
-    out = Q.ambient.zero()
-    for m, c in f.terms():
-        e = m.exponent(y_index)
-        if e <= 1:
-            out = out + Polynomial(Q.ambient, {m: c})
-            continue
-        rest = Polynomial(Q.ambient, {m.divide(Monomial(((y_index, e),))): c})
-        alpha, beta = Q._powers(e)
-        out = out + rest * (alpha * Q.ambient.variable("y") + beta)
-    return out
-
-
 def looped_divide_out(f: Polynomial, g: Polynomial) -> Polynomial:
     """``casebook.divide_out`` by the earlier route: the remainder grows by
     one head term at a time."""
@@ -1142,7 +1126,7 @@ def looped_replay(cert: SubductionCertificate, G: GeneratorSet) -> Polynomial:
     return total
 
 
-def looped_z_capped(action: RobertsAction, degree, z_cap: int) -> list[Polynomial]:
+def looped_z_capped(action: RobertsAction, degree, z_cap: int) -> tuple[Polynomial, ...]:
     """``RobertsAction.graded_invariants_z_capped`` by the earlier route: the
     capped combinations solved on dense rows and summed with ``sum``."""
     full = action.graded_invariants(degree)
@@ -1150,10 +1134,10 @@ def looped_z_capped(action: RobertsAction, degree, z_cap: int) -> list[Polynomia
     rows = dense_coefficient_matrix(full, lambda m: m.exponent(z_index) > z_cap)
     if not rows:
         return full
-    return [
+    return tuple(
         sum((p.scale(c) for c, p in zip(combo, full) if c), action.ring.zero())
         for combo in naive_nullspace(rows, len(full))
-    ]
+    )
 
 
 def symbolic_raising_derivation(rep: RepSum) -> Derivation:
@@ -1186,8 +1170,10 @@ def symbolic_raising_derivation(rep: RepSum) -> Derivation:
 
 
 def is_quadric_normal(f: Polynomial) -> bool:
-    """True when f is in ``casebook.QuadricRing`` normal form: y-degree <= 1."""
-    return f.max_exponent("y") <= 1
+    """True when f is a remainder on division by ``casebook.QUADRIC``: no
+    monomial is divisible by its leading monomial xz."""
+    xz = Monomial(((f.ambient.index("x"), 1), (f.ambient.index("z"), 1)))
+    return not any(xz.divides(m) for m in f.monomials())
 
 
 # -- the earlier per-summand sl2 loops ------------------------------------------
