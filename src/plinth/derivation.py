@@ -31,6 +31,7 @@ from .polyring import (
     _overflow_error,
     coefficient_value,
     combination,
+    quotient,
 )
 
 # Largest graded piece ``graded_kernel`` eliminates; the slowest measured near
@@ -185,12 +186,14 @@ class Derivation:
             for name, coeffs in self.flow_coefficients().items()
         }
 
-    def flow_at(self, point: Mapping[str, Fraction | int]) -> dict[str, list[Fraction]]:
+    def flow_at(self, point: Mapping[str, Coefficient]) -> dict[str, list[Coefficient]]:
         """The flow of a rational point as polynomials in s.
 
         ``name -> [c_0(point), c_1(point), ...]``: each flow coefficient
-        evaluated once by the integer kernel of ``polyring``.  A missing or
-        non-rational coordinate raises PolyError.
+        evaluated once by the integer kernel of ``polyring``, each value in
+        canonical coefficient form, so an integer point whose values are
+        integral gives plain ints.  A missing or non-rational coordinate
+        raises PolyError.
         """
         self._require_certified()
         nums, den = self.ambient.integer_point(point)
@@ -199,8 +202,9 @@ class Derivation:
             for name, series in self._flow_coeffs.items()
         }
 
-    def flow_point(self, point: Mapping[str, Fraction | int], s) -> dict[str, Fraction]:
-        """Move a rational point along the flow by a rational time s."""
+    def flow_point(self, point: Mapping[str, Coefficient], s) -> dict[str, Coefficient]:
+        """Move a rational point along the flow by a rational time s; each
+        coordinate in canonical coefficient form (``horner``)."""
         s = coefficient_value(s)
         return {name: horner(values, s) for name, values in self.flow_at(point).items()}
 
@@ -337,11 +341,12 @@ def _in_parameter(series: Sequence[Polynomial], extended: VariableSet) -> Polyno
     )
 
 
-def horner(coeffs: Sequence[Fraction | int], s: Fraction | int) -> Fraction:
-    """sum_k coeffs[k] * s^k, from the top down over the integers: one Fraction."""
+def horner(coeffs: Sequence[Coefficient], s: Coefficient) -> Coefficient:
+    """sum_k coeffs[k] * s^k, from the top down over the integers, in canonical
+    coefficient form: with int s and int coefficients no ``Fraction`` is built."""
     p, q = s.numerator, s.denominator
     num, den = 0, 1
     for c in reversed(coeffs):
         b = c.denominator
         num, den = num * p * b + c.numerator * den * q, den * q * b
-    return Fraction(num, den)
+    return quotient(num, den)

@@ -35,8 +35,10 @@ the top bits, that is integer order.
 Everything is exact; no floating point appears anywhere.  All values are
 immutable after construction and safe to share between threads.  Point
 evaluation runs over Python integers (the point and the coefficients each
-brought to one common denominator) and builds one ``Fraction`` per call;
-``Polynomial.agrees`` compares the values at two points with none.
+brought to one common denominator) and gives its value in the canonical
+coefficient form, so a ``Fraction`` is built only for a value that is not
+an integer; ``Polynomial.agrees`` compares the values at two points with
+none.
 
 Text grammar (both input and canonical output)::
 
@@ -172,32 +174,32 @@ class VariableSet:
         return VariableSet(self.names + tuple(extra))
 
     def integer_point(
-        self, point: Mapping[str, Fraction | int]
+        self, point: Mapping[str, Coefficient]
     ) -> tuple[list[int], int]:
         """A rational point as integer numerators over one common denominator.
 
         The numerators come in declaration order.  Every variable needs an
         ``int`` or ``Fraction`` value (any ``numbers.Rational``); a missing
-        or non-rational value raises PolyError naming the variable.
+        or non-rational value raises PolyError naming the first such
+        variable in declaration order.  An all-``int`` point, found by one
+        type scan, is its own list of numerators over 1.
         """
-        nums = []
-        dens = []
-        for name in self.names:
-            try:
-                x = point[name]
-            except KeyError:
-                raise PolyError(f"no value for variable {name!r}") from None
+        values = [point.get(name) for name in self.names]
+        for x in values:
+            if type(x) is not int:
+                break
+        else:
+            return values, 1
+        for name, x in zip(self.names, values):
+            if x is None and name not in point:
+                raise PolyError(f"no value for variable {name!r}")
             # the exact-type tests spare the slow ABC check on common values
             if type(x) is not Fraction and type(x) is not int and not isinstance(
                 x, Rational
             ):
                 raise PolyError(f"value for variable {name!r} is not rational: {x!r}")
-            nums.append(x.numerator)
-            dens.append(x.denominator)
-        den = lcm(*dens)
-        if den != 1:
-            nums = [n * (den // d) for n, d in zip(nums, dens)]
-        return nums, den
+        den = lcm(*(x.denominator for x in values))
+        return [x.numerator * (den // x.denominator) for x in values], den
 
 
 class Monomial(int):
@@ -293,6 +295,13 @@ def coefficient_value(c) -> Coefficient:
     return c.numerator if c.denominator == 1 else c
 
 
+def quotient(num: int, den: int) -> Coefficient:
+    """The rational num / den (den > 0) in canonical coefficient form: an
+    integral quotient is an ``int``, and only any other builds a ``Fraction``."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 class Polynomial:
     """An immutable sparse polynomial with exact rational coefficients.
 
@@ -316,7 +325,7 @@ class Polynomial:
         self._terms = clean
         self._ordered: list[tuple[Monomial, Coefficient]] | None = None
         self._lt: tuple[Monomial, Coefficient] | None = None
-        # (q, top degree, [(q * coefficient, pairs, degree)]) for evaluation
+        # the integral terms for evaluation, built on first use (_integral_terms)
         self._integral: tuple[int, int, list[tuple[int, tuple, int]]] | None = None
 
     @classmethod
@@ -433,25 +442,42 @@ class Polynomial:
 
     # -- evaluation and substitution --------------------------------------
 
-    def evaluate(self, point: Mapping[str, Fraction | int]) -> Fraction:
+    def evaluate(self, point: Mapping[str, Coefficient]) -> Coefficient:
         """Exact evaluation at a rational point (every variable needs a value).
 
         Values are ``int`` or ``Fraction``; anything else raises PolyError.
-        The sum runs over Python integers and one ``Fraction`` is built per
-        call (see ``evaluate_integer``).
+        The sum runs over Python integers, and the value comes in canonical
+        coefficient form (see ``evaluate_integer``).
         """
         nums, den = self.ambient.integer_point(point)
         return self.evaluate_integer(nums, den)
 
-    def evaluate_integer(self, nums: Sequence[int], den: int) -> Fraction:
+    def evaluate_integer(self, nums: Sequence[int], den: int) -> Coefficient:
         """Exact value at the point ``nums / den`` from ``integer_point``.
 
         The value is ``integer_total(nums, den)`` over the fixed
-        denominator q * den ** top (see ``integer_total``), the one
-        ``Fraction`` built.
+        denominator q * den ** top (see ``integer_total``), in canonical
+        coefficient form: an ``int`` when it is integral, as it always is
+        for integer coefficients at an integer point, else a ``Fraction``.
         """
         total = self.integer_total(nums, den)
-        return Fraction(total, self._integral[0] * den ** self._integral[1])
+        q, top, _ = self._integral
+        return quotient(total, q * den**top)
+
+    def _integral_terms(self) -> tuple[int, int, list[tuple[int, tuple, int]]]:
+        """Build ``_integral``: (q, top, [(q * c, pairs, degree)]) with the
+        coefficients c over their common denominator q and top the largest
+        term degree.  Readers take ``self._integral or self._integral_terms()``."""
+        q = lcm(*(c.denominator for c in self._terms.values()))
+        self._integral = (
+            q,
+            self.total_degree(),
+            [
+                (c.numerator * (q // c.denominator), m.pairs, m.degree())
+                for m, c in self._terms.items()
+            ],
+        )
+        return self._integral
 
     def integer_total(self, nums: Sequence[int], den: int) -> int:
         """The integer numerator of the value at ``nums / den``.
@@ -459,19 +485,10 @@ class Polynomial:
         With the coefficients over one common denominator q and top the
         largest term degree, the value is this integer,
         sum q * c * prod(nums[i] ** e) * den ** (top - deg) over the terms,
-        divided by q * den ** top.  Every evaluation runs this loop.
+        divided by q * den ** top.  Every single-point evaluation runs this
+        loop.
         """
-        if self._integral is None:
-            q = lcm(*(c.denominator for c in self._terms.values()))
-            self._integral = (
-                q,
-                self.total_degree(),
-                [
-                    (c.numerator * (q // c.denominator), m.pairs, m.degree())
-                    for m, c in self._terms.items()
-                ],
-            )
-        _, top, terms = self._integral
+        _, top, terms = self._integral or self._integral_terms()
         total = 0
         for c, pairs, deg in terms:
             for i, e in pairs:
@@ -484,18 +501,33 @@ class Polynomial:
     def agrees(self, a: tuple[Sequence[int], int], b: tuple[Sequence[int], int]) -> bool:
         """Whether the values at two ``integer_point`` results are equal.
 
-        The two values share the denominator factor q, so they are equal
-        exactly when T_a * db ** top == T_b * da ** top for the totals T of
-        ``integer_total``; with equal point denominators the totals are
-        compared directly.  No ``Fraction`` is built.
+        The two values share the denominator factor q.  With equal point
+        denominators d they are equal exactly when
+        sum q * c * (m(a) - m(b)) * d ** (top - deg) over the terms is 0,
+        one pass over the terms for both points; otherwise exactly when
+        T_a * db ** top == T_b * da ** top for the totals T of
+        ``integer_total``.  No ``Fraction`` is built.
         """
         (nums_a, da), (nums_b, db) = a, b
-        total_a = self.integer_total(nums_a, da)
-        total_b = self.integer_total(nums_b, db)
-        if da == db:
-            return total_a == total_b
-        top = self._integral[1]
-        return total_a * db**top == total_b * da**top
+        _, top, terms = self._integral or self._integral_terms()
+        if da != db:
+            total_a, total_b = self.integer_total(nums_a, da), self.integer_total(nums_b, db)
+            return total_a * db**top == total_b * da**top
+        total = 0
+        for c, pairs, deg in terms:
+            ca = cb = c
+            for i, e in pairs:
+                if e == 1:
+                    ca *= nums_a[i]
+                    cb *= nums_b[i]
+                else:
+                    ca *= nums_a[i] ** e
+                    cb *= nums_b[i] ** e
+            if deg != top and da != 1:
+                total += (ca - cb) * da ** (top - deg)
+            else:
+                total += ca - cb
+        return not total
 
     def substitute(
         self, images: Mapping[str, "Polynomial"], target: VariableSet | None = None

@@ -19,14 +19,14 @@ from fractions import Fraction
 from typing import Callable, Mapping
 
 from .derivation import Derivation, horner
-from .polyring import PolyError, coefficient_value
+from .polyring import Coefficient, PolyError, coefficient_value
 from .report import Checker, VerificationReport
 from .sagbi import GeneratorSet
 
-Point = dict[str, Fraction]
+Point = dict[str, Coefficient]
 
 
-def point_text(point: Mapping[str, Fraction]) -> str:
+def point_text(point: Mapping[str, Coefficient]) -> str:
     """Comma-separated rational coordinates in ambient order."""
     return ",".join(str(point[name]) for name in point)
 
@@ -36,8 +36,8 @@ def _verdict(witness: str | None) -> str:
 
 
 def separates(
-    v: Mapping[str, Fraction | int],
-    v_prime: Mapping[str, Fraction | int],
+    v: Mapping[str, Coefficient],
+    v_prime: Mapping[str, Coefficient],
     G: GeneratorSet,
 ) -> str | None:
     """The first generator of G, in ``G.names`` order, whose values at the
@@ -63,18 +63,19 @@ def _witness(G: GeneratorSet, at_v: tuple, at_w: tuple) -> str | None:
 
 
 def flow_equations(
-    v: Mapping[str, Fraction | int],
-    v_prime: Mapping[str, Fraction | int],
+    v: Mapping[str, Coefficient],
+    v_prime: Mapping[str, Coefficient],
     D: Derivation,
-) -> list[list[Fraction]]:
+) -> list[list[Coefficient]]:
     """Coefficients [c_0, c_1, ...] in s of flow_s(v)[name] - v'[name].
 
     One list per coordinate, in ambient order, with no trailing zero (the
-    empty list is the zero equation): the flow of v (``flow_at``) less v'.
+    empty list is the zero equation): the flow of v (``flow_at``) less v',
+    every coefficient in canonical form, so ints at integer points.
     """
     equations = []
     for name, eq in D.flow_at(v).items():
-        eq[0] -= coefficient_value(v_prime[name])
+        eq[0] = coefficient_value(eq[0] - coefficient_value(v_prime[name]))
         while eq and eq[-1] == 0:
             eq.pop()
         equations.append(eq)
@@ -101,8 +102,8 @@ def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
 
 
 def solve_group_element(
-    v: Mapping[str, Fraction | int],
-    v_prime: Mapping[str, Fraction | int],
+    v: Mapping[str, Coefficient],
+    v_prime: Mapping[str, Coefficient],
     D: Derivation,
 ) -> Fraction | None:
     """The exact group parameter s with flow_s(v) = v', if one exists.
@@ -169,7 +170,7 @@ def graph_vs_separation_sampling(
     names = D.ambient.names
 
     def sample() -> Point:
-        return {name: Fraction(rng.randint(-9, 9)) for name in names}
+        return {name: rng.randint(-9, 9) for name in names}
 
     if plinth_indicator is None:
         plinth_indicator = lambda p: False
@@ -178,7 +179,7 @@ def graph_vs_separation_sampling(
         mode = trial % 3
         v = sample()
         if mode == 0:
-            s = Fraction(rng.randint(-9, 9))
+            s = rng.randint(-9, 9)
             vp = D.flow_point(v, s)
             flow_pairs += 1
             witness = separates(v, vp, G_ref)
@@ -262,7 +263,7 @@ def separating_set_equivalence(
     names = D.ambient.names
 
     def sample() -> Point:
-        return {name: Fraction(rng.randint(-9, 9)) for name in names}
+        return {name: rng.randint(-9, 9) for name in names}
 
     disagreements = 0
     for trial in range(trials):
@@ -271,11 +272,11 @@ def separating_set_equivalence(
         if mode == 0:
             vp = sample()
         elif mode == 1:
-            vp = D.flow_point(v, Fraction(rng.randint(-9, 9)))
+            vp = D.flow_point(v, rng.randint(-9, 9))
         else:
             vp = dict(v)
             name = names[rng.randrange(len(names))]
-            vp[name] = vp[name] + Fraction(rng.randint(1, 5))
+            vp[name] = vp[name] + rng.randint(1, 5)
         at_v, at_w = D.ambient.integer_point(v), D.ambient.integer_point(vp)
         small = _witness(G_small, at_v, at_w)
         big = _witness(G_big, at_v, at_w)

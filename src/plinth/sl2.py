@@ -26,8 +26,8 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from .derivation import MAX_KERNEL_COLUMNS, Derivation, oversized_piece_error
-from .polyring import Monomial, PolyError, Polynomial, VariableSet, WeightSystem
-from .polyring import coefficient_value
+from .polyring import Coefficient, Monomial, PolyError, Polynomial, VariableSet, WeightSystem
+from .polyring import _integer, coefficient_value, numeral
 from .report import Checker, VerificationReport
 
 
@@ -83,7 +83,7 @@ class RepSum:
             raise PolyError(f"bad representation degrees {degrees!r}")
         if max(degrees) > MAX_SUMMAND_DEGREE:
             raise PolyError(
-                f"summand degree {max(degrees)} above the limit {MAX_SUMMAND_DEGREE}"
+                f"summand degree {numeral(max(degrees))} above the limit {MAX_SUMMAND_DEGREE}"
             )
         self.degrees = degrees
         self.summands: list[BinaryFormSpace] = []
@@ -113,7 +113,7 @@ class RepSum:
             digits = chunk[2:-1]
             if not (chunk.startswith("V[") and chunk.endswith("]") and digits.isdecimal()):
                 raise PolyError(f"bad summand {chunk!r} in {spec!r}")
-            degrees.append(int(digits))
+            degrees.append(_integer(digits))
         return cls(degrees)
 
     def __str__(self) -> str:
@@ -217,7 +217,7 @@ def quadratic_invariants(n: int) -> tuple[Polynomial, ...]:
     return tuple(out)
 
 
-def plinth_test(rep: RepSum, v: Mapping[str, Fraction | int]) -> bool:
+def plinth_test(rep: RepSum, v: Mapping[str, Coefficient]) -> bool:
     """Is v in the plinth locus (all negative-weight components vanish)?"""
     return all(coefficient_value(v[n]) == 0 for n in rep.negative_weight_coordinates())
 
@@ -310,9 +310,9 @@ def positive_weight_vanishing_check(
         return checker.report()
     witnessed = 0
     for _ in range(samples):
-        v = {name: Fraction(rng.randint(-9, 9)) for name in rep.ambient.names}
+        v = {name: rng.randint(-9, 9) for name in rep.ambient.names}
         bad = rng.choice(negative)
-        v[bad] = Fraction(rng.randint(1, 9))
+        v[bad] = rng.randint(1, 9)
         # first nonzero coordinate of the summand containing the violation
         for s, space in enumerate(rep.summands):
             if bad not in space.coordinates:
@@ -330,8 +330,8 @@ def positive_weight_vanishing_check(
 
 def component_membership(
     rep: RepSum,
-    v: Mapping[str, Fraction | int],
-    vp: Mapping[str, Fraction | int],
+    v: Mapping[str, Coefficient],
+    vp: Mapping[str, Coefficient],
 ) -> ComponentMembership:
     """Classify a plinth pair against the components C and C_sigma."""
     if not plinth_test(rep, v) or not plinth_test(rep, vp):
@@ -385,11 +385,8 @@ def component_containment_check(
     restricted = [f.restrict_to_zero(negative) for f in invariants]
     zero_w = set(rep.zero_weight_coordinates())
 
-    def sample_plinth_point() -> dict[str, Fraction]:
-        return {
-            name: Fraction(0) if name in negative else Fraction(rng.randint(-9, 9))
-            for name in rep.ambient.names
-        }
+    def sample_plinth_point() -> dict[str, int]:
+        return {name: 0 if name in negative else rng.randint(-9, 9) for name in rep.ambient.names}
 
     checked = 0
     for trial in range(samples):

@@ -25,6 +25,7 @@ from util import (
     fraction_evaluate,
     in_span,
     is_canonical,
+    is_canonical_value,
     lex_key,
     naive_nullspace,
     nilpotency_orders,
@@ -264,13 +265,18 @@ def test_flow_matches_extended_ring_oracle(which):
         assert exp_flow(Dc, f, param="t") == oracle_exp_flow(Dc, f, param="t")
         s = _rational(rng)
         assert exp_flow(Dc, f, s) == oracle_exp_flow(Dc, f, s)
-    for _ in range(20):
-        point = {n: _rational(rng) for n in Dc.ambient.names}
-        s = _rational(rng)
-        assert Dc.flow_at(point) == {
+    # rational points, then all-int ones, the path the samplers take
+    for draw in [_rational] * 20 + [lambda rng: rng.randint(-9, 9)] * 20:
+        point = {n: draw(rng) for n in Dc.ambient.names}
+        s = draw(rng)
+        at = Dc.flow_at(point)
+        assert at == {
             n: [fraction_evaluate(c, point) for c in series] for n, series in coeffs.items()
         }
-        assert Dc.flow_point(point, s) == oracle_flow_point(Dc, point, s)
+        assert all(is_canonical_value(x) for xs in at.values() for x in xs), at
+        moved = Dc.flow_point(point, s)
+        assert moved == oracle_flow_point(Dc, point, s)
+        assert all(is_canonical_value(x) for x in moved.values()), moved
 
 
 @pytest.mark.parametrize("which", FLOW_CASES)
@@ -299,7 +305,8 @@ def test_certify_bound_message_is_unchanged():
 
 @pytest.mark.parametrize("bad", [0.1, "1/2"])
 def test_flow_rejects_non_rational_times_and_points(bad):
-    point = {n: Fraction(1, 2) for n in R7.names}
+    # an all-int base point: one bad coordinate leaves the int fast path
+    point = {n: k - 3 for k, n in enumerate(R7.names)}
     for call in (
         lambda: D.flow_point(point, bad),
         lambda: D.flow_point({**point, "y2": bad}, 1),
@@ -309,6 +316,15 @@ def test_flow_rejects_non_rational_times_and_points(bad):
         with pytest.raises(PolyError) as err:
             call()
         assert repr(bad) in str(err.value) and "\n" not in str(err.value)
+    # y1 and z missing, y3 bad: the first missing variable is named
+    missing = {n: v for n, v in point.items() if n not in ("y1", "z")}
+    for call in (
+        lambda: D.flow_at(missing),
+        lambda: D.flow_point({**missing, "y3": bad}, 1),
+    ):
+        with pytest.raises(PolyError) as err:
+            call()
+        assert str(err.value) == "no value for variable 'y1'"
 
 
 def test_weight_shift_inferred():

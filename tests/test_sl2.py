@@ -55,6 +55,15 @@ def test_rep_parse_and_names():
         RepSum.parse(f"V[2]+V[{MAX_SUMMAND_DEGREE + 1}]")
 
 
+def test_rep_parse_refuses_a_long_degree_numeral_in_one_line():
+    # past Python's 4,300-digit int-string limit the degree is still read
+    # and written exactly, and refused like any degree above the limit
+    nines = "9" * 5000
+    with pytest.raises(PolyError) as err:
+        RepSum.parse(f"V[2]+V[{nines}]")
+    assert str(err.value) == f"summand degree {nines} above the limit {MAX_SUMMAND_DEGREE}"
+
+
 @pytest.mark.parametrize("spec", ["V[0]", "V[1]", "V[4]+V[2]", "V[3]+V[3]+V[0]"])
 def test_weight_table_matches_the_per_summand_loops(spec):
     rep = RepSum.parse(spec)

@@ -828,12 +828,15 @@ def fraction_mul(f: Terms, g: Terms) -> Terms:
     return out
 
 
+def is_canonical_value(x) -> bool:
+    """Canonical coefficient form: an int exactly when the denominator is 1,
+    otherwise a Fraction."""
+    return type(x) is int or type(x) is Fraction and x.denominator != 1
+
+
 def is_canonical(f: Polynomial) -> bool:
     """No zero term, no float, and no Fraction with denominator 1."""
-    return all(
-        type(c) is int and c != 0 or type(c) is Fraction and c.denominator != 1
-        for c in f._terms.values()
-    )
+    return all(c != 0 and is_canonical_value(c) for c in f._terms.values())
 
 
 def fraction_subduct(
