@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 import traceback
-from fractions import Fraction
 
 from . import casebook, separating, sl2
 from .polyring import PolyError
@@ -148,9 +147,9 @@ def run_separating(trials: int, seed: int) -> list[VerificationReport]:
     names = ra.ring.names
 
     def plinth_sampler(rng):
-        p = {n: Fraction(rng.randint(-9, 9)) for n in names}
+        p = {n: rng.randint(-9, 9) for n in names}
         for x in ("x1", "x2", "x3"):
-            p[x] = Fraction(0)
+            p[x] = 0
         return p
 
     reports = [

@@ -21,7 +21,10 @@ core's, zero exactly when the core's is, and h times each step of the
 core's subduction cancels the leading monomial of the pair's running
 remainder, so the pair subducts to zero in as many steps.  So the pairs
 are counted, not built: C(k, 2) per group of k multisets, and per coprime
-pair the number of multisets A.
+pair the number of multisets A.  One walk over the coprime pairs decides
+pass and fail alike: a failing report lists exactly the coprime pairs
+whose difference does not subduct to zero, and every failing pair is one
+of them plus a multiset shared by both sides.
 
 ``subduct`` and ``x_ideal_membership`` share one cancellation loop: the
 first with the unit prefix, the second with a variable prefix in front of
@@ -465,17 +468,15 @@ def _names(linked: tuple) -> tuple[str, ...]:
 
 def tete_a_tetes(G: GeneratorSet, total_degree_bound: int) -> list[TeteATete]:
     """All pairs of distinct generator multisets, up to the bound, whose
-    leading monomials have equal products: ``_pairs`` of ``_groups``."""
-    return list(_pairs(_groups(G, total_degree_bound)))
-
-
-def _pairs(groups: list[tuple[int, int, list]]) -> Iterator[TeteATete]:
-    """The pairs within each group of ``_groups``, in the groups' order."""
-    for prod, _, group in groups:
+    leading monomials have equal products: the pairs within each group of
+    ``_groups``, in the groups' order."""
+    pairs = []
+    for prod, _, group in _groups(G, total_degree_bound):
         if len(group) > 1:
             mono, sides = _packed(prod), [_names(linked) for linked, _ in group]
             for a, left in enumerate(sides):
-                yield from (TeteATete(left, right, mono) for right in sides[a + 1 :])
+                pairs.extend(TeteATete(left, right, mono) for right in sides[a + 1 :])
+    return pairs
 
 
 def tete_a_tete_difference(G: GeneratorSet, tt: TeteATete) -> Polynomial:
@@ -503,18 +504,19 @@ def verify_sagbi(
     core (X, Y) plus the multiset A common to both sides, each name as
     often as on both, and follows from it (see the module docstring).  So
     there are sum C(k, 2) pairs over the group sizes k of ``_groups``, and
-    the nonzero differences number, summed over the coprime pairs that
-    subduct to a nonzero result, the multisets A of search generators,
-    the empty one included, of degree at most bound - deg X.
+    the nonzero differences number, summed over the coprime pairs whose
+    nonzero difference subducts to zero, the multisets A of search
+    generators, the empty one included, of degree at most bound - deg X.
 
     The claim is that each difference has *a* subduction to zero of at
     most ``max_steps`` steps, not that ``subduct`` itself reaches zero on
-    it within that budget.  If a coprime pair fails, every pair of the
-    groups in hand is subducted in ``tete_a_tetes`` order, so failure details
-    list every failing pair; the coprime pairs subducted before keep their
-    outcomes (``subduct`` is deterministic), so no difference is subducted twice.
-    The report records the bound (completeness is only claimed up to it)
-    and how many nonzero differences were subducted to zero.
+    it within that budget.  One walk over the coprime pairs, in ascending
+    product order, decides pass and fail alike: a failing report lists
+    exactly the coprime pairs whose difference does not subduct to zero,
+    in that order, and every failing pair is one of them plus a multiset
+    shared by both sides.  The report records the bound (completeness is
+    only claimed up to it) and how many nonzero differences were
+    subducted to zero, derived ones included.
     """
     params = {"degree_bound": total_degree_bound, "generators": len(G)}
     checker = Checker(check_id, anchor, params)
@@ -524,33 +526,24 @@ def verify_sagbi(
     # the degree of each nonempty multiset, sorted, so that bisect counts
     # the multisets within a degree
     degrees = sorted(degree for _, degree, group in groups for _ in group)
-    # (left, right) -> ``_outcome`` of each coprime pair subducted so far,
-    # kept for the rerun after a failure
-    outcomes: dict[tuple[tuple[str, ...], tuple[str, ...]], int | SubductionCertificate] = {}
-    nonzero, failed = 0, False
+    nonzero = 0
     for tt, degree in _coprime_pairs(groups):
-        got = outcomes[tt.left, tt.right] = _outcome(G, tt, max_steps)
-        if type(got) is not int:
-            failed = True
-            break
-        nonzero += got * (1 + bisect_right(degrees, total_degree_bound - degree))
-    if failed:
-        nonzero = 0
-        for tt in _pairs(groups):
-            key = tt.left, tt.right
-            got = outcomes[key] if key in outcomes else _outcome(G, tt, max_steps)
-            if type(got) is int:
-                nonzero += got
-                continue
-            checker.require(
-                False,
-                {
-                    "left": list(tt.left),
-                    "right": list(tt.right),
-                    "remainder": str(got.remainder),
-                    "complete": got.complete,
-                },
-            )
+        diff = tete_a_tete_difference(G, tt)
+        if diff.is_zero():
+            continue
+        cert = subduct(diff, G, max_steps)
+        if cert.ok:
+            nonzero += 1 + bisect_right(degrees, total_degree_bound - degree)
+            continue
+        checker.require(
+            False,
+            {
+                "left": list(tt.left),
+                "right": list(tt.right),
+                "remainder": str(cert.remainder),
+                "complete": cert.complete,
+            },
+        )
     checker.note(f"nonzero differences subducted to zero: {nonzero}")
     return checker.report()
 
@@ -563,13 +556,3 @@ def _coprime_pairs(groups: list[tuple[int, int, list]]) -> Iterator[tuple[TeteAT
             for right, right_mask in group[a + 1 :]:
                 if not left_mask & right_mask:
                     yield TeteATete(_names(left), _names(right), _packed(prod)), degree
-
-
-def _outcome(G: GeneratorSet, tt: TeteATete, max_steps: int) -> int | SubductionCertificate:
-    """0 if the pair's difference is zero, 1 if it subducts to zero, else
-    the certificate of the subduction that does not."""
-    diff = tete_a_tete_difference(G, tt)
-    if diff.is_zero():
-        return 0
-    cert = subduct(diff, G, max_steps)
-    return 1 if cert.ok else cert

@@ -80,7 +80,9 @@ class RepSum:
     def __init__(self, degrees: Sequence[int]):
         degrees = tuple(int(n) for n in degrees)
         if not degrees or any(n < 0 for n in degrees):
-            raise PolyError(f"bad representation degrees {degrees!r}")
+            # the tuple as repr writes it, each degree exact at any length
+            text = ", ".join(map(numeral, degrees)) + "," * (len(degrees) == 1)
+            raise PolyError(f"bad representation degrees ({text})")
         if max(degrees) > MAX_SUMMAND_DEGREE:
             raise PolyError(
                 f"summand degree {numeral(max(degrees))} above the limit {MAX_SUMMAND_DEGREE}"

@@ -10,6 +10,7 @@ from plinth.roberts import roberts_action
 from plinth.sagbi import (
     GeneratorSet,
     SubductionError,
+    TeteATete,
     monomial_algebra_member,
     subduct,
     tete_a_tetes,
@@ -514,7 +515,8 @@ def test_verify_sagbi_matches_exhaustive_oracle_on_random_sets():
                 gens.append((f"g{len(gens)}", f))
         bound = rng.randint(2, 7)
         want = exhaustive_verify_sagbi(GeneratorSet(XYZ, gens), bound)
-        assert _stable(verify_sagbi(GeneratorSet(XYZ, gens), bound)) == _stable(want)
+        got = verify_sagbi(GeneratorSet(XYZ, gens), bound)
+        assert _stable(got) == _oracle_report(GeneratorSet(XYZ, gens), want)
         verdicts.append(want.ok)
         if want.ok:
             pairs = tete_a_tetes(GeneratorSet(XYZ, gens), bound)
@@ -584,6 +586,17 @@ def _stable(report):
     return d
 
 
+def _oracle_report(G, want):
+    """``_stable`` of the exhaustive report ``want``; when it fails, its
+    details keep only the coprime pairs, in ascending product order (the
+    sort is stable, so pairs of one product keep their order)."""
+    d = _stable(want)
+    if not want.ok:
+        coprime = [x for x in want.details if not set(x["left"]) & set(x["right"])]
+        d["details"] = sorted(coprime, key=lambda x: G.product(x["left"]).leading_monomial())
+    return d
+
+
 @pytest.mark.parametrize(
     "N, bound, drop",
     [
@@ -601,7 +614,7 @@ def test_verify_sagbi_matches_exhaustive_oracle(N, bound, drop):
     G = RA.catalog(N) if drop is None else _without(RA.catalog(N), drop)
     want = exhaustive_verify_sagbi(G, bound)
     assert want.ok == (drop is None)
-    assert _stable(verify_sagbi(G, bound)) == _stable(want)
+    assert _stable(verify_sagbi(G, bound)) == _oracle_report(G, want)
 
 
 @pytest.mark.parametrize(
@@ -609,9 +622,12 @@ def test_verify_sagbi_matches_exhaustive_oracle(N, bound, drop):
 )
 def test_failing_verify_sagbi_subducts_each_difference_once(N, bound, drop, monkeypatch):
     G = _without(RA.catalog(N), drop)
-    nonzero = sum(
-        not tete_a_tete_difference(G, tt).is_zero() for tt in tete_a_tetes(G, bound)
-    )
+    coprime = [
+        tt
+        for tt in tete_a_tetes(G, bound)
+        if not set(tt.left) & set(tt.right)
+        and not tete_a_tete_difference(G, tt).is_zero()
+    ]
     subducted = []
     real = sagbi_module.subduct
 
@@ -621,8 +637,12 @@ def test_failing_verify_sagbi_subducts_each_difference_once(N, bound, drop, monk
 
     monkeypatch.setattr(sagbi_module, "subduct", counting)
     assert not verify_sagbi(G, bound).ok
-    # the coprime pairs subducted before the failure are not subducted again
-    assert len(subducted) == nonzero
+    # the walk that decides the verdict is the only one: each nonzero
+    # coprime difference is subducted once, and no other difference is
+    assert len(subducted) == len(coprime)
+    assert sorted(map(str, subducted)) == sorted(
+        str(tete_a_tete_difference(G, tt)) for tt in coprime
+    )
 
 
 @pytest.mark.parametrize("N, bound, drop", [(2, 7, "u12"), (1, 8, "u13")])
@@ -639,7 +659,37 @@ def test_failing_verify_sagbi_walks_the_multisets_once(N, bound, drop, monkeypat
     monkeypatch.setattr(sagbi_module, "_groups", counting)
     got = verify_sagbi(G, bound)
     assert not got.ok and walks == [bound]
-    assert _stable(got) == _stable(want)
+    assert _stable(got) == _oracle_report(G, want)
+
+
+@pytest.mark.parametrize(
+    "N, bound, drop, reported, derived",
+    [(2, 8, "b1_1", 3, 0), (2, 7, "u12", 59, 234), (1, 8, "u13", 4, 30), (2, 7, "b3_0", 19, 36)],
+)
+def test_failing_verify_sagbi_accounts_for_every_oracle_failure(N, bound, drop, reported, derived):
+    # every failing pair the report leaves out has its exact core in the
+    # report, or is h times a core that subducts to zero: then h times the
+    # core's certificate is a subduction of the pair to zero
+    G = _without(RA.catalog(N), drop)
+    got = verify_sagbi(G, bound)
+    listed = {(tuple(x["left"]), tuple(x["right"])) for x in got.details}
+    assert len(got.details) == len(listed) == reported
+    certified = 0
+    for x in exhaustive_verify_sagbi(G, bound).details:
+        pair = tuple(x["left"]), tuple(x["right"])
+        if pair in listed:
+            continue
+        tt = TeteATete(*pair, G.product(pair[0]).leading_monomial())
+        left, right, shared = pair_core(tt)
+        assert shared
+        if (left, right) in listed or (right, left) in listed:
+            continue
+        core = TeteATete(left, right, G.product(left).leading_monomial())
+        cert = common_factor_certificate(G, tt, subduct(tete_a_tete_difference(G, core), G))
+        diff = tete_a_tete_difference(G, tt)
+        assert cert.ok and cert.input == diff and cert.replay(G) == diff
+        certified += 1
+    assert certified == derived
 
 
 def test_shared_factor_pairs_have_derived_certificates():

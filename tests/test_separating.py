@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from plinth import separating
 from plinth.casebook import danielewski_derivation
-from plinth.polyring import PolyError
+from plinth.derivation import Derivation
+from plinth.polyring import PolyError, VariableSet
 from plinth.roberts import roberts_action
 from plinth.sagbi import GeneratorSet
 from plinth.separating import (
@@ -136,6 +138,32 @@ def test_solve_group_element_nonlinear_flow():
     vp = D.flow_point(v, Fraction(3, 2))
     assert solve_group_element(v, vp, D) == Fraction(3, 2)
     assert solve_group_element(v, {n: vp[n] + (1 if n == "x0" else 0) for n in vp}, D) is None
+
+
+def test_solve_group_element_takes_the_gcd_of_nonlinear_flows(monkeypatch):
+    # a translation conjugated by (p, q) -> (p + (q + p^2)^2, q + p^2):
+    # D(x - y^2) = 1 and y - (x - y^2)^2 is invariant, and the flow
+    # equations have degree 4 in s for x and 2 for y, so none is linear
+    R = VariableSet(("x", "y"))
+    D = Derivation(R, {"x": R.poly("1 + 4*x*y - 4*y^3"), "y": R.poly("2*x - 2*y^2")})
+    assert D.certify_locally_nilpotent() == {"x": 5, "y": 3}
+    gcds = []
+
+    def counting(a, b):
+        gcds.append((a, b))
+        return _poly_gcd(a, b)
+
+    monkeypatch.setattr(separating, "_poly_gcd", counting)
+    rng = random.Random(30)
+    for _ in range(200):
+        v = {"x": rng.randint(-9, 9), "y": rng.randint(-9, 9)}
+        s = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+        vp = D.flow_point(v, s)
+        before = len(gcds)
+        assert solve_group_element(v, vp, D) == s
+        assert len(gcds) > before
+        # moving y by 1 changes the invariant, so no s reaches the target
+        assert solve_group_element(v, {"x": vp["x"], "y": vp["y"] + 1}, D) is None
 
 
 def test_graph_sampling_roberts():

@@ -64,6 +64,19 @@ def test_rep_parse_refuses_a_long_degree_numeral_in_one_line():
     assert str(err.value) == f"summand degree {nines} above the limit {MAX_SUMMAND_DEGREE}"
 
 
+def test_rep_refuses_bad_degrees_in_one_line():
+    # a negative degree past Python's int-string limit is written exactly,
+    # and short ones as the tuple's repr
+    huge = -(10**5000)
+    with pytest.raises(PolyError) as err:
+        RepSum([huge])
+    assert str(err.value) == f"bad representation degrees (-1{'0' * 5000},)"
+    for degrees in ([], [-1], [2, -3], [1, 2, -3]):
+        with pytest.raises(PolyError) as err:
+            RepSum(degrees)
+        assert str(err.value) == f"bad representation degrees {tuple(degrees)!r}"
+
+
 @pytest.mark.parametrize("spec", ["V[0]", "V[1]", "V[4]+V[2]", "V[3]+V[3]+V[0]"])
 def test_weight_table_matches_the_per_summand_loops(spec):
     rep = RepSum.parse(spec)
@@ -455,10 +468,15 @@ def test_large_v6_weight_zero_kernels_match_the_cayley_sylvester_count():
 def test_sl2_reports_match_the_every_piece_walk():
     # the positive-weight counts in the notes come from the piece-size table;
     # the walk solves every piece of weight >= 0 and checks each element
+    # V[0] and V[0]+V[0] have no negative-weight coordinate, so the
+    # vanishing check samples no witness
+    cases = [(RepSum([0]), 3, 5), (RepSum([0, 0]), 2, 6)]
     rng = random.Random(2600)
     for _ in range(30):
         rep = RepSum([rng.randint(0, 5) for _ in range(rng.randint(1, 3))])
-        degree, seed = rng.randint(1, 4), rng.randint(0, 10**6)
+        cases.append((rep, rng.randint(1, 4), rng.randint(0, 10**6)))
+    skipped = 0
+    for rep, degree, seed in cases:
         pairs = (
             (positive_weight_vanishing_check, walked_positive_weight_vanishing_check, 9),
             (component_containment_check, walked_component_containment_check, 12),
@@ -469,6 +487,8 @@ def test_sl2_reports_match_the_every_piece_walk():
             want = slow(rep, degree, samples=samples, seed=seed).to_dict()
             del got["ms"], want["ms"]
             assert got == want and report.ok, (str(rep), degree, seed)
+            skipped += "no negative-weight coordinates: witness sampling skipped" in got["details"]
+    assert skipped == 2
 
 
 def test_piece_size_table_matches_the_monomial_walk():

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd, lcm
@@ -576,14 +577,16 @@ def exhaustive_verify_sagbi(
 
 
 def pair_core(pair: TeteATete) -> tuple[tuple[str, ...], tuple[str, ...], list[str]]:
-    """(core left, core right, shared names): one copy of each name found on
-    both sides of the pair is removed from each side."""
-    left, right = list(pair.left), list(pair.right)
-    shared = sorted(set(left) & set(right))
-    for name in shared:
-        left.remove(name)
-        right.remove(name)
-    return tuple(left), tuple(right), shared
+    """(core left, core right, shared names): the multiset the two sides
+    share, each name as often as on both, is removed from each side, so the
+    core has no name on both sides."""
+    shared = Counter(pair.left) & Counter(pair.right)
+    left, right = Counter(pair.left) - shared, Counter(pair.right) - shared
+    return (
+        tuple(sorted(left.elements())),
+        tuple(sorted(right.elements())),
+        sorted(shared.elements()),
+    )
 
 
 def common_factor_certificate(
