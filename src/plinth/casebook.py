@@ -199,7 +199,7 @@ def danielewski_checks(samples: int = 50, seed: int = 1729) -> VerificationRepor
     }
 
     # (i) the image satisfies the quadric equation modulo the determinant
-    image_q = QUADRIC.substitute(pi, Rm)
+    image_q = QUADRIC.substitute(pi)
     checker.require(
         divide_out(image_q, det_rel).is_zero(),
         {"part": "i", "residue": str(image_q)},
@@ -233,8 +233,8 @@ def danielewski_checks(samples: int = 50, seed: int = 1729) -> VerificationRepor
         "s": s,
     }
     for name in ("x", "y", "z"):
-        matrix_side = pi[name].lift(extended_m).substitute(matrix_flow, extended_m)
-        surface_side = surface_flow[name].substitute(embed, extended_m)
+        matrix_side = pi[name].lift(extended_m).substitute(matrix_flow)
+        surface_side = surface_flow[name].substitute(embed)
         checker.require(
             divide_out(matrix_side - surface_side, det_lift).is_zero(),
             {"part": "iii", "coordinate": name},
@@ -297,7 +297,7 @@ def _sigma_images(R: VariableSet) -> dict[str, Polynomial]:
 
 def sigma_hat(f: Polynomial) -> Polynomial:
     """The substitution (x, y, z) -> (-x, 1 - y, -z)."""
-    return f.substitute(_sigma_images(f.ambient), f.ambient)
+    return f.substitute(_sigma_images(f.ambient))
 
 
 def sl2_mod_n_checks(degree_bound: int = 6) -> VerificationReport:
@@ -321,9 +321,7 @@ def sl2_mod_n_checks(degree_bound: int = 6) -> VerificationReport:
         sigma_hat(QUADRIC) == QUADRIC,
         {"part": "quadric", "image": str(sigma_hat(QUADRIC))},
     )
-    ident = sigma_hat(sigma_hat(R.variable("x"))) == R.variable("x") and sigma_hat(
-        sigma_hat(R.variable("y"))
-    ) == R.variable("y")
+    ident = all(sigma_hat(sigma_hat(R.variable(n))) == R.variable(n) for n in R.names)
     checker.require(ident, {"part": "involution", "detail": "not an involution"})
 
     D = danielewski_derivation()
@@ -331,12 +329,12 @@ def sl2_mod_n_checks(degree_bound: int = 6) -> VerificationReport:
     sigma = _sigma_images(extended)
     s = extended.variable("s")
     # sigma after flow_s: sigma's images with x, y, z replaced by the flow
-    sigma_after_flow = [sigma[n].substitute({**flow, "s": s}, extended) for n in R.names]
+    sigma_after_flow = [sigma[n].substitute({**flow, "s": s}) for n in R.names]
     sign_found = None
     for sign in (1, -1):
         # flow_(sign*s) after sigma: the flow with sigma's images for x, y, z
         scaled = {**sigma, "s": s.scale(sign)}
-        if [flow[n].substitute(scaled, extended) for n in R.names] == sigma_after_flow:
+        if [flow[n].substitute(scaled) for n in R.names] == sigma_after_flow:
             sign_found = sign
             break
     if checker.require(

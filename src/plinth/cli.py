@@ -16,7 +16,7 @@ import traceback
 from . import casebook, separating, sl2
 from .polyring import PolyError
 from .report import Checker, VerificationReport, reports_to_json
-from .roberts import Y0_RELATION, Y1_GENERATORS, roberts_action
+from .roberts import X_NAMES, Y0_RELATION, Y1_GENERATORS, roberts_action
 from .sagbi import verify_sagbi
 
 DEFAULT_SEED = 1729
@@ -108,9 +108,8 @@ def run_roberts_fixed() -> list[VerificationReport]:
     )
     collapsed = ra.fixed_point_collapse(4)
     # the flow fixes x = 0 when every c_k, k >= 1, of exp(s*D) vanishes there
-    xs = [name for name in ra.ring.names if name.startswith("x")]
     fixed = all(
-        c.restrict_to_zero(xs).is_zero()
+        c.restrict_to_zero(X_NAMES).is_zero()
         for series in ra.D.flow_coefficients().values()
         for c in series[1:]
     )
@@ -144,29 +143,20 @@ def run_sl2(rep: str, degree: int, samples: int, seed: int) -> list[Verification
 
 def run_separating(trials: int, seed: int) -> list[VerificationReport]:
     ra = roberts_action()
-    names = ra.ring.names
-
-    def plinth_sampler(rng):
-        p = {n: rng.randint(-9, 9) for n in names}
-        for x in ("x1", "x2", "x3"):
-            p[x] = 0
-        return p
-
-    reports = [
+    return [
         separating.graph_vs_separation_sampling(
             ra.D,
             ra.catalog(1),
             trials,
             seed=seed,
-            plinth_indicator=lambda p: all(p[x] == 0 for x in ("x1", "x2", "x3")),
-            plinth_sampler=plinth_sampler,
+            plinth_indicator=ra.on_plinth,
+            plinth_sampler=ra.plinth_point,
             plinth_unseparated=True,
         ),
         separating.separating_set_equivalence(
             ra.catalog(1), ra.catalog(4), ra.D, trials, seed=seed
         ),
     ]
-    return reports
 
 
 def run_danielewski() -> list[VerificationReport]:

@@ -14,23 +14,23 @@ the fewest nonzeros, then the least |pivot|, then the lowest id.
 Back-substitution clears each pivot column upward, last pivot first, and
 each reduced row is signed to a positive pivot.  It is then the primitive
 multiple of a row of the reduced echelon form, so the rows and pivots
-depend on the column order alone and answers are read off them as
-``Fraction``s.  ``rank`` runs the forward pass only.
+depend on the column order alone and answers are read off them in
+canonical coefficient form (``polyring.quotient``).  ``rank`` runs the
+forward pass only.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence
 
-from .polyring import coefficient_value
+from .polyring import Coefficient, coefficient_value, quotient
 
-Row = list[Fraction]
+Row = list[Coefficient]
 SparseRow = dict[int, int]
 Holders = dict[int, set[int]]  # column -> ids of the rows with a nonzero entry there
 # an input row: {column: value} or a dense list
-InRow = Mapping[int, Fraction | int] | Sequence[Fraction | int]
+InRow = Mapping[int, Coefficient] | Sequence[Coefficient]
 
 
 def _primitive(row: InRow) -> SparseRow:
@@ -110,13 +110,12 @@ def _reduce(rows: Sequence[InRow]) -> tuple[list[SparseRow], list[int]]:
     ], [c for c, _ in steps]
 
 
-def rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form of dense rows over Fraction, plus the pivot
-    columns."""
+def rref(rows: Sequence[Sequence[Coefficient]]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form of dense rows, plus the pivot columns."""
     reduced, pivots = _reduce(rows)
     ncols = len(rows[0]) if reduced else 0
     return [
-        [Fraction(row.get(j, 0), row[c]) for j in range(ncols)]
+        [quotient(row.get(j, 0), row[c]) for j in range(ncols)]
         for row, c in zip(reduced, pivots)
     ], pivots
 
@@ -138,13 +137,13 @@ def nullspace(rows: Sequence[InRow], ncols: int) -> list[Row]:
     basis: dict[int, Row] = {}
     for f in range(ncols):
         if f not in pivot_set:
-            basis[f] = [Fraction(0)] * ncols
-            basis[f][f] = Fraction(1)
+            basis[f] = [0] * ncols
+            basis[f][f] = 1
     for row, c in zip(reduced, pivots):
         p = row[c]
         for f, x in row.items():
             if f != c:  # every other pivot column is 0 in this row
-                basis[f][c] = Fraction(-x, p)
+                basis[f][c] = quotient(-x, p)
     return list(basis.values())
 
 
@@ -159,9 +158,9 @@ def solve(rows: Sequence[InRow], ncols: int) -> Row | None:
     reduced, pivots = _reduce(rows)
     if pivots and pivots[-1] == ncols:
         return None  # pivot in the augmented column: inconsistent
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for row, c in zip(reduced, pivots):
-        x[c] = Fraction(row.get(ncols, 0), row[c])
+        x[c] = quotient(row.get(ncols, 0), row[c])
     return x
 
 

@@ -529,20 +529,16 @@ class Polynomial:
                 total += ca - cb
         return not total
 
-    def substitute(
-        self, images: Mapping[str, "Polynomial"], target: VariableSet | None = None
-    ) -> "Polynomial":
+    def substitute(self, images: Mapping[str, "Polynomial"]) -> "Polynomial":
         """Apply the algebra homomorphism sending each variable to its image.
 
-        All images must live over one common variable set (``target``); it
-        defaults to the ambient of the first image.  Every variable of the
-        polynomial must have an image.
+        All images must live over one common variable set, the ambient of
+        the result.  Every variable of the polynomial must have an image.
         """
         for name in self.ambient.names:
             if name not in images:
                 raise PolyError(f"no image for variable {name!r}")
-        if target is None:
-            target = next(iter(images.values())).ambient
+        target = next(iter(images.values())).ambient
         for name, g in images.items():
             if g.ambient != target:
                 raise VariableMismatchError(f"image of {name!r} over a foreign ambient")

@@ -30,9 +30,10 @@ construction is deterministic and cacheable.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .derivation import Derivation
@@ -40,6 +41,7 @@ from .polyring import (
     FIELD_BITS,
     INHOMOGENEOUS,
     MONOMIAL_ONE,
+    Coefficient,
     Monomial,
     PolyError,
     Polynomial,
@@ -57,7 +59,11 @@ from .sagbi import (
     x_ideal_membership,
 )
 
-VARIABLE_NAMES = ("x1", "x2", "x3", "y1", "y2", "y3", "z")
+# x = 0 is the plinth locus of the action and also its fixed-point locus
+X_NAMES = ("x1", "x2", "x3")
+VARIABLE_NAMES = (*X_NAMES, "y1", "y2", "y3", "z")
+# z is the last, most significant variable
+Z_INDEX = VARIABLE_NAMES.index("z")
 WEIGHTS = (
     (1, 0, 0),
     (0, 1, 0),
@@ -188,7 +194,7 @@ class RobertsAction:
         unpinned columns to its left, that is, when it is such a leading
         monomial; ``linalg.solve`` sets the free columns to 0.
         """
-        z_shift = FIELD_BITS * self.ring.index("z")
+        z_shift = FIELD_BITS * Z_INDEX
         below_z = (1 << z_shift) - 1
         degree = self.beta_degree(i, n)
         targets = self._slice_targets(i, n)
@@ -241,8 +247,7 @@ class RobertsAction:
     ) -> tuple[Polynomial, ...]:
         """Basis of the invariants of one multidegree with z-degree <= z_cap."""
         full = self.graded_invariants(degree)
-        z_index = self.ring.index("z")
-        rows = coefficient_matrix(full, lambda m: m.exponent(z_index) > z_cap)
+        rows = coefficient_matrix(full, lambda m: m.exponent(Z_INDEX) > z_cap)
         if not rows:
             return full
         return tuple(
@@ -257,7 +262,7 @@ class RobertsAction:
         ambient6 = VariableSet(IMAGE_NAMES_6)
         rel = ambient6.poly(Y0_RELATION)
         images = self._image_substitution(ambient6)
-        return rel.substitute(images, self.ring).is_zero()
+        return rel.substitute(images).is_zero()
 
     def _image_substitution(self, source: VariableSet) -> dict[str, Polynomial]:
         mapping = {
@@ -283,7 +288,7 @@ class RobertsAction:
         images = self._image_substitution(ambient9)
         for idx, text in enumerate(Y1_GENERATORS, start=1):
             g = _parse_with_products(ambient9, text)
-            residue = g.substitute(images, self.ring)
+            residue = g.substitute(images)
             checker.require(
                 residue.is_zero(),
                 {"generator": idx, "text": text, "residue": str(residue)},
@@ -303,9 +308,8 @@ class RobertsAction:
             {"i": i, "n": n},
         )
         b = self.beta(i, n)
-        z_index = self.ring.index("z")
         lt_mono, lt_coef = b.leading_term()
-        expected_lt = Monomial(((self.ring.index(f"x{i}"), 1), (z_index, n)))
+        expected_lt = Monomial(((self.ring.index(f"x{i}"), 1), (Z_INDEX, n)))
         checker.require(
             lt_mono == expected_lt and lt_coef == 1,
             {"leading_term": str(b), "expected": f"x{i}*z^{n}"},
@@ -330,11 +334,10 @@ class RobertsAction:
 
     def _z_slice(self, f: Polynomial, t: int) -> Polynomial:
         """Coefficient of z^t in f, as a polynomial in the x and y variables."""
-        z_index = self.ring.index("z")
         terms = {}
         for m, c in f.terms():
-            if m.exponent(z_index) == t:
-                terms[m.divide(Monomial(((z_index, t),)))] = c
+            if m.exponent(Z_INDEX) == t:
+                terms[m.divide(Monomial(((Z_INDEX, t),)))] = c
         return Polynomial(self.ring, terms)
 
     def sagbi_family_checks(self, N: int) -> VerificationReport:
@@ -445,7 +448,6 @@ class RobertsAction:
             },
         )
         G = self.catalog(N)
-        z_index = self.ring.index("z")
 
         # (a) sweep of graded invariants with z-degree <= N
         swept = 0
@@ -496,7 +498,7 @@ class RobertsAction:
             lt = f.leading_monomial()
             for i in (1, 2, 3):
                 target = lt * Monomial(
-                    ((self.ring.index(f"x{i}"), 1), (z_index, N + 1))
+                    ((self.ring.index(f"x{i}"), 1), (Z_INDEX, N + 1))
                 )
                 reverse += 1
                 if monomial_algebra_member(target, G) is not None:
@@ -513,14 +515,7 @@ class RobertsAction:
         return checker.report()
 
     def _a0_products(self, max_factors: int) -> Iterable[Polynomial]:
-        gens = [
-            self.ring.variable("x1"),
-            self.ring.variable("x2"),
-            self.ring.variable("x3"),
-            self.u12,
-            self.u13,
-            self.u23,
-        ]
+        gens = [*map(self.ring.variable, X_NAMES), self.u12, self.u13, self.u23]
         frontier = [self.ring.one()]
         out = list(frontier)
         for _ in range(max_factors):
@@ -555,7 +550,7 @@ class RobertsAction:
         """
         G = self.catalog(max(2 * n, 0))
         square = self.beta(i, n) ** 2
-        return x_ideal_membership(square, G, ("x1", "x2", "x3"), max_steps)
+        return x_ideal_membership(square, G, X_NAMES, max_steps)
 
     def radical_structure_check(
         self, N: int = 3, degree_bound: int = 6
@@ -634,16 +629,26 @@ class RobertsAction:
         checker.note(f"beta squares certified in (x1,x2,x3): {squares}")
         return checker.report()
 
+    def on_plinth(self, point: Mapping[str, Coefficient]) -> bool:
+        """Is the point on the plinth locus x1 = x2 = x3 = 0?"""
+        return all(point[x] == 0 for x in X_NAMES)
+
+    def plinth_point(self, rng: random.Random) -> dict[str, int]:
+        """A random point on the plinth locus: one draw from [-9, 9] per
+        coordinate in ring order, then the x coordinates set to 0."""
+        point = {name: rng.randint(-9, 9) for name in self.ring.names}
+        point.update(dict.fromkeys(X_NAMES, 0))
+        return point
+
     def fixed_point_collapse(self, N: int = 4) -> bool:
         """Every S_N generator restricts to a constant on x1 = x2 = x3 = 0.
 
         All the non-constant invariants vanish there, so the quotient map
         sends the whole fixed-point locus to the image of the origin.
         """
-        xs = [name for name in self.ring.names if name.startswith("x")]
         G = self.catalog(N)
         for name in G.names:
-            restricted = G.polys[name].restrict_to_zero(xs)
+            restricted = G.polys[name].restrict_to_zero(X_NAMES)
             if not restricted.is_constant():
                 return False
         return True

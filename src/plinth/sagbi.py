@@ -52,6 +52,7 @@ from .polyring import (
     VariableSet,
     _overflow_error,
     _packed,
+    coefficient_value,
     combination,
     numeral,
 )
@@ -243,7 +244,7 @@ def monomial_algebra_member(
 class SubductionStep:
     """One cancellation: coefficient * (prefix variable?) * product(factors)."""
 
-    coefficient: Fraction
+    coefficient: Coefficient
     factors: tuple[str, ...]
     prefix: str | None = None
 
@@ -350,7 +351,7 @@ def _cancel(
         if len(steps) >= max_steps:
             return SubductionCertificate(f, steps, cur, complete=False)
         prod = G.product(names)
-        coeff = Fraction(lc) / prod.leading_term()[1]
+        coeff = coefficient_value(Fraction(lc) / prod.leading_term()[1])
         nxt = cur.sub_scaled(coeff, prod, shift)
         if not nxt.is_zero() and nxt.leading_monomial() >= lm:
             raise SubductionError("subduction step failed to decrease the leading term")

@@ -105,7 +105,7 @@ def solve_group_element(
     v: Mapping[str, Coefficient],
     v_prime: Mapping[str, Coefficient],
     D: Derivation,
-) -> Fraction | None:
+) -> Coefficient | None:
     """The exact group parameter s with flow_s(v) = v', if one exists.
 
     Evaluates the symbolic coordinate flows at v, leaving univariate
@@ -118,7 +118,7 @@ def solve_group_element(
     equations = flow_equations(v, v_prime, D)
     nonzero = [e for e in equations if e]
     if not nonzero:
-        return Fraction(0)  # every s works: v is a fixed point and v' = v
+        return 0  # every s works: v is a fixed point and v' = v
     if any(len(e) == 1 for e in nonzero):
         return None  # some coordinate can never match
     # v is not fixed, so its stabilizer is trivial: at most one s solves
@@ -131,7 +131,7 @@ def solve_group_element(
     k = len(g) - 1
     if k == 0:
         return None
-    s0 = Fraction(-g[k - 1], k * g[k])
+    s0 = coefficient_value(Fraction(-g[k - 1], k * g[k]))
     if all(horner(e, s0) == 0 for e in nonzero):
         return s0
     return None

@@ -304,7 +304,7 @@ def positive_weight_vanishing_check(
     lifted: dict[int, list[Polynomial]] = {}
     for s, space in enumerate(rep.summands):
         rename = {f"x{i}": rep.ambient.variable(name) for i, name in enumerate(space.coordinates)}
-        lifted[s] = [f.substitute(rename, rep.ambient) for f in quadratic_invariants(space.n)]
+        lifted[s] = [f.substitute(rename) for f in quadratic_invariants(space.n)]
 
     rng = random.Random(seed)
     if not negative:

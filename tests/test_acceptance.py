@@ -166,9 +166,7 @@ def test_criterion_08_fixed_point_collapse():
             for name in extended.names
         }
         for name in R7.names:
-            assert flow[name].substitute(sub, extended) == extended.variable(
-                name
-            ).substitute(sub, extended)
+            assert flow[name].substitute(sub) == extended.variable(name).substitute(sub)
 
 
 def test_criterion_09_sl2_module():
@@ -194,21 +192,13 @@ def test_criterion_10_separation_sampling():
     with criterion(10, "1000 seeded trials: orbits, fixed locus, set equivalence", 120.0):
         import random
 
-        names = R7.names
-
-        def plinth_sampler(rng):
-            p = {n: Fraction(rng.randint(-9, 9)) for n in names}
-            for x in ("x1", "x2", "x3"):
-                p[x] = Fraction(0)
-            return p
-
         rep = graph_vs_separation_sampling(
             RA.D,
             RA.catalog(1),
             trials=1000,
             seed=SEED,
-            plinth_indicator=lambda p: all(p[x] == 0 for x in ("x1", "x2", "x3")),
-            plinth_sampler=plinth_sampler,
+            plinth_indicator=RA.on_plinth,
+            plinth_sampler=RA.plinth_point,
             plinth_unseparated=True,
         )
         assert rep.ok, rep.details
@@ -216,11 +206,11 @@ def test_criterion_10_separation_sampling():
         # flow pairs are never separated, with the parameter recovered exactly
         rng = random.Random(SEED)
         for _ in range(50):
-            v = {n: Fraction(rng.randint(-9, 9)) for n in names}
+            v = {n: Fraction(rng.randint(-9, 9)) for n in R7.names}
             s = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
             vp = RA.D.flow_point(v, s)
             assert separates(v, vp, RA.catalog(4)) is None
-            if any(v[x] != 0 for x in ("x1", "x2", "x3")):
+            if not RA.on_plinth(v):
                 assert solve_group_element(v, vp, RA.D) == s
 
         eq = separating_set_equivalence(

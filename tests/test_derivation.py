@@ -210,7 +210,7 @@ def test_flow_group_law_symbolic():
             **{v: ext_st.variable(v) for v in R7.names},
             combined.ambient.names[-1]: ext_st.variable("s") + ext_st.variable("t"),
         }
-        assert twice == combined.substitute(images, ext_st)
+        assert twice == combined.substitute(images)
 
 
 def test_invariants_are_flow_constant():

@@ -76,6 +76,19 @@ def test_commutation_check_fails_on_a_flow_the_involution_does_not_respect(
     _cli_fails(["danielewski"], capsys, "sl2_mod_n")
 
 
+def test_involution_check_fails_on_a_sigma_that_moves_z_twice(monkeypatch, capsys):
+    # z -> z + 1 with x and y as before: sigma(sigma(z)) = z + 2
+    images = casebook._sigma_images
+
+    def shifted(R):
+        return {**images(R), "z": R.variable("z") + R.one()}
+
+    monkeypatch.setattr(casebook, "_sigma_images", shifted)
+    report = sl2_mod_n_checks()
+    assert {"part": "involution", "detail": "not an involution"} in report.details
+    _cli_fails(["danielewski"], capsys, "sl2_mod_n")
+
+
 def _coupled(build):
     """``build`` with a planted cross-summand term: the zero-weight
     coordinate of the last summand also maps to the weight-2 coordinate of
@@ -264,24 +277,14 @@ def test_an_lemma_part_c_forward_fails_on_a_bogus_spanning_set(monkeypatch, caps
     _cli_fails(["roberts-an", "--n", "1"], capsys, "roberts.an_lemma.1")
 
 
-def _plinth_sampler(names):
-    def sampler(rng):
-        p = {n: Fraction(rng.randint(-9, 9)) for n in names}
-        for x in ("x1", "x2", "x3"):
-            p[x] = Fraction(0)
-        return p
-
-    return sampler
-
-
 def _graph_sampling_run(trials=60):
     ra = roberts_action()
     return separating.graph_vs_separation_sampling(
         ra.D,
         ra.catalog(1),
         trials,
-        plinth_indicator=lambda p: all(p[x] == 0 for x in ("x1", "x2", "x3")),
-        plinth_sampler=_plinth_sampler(ra.ring.names),
+        plinth_indicator=ra.on_plinth,
+        plinth_sampler=ra.plinth_point,
         plinth_unseparated=True,
     )
 

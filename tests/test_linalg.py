@@ -15,6 +15,7 @@ from util import (
     dense_coefficient_matrix,
     dense_reduce,
     in_span,
+    is_canonical_value,
     naive_nullspace,
 )
 
@@ -113,8 +114,8 @@ def _nullspace_from_rref(reduced, pivots, ncols):
     return basis
 
 
-def _all_fractions(vectors):
-    return all(type(x) is Fraction for vec in vectors for x in vec)
+def _all_canonical(vectors):
+    return all(is_canonical_value(x) for vec in vectors for x in vec)
 
 
 def assert_matches_bareiss(rows, ncols, rhs=None):
@@ -122,11 +123,11 @@ def assert_matches_bareiss(rows, ncols, rhs=None):
     reduced, pivots = bareiss_rref(rows)
     got = linalg.rref(rows)
     assert got == (reduced, pivots)
-    assert _all_fractions(got[0])
+    assert _all_canonical(got[0])
     assert linalg.rank(rows) == len(pivots)
     basis = linalg.nullspace(rows, ncols)
     assert basis == _nullspace_from_rref(reduced, pivots, ncols)
-    assert _all_fractions(basis)
+    assert _all_canonical(basis)
     if rhs is not None:
         aug_reduced, aug_pivots = bareiss_rref([[*r, b] for r, b in zip(rows, rhs)])
         expected = None
@@ -136,7 +137,7 @@ def assert_matches_bareiss(rows, ncols, rhs=None):
                 expected[c] = row[ncols]
         got = linalg.solve(augmented(rows, rhs), ncols)
         assert got == expected
-        assert got is None or _all_fractions([got])
+        assert got is None or _all_canonical([got])
     return reduced, pivots
 
 

@@ -260,6 +260,22 @@ def test_monomial_basis_large_roberts_piece_is_output_sensitive():
     assert elapsed < 3.0
 
 
+def test_monomial_basis_singular_block_is_output_sensitive():
+    # a and b share one weight, so no leaf solve applies and the walk goes
+    # down to a.  c alone has weight on the second coordinate and a is the
+    # last variable with weight on the first, so both exponents are solved
+    # from the remainder and only b's is searched; searching c's as well
+    # would multiply the walk by the degree.
+    ws = WeightSystem(VariableSet(("a", "b", "c")), ((1, 0), (1, 0), (0, 1)))
+    start = time.perf_counter()
+    basis = ws.monomial_basis((2000, 2000))
+    elapsed = time.perf_counter() - start
+    assert len(basis) == 2001
+    assert all(ws.monomial_degree(m) == (2000, 2000) for m in basis)
+    assert all(a > b for a, b in zip(basis, basis[1:]))
+    assert elapsed < 1.0
+
+
 def test_monomial_basis_infinite_piece_rejected():
     mixed = WeightSystem(VariableSet(("a", "b")), ((1, -1), (0, 1)))
     with pytest.raises(InfiniteGradedPieceError):
@@ -335,7 +351,7 @@ def test_identity_substitution():
     images = {name: R7.variable(name) for name in R7.names}
     for _ in range(10):
         f = random_poly(rng, R7)
-        assert f.substitute(images, R7) == f
+        assert f.substitute(images) == f
 
 
 def test_ring_axioms_randomized():

@@ -33,6 +33,7 @@ from util import (
     fraction_subduct,
     fraction_terms,
     is_canonical,
+    is_canonical_value,
     lex_key,
     readout_factorization,
 )
@@ -798,7 +799,7 @@ INT_LC = GeneratorSet(
 def _assert_matches_fraction_oracle(cert, f, G, prefixes=()):
     steps, remainder = fraction_subduct(f, G, prefixes)
     assert [(s.coefficient, s.factors, s.prefix) for s in cert.steps] == steps
-    assert all(type(s.coefficient) is Fraction for s in cert.steps)
+    assert all(is_canonical_value(s.coefficient) for s in cert.steps)
     assert cert.remainder._terms == remainder and is_canonical(cert.remainder)
     assert cert.complete
     assert cert.stuck == (max(remainder) if remainder else None)

@@ -36,17 +36,6 @@ R7 = RA.ring
 NAMES = R7.names
 
 
-def roberts_plinth_sampler(rng):
-    p = {n: Fraction(rng.randint(-9, 9)) for n in NAMES}
-    for x in ("x1", "x2", "x3"):
-        p[x] = Fraction(0)
-    return p
-
-
-def in_roberts_plinth(p):
-    return all(p[x] == 0 for x in ("x1", "x2", "x3"))
-
-
 def test_point_text_round():
     v = make_point(NAMES, (1, 2, 3, 0, 0, 0, Fraction(1, 2)))
     assert point_text(v) == "1,2,3,0,0,0,1/2"
@@ -110,12 +99,14 @@ def test_separates_fixed_points_never():
 def test_solve_group_element_constructed_pair():
     v = make_point(NAMES, (1, 2, 3, 0, 0, 0, 0))
     vp = RA.D.flow_point(v, Fraction(5))
-    assert solve_group_element(v, vp, RA.D) == 5
+    got = solve_group_element(v, vp, RA.D)
+    assert got == 5 and is_canonical_value(got)
 
 
 def test_solve_group_element_fixed_point_convention():
     v = make_point(NAMES, (0, 0, 0, 4, 5, 6, 7))
-    assert solve_group_element(v, v, RA.D) == 0
+    got = solve_group_element(v, v, RA.D)
+    assert got == 0 and is_canonical_value(got)
 
 
 def test_solve_group_element_inconsistent():
@@ -172,8 +163,8 @@ def test_graph_sampling_roberts():
         RA.catalog(1),
         trials=120,
         seed=7,
-        plinth_indicator=in_roberts_plinth,
-        plinth_sampler=roberts_plinth_sampler,
+        plinth_indicator=RA.on_plinth,
+        plinth_sampler=RA.plinth_point,
         plinth_unseparated=True,
     )
     assert rep.ok, rep.details
@@ -192,7 +183,7 @@ def test_flow_pairs_never_separated_property():
         s = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         vp = RA.D.flow_point(v, s)
         assert separates(v, vp, G) is None
-        if any(v[x] != 0 for x in ("x1", "x2", "x3")):
+        if not RA.on_plinth(v):
             assert solve_group_element(v, vp, RA.D) == s
 
 

@@ -341,7 +341,7 @@ def test_flow_preserves_zero_weight_component():
         for name in extended.names
     }
     for name in rep.zero_weight_coordinates():
-        restricted = flow[name].substitute(sub, extended)
+        restricted = flow[name].substitute(sub)
         assert restricted == extended.variable(name)
 
 

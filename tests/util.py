@@ -748,7 +748,7 @@ def substitute_flow_equations(v, v_prime, D: Derivation) -> list[list[Fraction]]
     subs[param] = extended.variable(param)
     equations = []
     for name in D.ambient.names:
-        f = images[name].substitute(subs, extended) - extended.constant(
+        f = images[name].substitute(subs) - extended.constant(
             Fraction(v_prime[name])
         )
         coeffs: dict[int, Fraction] = {}
@@ -968,7 +968,7 @@ def walked_positive_weight_vanishing_check(
     lifted = {}
     for s, space in enumerate(rep.summands):
         rename = {f"x{i}": rep.ambient.variable(name) for i, name in enumerate(space.coordinates)}
-        lifted[s] = [f.substitute(rename, rep.ambient) for f in sl2.quadratic_invariants(space.n)]
+        lifted[s] = [f.substitute(rename) for f in sl2.quadratic_invariants(space.n)]
     rng = random.Random(seed)
     if not negative:
         checker.note("no negative-weight coordinates: witness sampling skipped")
