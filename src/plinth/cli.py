@@ -14,7 +14,8 @@ import sys
 import traceback
 
 from . import casebook, separating, sl2
-from .polyring import PolyError
+from .derivation import MAX_KERNEL_COLUMNS, oversized_piece_error
+from .polyring import MAX_PIECE_MONOMIALS, PolyError, crowded_piece_error
 from .report import Checker, VerificationReport, reports_to_json
 from .roberts import X_NAMES, Y0_RELATION, Y1_GENERATORS, roberts_action
 from .sagbi import verify_sagbi
@@ -27,8 +28,17 @@ MAX_SAGBI_BOUND = 12
 # Largest --n of roberts-beta, roberts-sagbi and roberts-an: cold beta(1, n)
 # grows about threefold per 2 added to n (1.0 s at 14, 2.6 s at 16, 6.5 s
 # at 18) and catalog(n) builds every beta(i, n' <= n).  At 12, cold:
-# roberts-beta 2.3 s, roberts-an 9.6 s, roberts-sagbi (bound 8) 10.7 s.
+# roberts-beta 2.3 s, roberts-an 7.5 to 9.5 s, roberts-sagbi (bound 8)
+# 10.7 s.
 MAX_CATALOG_N = 12
+# Largest bound k * (2 * max_weight * d + 1) * d, for k coordinates, on
+# the piece-size table up to degree d that ``kernel`` builds to refuse an
+# oversized sl2 piece before its walk (the walk took 1.9 s to refuse V[64]
+# at 6,0).  The table holds about an eighth of the bound in entries: V[64] at
+# degree 15 (bound 1.9 million) builds it in 0.05 s at 32 MB peak RSS,
+# under the walk's 38 MB.  Past the bound the walk decides as before, and
+# it is fast where d is large for the representation.
+MAX_SIZE_TABLE = 2_000_000
 
 
 def run_roberts_invariants() -> list[VerificationReport]:
@@ -187,8 +197,15 @@ def run_kernel(ring: str, degree: tuple[int, ...]) -> list[VerificationReport]:
         if len(degree) != 2:
             raise argparse.ArgumentTypeError("sl2 kernel needs degree,weight")
         rep = sl2.RepSum.parse(ring[4:])
+        d, w = degree
+        if 0 <= d and len(rep.weights) * (2 * rep.max_weight * d + 1) * d <= MAX_SIZE_TABLE:
+            size = rep.piece_sizes(d).get(w, 0)
+            if size > MAX_PIECE_MONOMIALS:
+                raise crowded_piece_error(rep.piece(d, w))
+            if size > MAX_KERNEL_COLUMNS:
+                raise oversized_piece_error(rep.piece(d, w), size)
         D = sl2.build_raising_derivation(rep)
-        basis = D.graded_kernel(rep.weight_system(), rep.piece(*degree))
+        basis = D.graded_kernel(rep.weight_system(), rep.piece(d, w))
     for p in basis:
         print(p)
     checker.note(f"dimension {len(basis)} at degree {degree}")

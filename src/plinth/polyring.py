@@ -635,6 +635,11 @@ def combination(
     return Polynomial._raw(ambient, terms)
 
 
+def crowded_piece_error(degree: tuple[int, ...]) -> PolyError:
+    """The refusal of a graded piece of more than MAX_PIECE_MONOMIALS monomials."""
+    return PolyError(f"graded piece {degree}: over {MAX_PIECE_MONOMIALS} monomials")
+
+
 def _mismatch_error(got: VariableSet, expected: VariableSet) -> VariableMismatchError:
     """The one error of a sum or product over two ambients."""
     return VariableMismatchError(f"term over {got!r}, expected {expected!r}")
@@ -860,7 +865,7 @@ class WeightSystem:
                     packed += e << shift
                 out.append(_packed(packed))
                 if len(out) > MAX_PIECE_MONOMIALS:
-                    raise PolyError(f"graded piece {degree}: over {MAX_PIECE_MONOMIALS} monomials")
+                    raise crowded_piece_error(degree)
                 return
             for j, k, lo_num, lo_den, hi_num, hi_den in windows[i]:
                 rj, rk = remaining[j], remaining[k]

@@ -329,7 +329,12 @@ def _cancel(
 
     Each step cancels the leading term by coefficient * prefix * product
     of generators, for the first prefix that divides the leading monomial
-    and leaves a quotient with a factorization over G.
+    and leaves a quotient with a factorization over G.  A factor with one
+    term, read from ``G.polys``, is not multiplied into the product: its
+    monomial joins the prefix as the step's shift and its coefficient the
+    scalar, so the product cache holds products of the other factors only
+    and a step of single terms alone multiplies nothing.  The certificate
+    still names every factor, and its replay multiplies them all.
     """
     if max_steps < 1:
         raise SubductionError("max_steps must be >= 1")
@@ -350,9 +355,28 @@ def _cancel(
             return SubductionCertificate(f, steps, cur, complete=True, stuck=lm)
         if len(steps) >= max_steps:
             return SubductionCertificate(f, steps, cur, complete=False)
-        prod = G.product(names)
-        coeff = coefficient_value(Fraction(lc) / prod.leading_term()[1])
-        nxt = cur.sub_scaled(coeff, prod, shift)
+        singles, rest = [], []
+        for name in names:
+            g = G.polys[name]
+            if len(g) > 1:
+                rest.append(name)
+            else:
+                singles.append(g)
+        # with no other factor, the last single term stands in for the product
+        prod = singles.pop() if singles and not rest else G.product(rest)
+        scalar, made = 1, 0
+        for g in singles:
+            m, c = g.leading_term()
+            # plain int sums, each checked: one sum of two monomials cannot
+            # carry past a guard bit (a Monomial product per factor took a
+            # fifth of the step's time on conductor-sweep)
+            shift += m
+            made |= shift
+            scalar *= c
+        if made & G.ambient.invalid_bits:
+            raise _overflow_error(G.ambient)
+        coeff = coefficient_value(Fraction(lc) / (scalar * prod.leading_term()[1]))
+        nxt = cur.sub_scaled(coeff if scalar == 1 else coeff * scalar, prod, shift)
         if not nxt.is_zero() and nxt.leading_monomial() >= lm:
             raise SubductionError("subduction step failed to decrease the leading term")
         steps.append(SubductionStep(coeff, names, prefix))

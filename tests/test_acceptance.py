@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import conftest
 from plinth import linalg
-from plinth.polyring import Monomial, VariableSet
+from plinth.polyring import Monomial
 from plinth.roberts import roberts_action
-from plinth.sagbi import GeneratorSet, subduct, tete_a_tetes, verify_sagbi
+from plinth.sagbi import verify_sagbi
 from plinth.separating import (
     graph_vs_separation_sampling,
     separates,

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from plinth import cli
 from plinth.cli import MAX_CATALOG_N, build_parser, main
 from plinth.derivation import MAX_KERNEL_COLUMNS, Derivation
 from plinth.polyring import MAX_PIECE_MONOMIALS, PolyError, VariableSet, WeightSystem
@@ -226,6 +227,48 @@ def test_piece_too_large_to_eliminate_is_a_quick_usage_error(capsys):
         f"over the {MAX_KERNEL_COLUMNS} an elimination takes"
     )
     assert time.perf_counter() - start < 3.0
+
+
+def test_oversized_sl2_kernel_piece_is_refused_from_its_size(monkeypatch, capsys):
+    # plinth kernel --ring 'sl2:V[64]' --degree 6,0 walked 60,000 monomials
+    # for about 2 s before it exited 2; the piece-size table now refuses it
+    # with the walk's own message, and walks nothing
+    walked = []
+    real = WeightSystem.monomial_basis
+    monkeypatch.setattr(
+        WeightSystem, "monomial_basis", lambda self, degree: walked.append(degree) or real(self, degree)
+    )
+    over_walk = f"graded piece (6, 384): over {MAX_PIECE_MONOMIALS} monomials"
+    over_columns = (
+        f"graded piece (24, 144): 11963 monomials, over the {MAX_KERNEL_COLUMNS} an elimination takes"
+    )
+
+    def refusal(ring, degree):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["kernel", "--ring", ring, "--degree", degree])
+        took = time.perf_counter() - start
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        return err.splitlines()[-1].removeprefix("plinth kernel: error: "), took
+
+    last, took = refusal("sl2:V[64]", "6,0")
+    assert last == over_walk and took < 0.5
+    assert refusal("sl2:V[6]", "24,0")[0] == over_columns
+    assert walked == []
+    # past the table's bound the walk decides, with the same message
+    monkeypatch.setattr(cli, "MAX_SIZE_TABLE", 0)
+    assert refusal("sl2:V[6]", "24,0")[0] == over_columns
+    assert walked == [(24, 144)]
+    # a large degree of a small representation walks at once
+    assert refusal("sl2:V[2]", "100000,0")[0] == (
+        f"graded piece (100000, 200000): 50001 monomials, over the {MAX_KERNEL_COLUMNS} "
+        "an elimination takes"
+    )
+    monkeypatch.undo()
+    assert main(["kernel", "--ring", "sl2:V[2]", "--degree=-3,0"]) == 0
+    assert capsys.readouterr().out.startswith("[PASS] kernel.sl2:V[2]")
 
 
 def test_sl2_oversized_degree_is_refused_before_any_elimination(monkeypatch, capsys):

@@ -35,6 +35,7 @@ from util import (
     is_canonical,
     is_canonical_value,
     lex_key,
+    product_cancel,
     readout_factorization,
 )
 
@@ -912,6 +913,144 @@ def test_failed_step_message_is_shared():
     ):
         with pytest.raises(SubductionError, match="^subduction step failed to decrease"):
             run()
+
+
+def _certificate_fields(cert):
+    """Steps, remainder, completeness and stuck monomial, coefficient types
+    included, since 1 == Fraction(1)."""
+    steps = [(type(s.coefficient), s.coefficient, s.factors, s.prefix) for s in cert.steps]
+    terms = sorted((m, type(c), c) for m, c in cert.remainder._terms.items())
+    return steps, terms, cert.complete, cert.stuck
+
+
+def _assert_cancel_matches_product_oracle(G, inputs):
+    """Each (f, prefixes, max_steps) gives the certificate of the earlier
+    loop that multiplies every factor into one product, and replays to f.
+    The library and the oracle each run on their own copy of G, so no
+    cached product passes from one to the other."""
+    mine, theirs = fresh_copy(G), fresh_copy(G)
+    for f, prefixes, max_steps in inputs:
+        if prefixes is None:
+            cert = subduct(f, mine, max_steps)
+        else:
+            cert = x_ideal_membership(f, mine, prefixes, max_steps)
+        want = product_cancel(f, theirs, prefixes, max_steps)
+        assert _certificate_fields(cert) == _certificate_fields(want), str(f)
+        assert cert.replay(mine) == f
+
+
+def _seeded_inputs(rng, G, trials, xs, max_exp=2):
+    """Algebra combinations of G plus a stray polynomial, for subduct and,
+    times a variable of xs, for x_ideal_membership with prefixes from xs;
+    some of them with a step budget that cuts them short."""
+    ambient, names = G.ambient, G.names
+    inputs = []
+    for _ in range(trials):
+        f = random_poly(rng, ambient, max_terms=2, max_exp=max_exp)
+        for _ in range(rng.randint(1, 3)):
+            factors = [rng.choice(names) for _ in range(rng.randint(1, 4))]
+            f = f + G.product(factors).scale(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+        budget = rng.choice((10_000, 10_000, 1, 2))
+        inputs.append((f, None, budget))
+        prefixes = tuple(rng.sample(xs, rng.randint(1, len(xs))))
+        inputs.append((ambient.variable(rng.choice(xs)) * f, prefixes, budget))
+    return inputs
+
+
+@pytest.mark.parametrize("N, bound, trials", [(0, 10, 40), (1, 6, 40), (2, 5, 30), (3, 5, 20)])
+def test_cancel_matches_product_oracle_on_roberts_catalogs(N, bound, trials):
+    G = RA.catalog(N)
+    xs = [R7.variable(x) for x in X_PREFIXES]
+    inputs = []
+    for k, tt in enumerate(tete_a_tetes(G, bound)):
+        diff = tete_a_tete_difference(G, tt)
+        inputs.append((diff, None, 10_000))
+        inputs.append((xs[k % 3] * xs[(k + 1) % 3] * diff, X_PREFIXES, 10_000))
+    inputs += _seeded_inputs(random.Random(3200 + N), G, trials, X_PREFIXES)
+    _assert_cancel_matches_product_oracle(G, inputs)
+
+
+# single-term generators with coefficient 3 and of degree above 1 among
+# generators of several terms
+PLANTED = GeneratorSet(
+    XYZ,
+    [
+        ("a", XYZ.poly("3*x")),
+        ("b", XYZ.poly("x^2*y")),
+        ("c", XYZ.poly("z^2 + x*y")),
+        ("d", XYZ.poly("2*z*y - x^2")),
+        ("e", XYZ.poly("-1/2*y^3")),
+    ],
+)
+
+
+def test_cancel_matches_product_oracle_on_planted_single_terms():
+    a, b, c, d = (PLANTED.polys[n] for n in "abcd")
+    fixed = [
+        (a * a * b, None, 10_000),  # only single terms, one name repeated
+        (a * a * a * c + b * b * d, None, 10_000),
+        (b * c * c - a * d + XYZ.poly("y^5"), None, 10_000),
+        (XYZ.variable("y") * a * b * c, ("x", "y"), 10_000),
+        (XYZ.variable("x") * (a * a * d + b), ("y", "x"), 1),
+    ]
+    rng = random.Random(3232)
+    seeded = _seeded_inputs(rng, PLANTED, 60, ("x", "y"), max_exp=3)
+    _assert_cancel_matches_product_oracle(PLANTED, fixed + seeded)
+    # the inputs cover each kind of single-term step named above
+    G = fresh_copy(PLANTED)
+    factors = {
+        s.factors
+        for f, prefixes, max_steps in fixed + seeded
+        for s in (
+            subduct(f, G, max_steps)
+            if prefixes is None
+            else x_ideal_membership(f, G, prefixes, max_steps)
+        ).steps
+    }
+    assert ("a", "a", "b") in factors
+    assert any(fs.count("a") > 1 and "c" in fs for fs in factors)
+    assert any("b" in fs and "d" in fs for fs in factors)
+    assert any("e" in fs for fs in factors)
+
+
+def test_single_term_step_multiplies_nothing(monkeypatch):
+    G = fresh_copy(PLANTED)
+    a, b, e = (G.polys[n] for n in "abe")
+    f = a * a * b * e + XYZ.poly("x^2*y")
+    g = XYZ.variable("y") * f
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda p, q: calls.append(1) or mul(p, q))
+    cert = subduct(f, G)
+    assert not calls and not G._prod_cache
+    assert [s.factors for s in cert.steps] == [("a", "a", "b", "e"), ("b",)]
+    assert cert.ok
+    cert = x_ideal_membership(g, G, ("y",))
+    assert not calls and not G._prod_cache
+    assert [(s.factors, s.prefix) for s in cert.steps] == [(("a", "a", "b", "e"), "y"), (("b",), "y")]
+    assert cert.ok
+
+
+def test_single_terms_are_read_from_the_generator_polynomials():
+    # as in test_failed_step_message_is_shared, G.lt keeps the old leading
+    # terms: a step must take its single terms from G.polys, as the replay does
+    G = GeneratorSet(XYZ, [("a", XYZ.poly("x")), ("b", XYZ.poly("y")), ("c", XYZ.poly("z + x"))])
+    G.polys["a"] = XYZ.poly("2*x")
+    f = XYZ.poly("x*y*z + x^2*y")
+    cert = subduct(f, G)
+    assert [(s.coefficient, s.factors) for s in cert.steps] == [(Fraction(1, 2), ("a", "b", "c"))]
+    assert _certificate_fields(cert) == _certificate_fields(product_cancel(f, G))
+    assert cert.ok and cert.replay(G) == f
+
+
+def test_single_terms_past_the_exponent_limit_raise_the_overflow_error():
+    # a rewritten single term whose powers leave the exponent field: the
+    # shift x^(2 * MAX_EXPONENT) sets a guard bit, and the step's own sum
+    # x^(3 * MAX_EXPONENT) would carry past it into y
+    G = GeneratorSet(XYZ, [("a", XYZ.poly("x"))])
+    G.polys["a"] = Polynomial(XYZ, {Monomial(((0, MAX_EXPONENT),)): 1})
+    with pytest.raises(PolyError, match="^a term has an exponent above the limit 2\\^31 - 1"):
+        subduct(XYZ.poly("x^3"), G)
 
 
 def test_product_is_a_left_fold_of_sorted_generators():

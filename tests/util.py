@@ -28,8 +28,10 @@ rows of D read back by ``coefficient_matrix`` from one applied polynomial
 per monomial (and beta(i, n) built on them), the factorization read
 out afresh on every query, the generator multisets within a degree
 bound counted by enumerating every vector of multiplicities, the sl2
-checks walking every kernel element of weight >= 0, and the
-earlier polynomial text parser: a tokenizer and a recursive descent.
+checks walking every kernel element of weight >= 0, the earlier
+cancellation loop of ``subduct`` that builds every step's full generator
+product, and the earlier polynomial text parser: a tokenizer and a
+recursive descent.
 """
 
 from __future__ import annotations
@@ -876,6 +878,42 @@ def fraction_subduct(
         steps.append((coeff, names, prefix))
         cur = fraction_sub_scaled(cur, coeff, shift, product)
     return steps, cur
+
+
+def product_cancel(
+    f: Polynomial,
+    G: GeneratorSet,
+    prefixes: tuple[str, ...] | None = None,
+    max_steps: int = 10_000,
+) -> SubductionCertificate:
+    """``subduct`` (no prefixes) or ``x_ideal_membership`` by the earlier
+    cancellation loop: each step multiplies all of its factors, single-term
+    generators included, into one ``G.product``."""
+    options = [(None, MONOMIAL_ONE)]
+    if prefixes is not None:
+        options = [(p, Monomial(((G.ambient.index(p), 1),))) for p in prefixes]
+    steps: list[SubductionStep] = []
+    cur = f
+    while not cur.is_zero():
+        lm, lc = cur.leading_term()
+        for prefix, shift in options:
+            if prefix is None:
+                names = G.factorization(lm)
+            elif shift.divides(lm):
+                names = G.factorization(lm.divide(shift))
+            else:
+                continue
+            if names is not None:
+                break
+        else:
+            return SubductionCertificate(f, steps, cur, complete=True, stuck=lm)
+        if len(steps) >= max_steps:
+            return SubductionCertificate(f, steps, cur, complete=False)
+        prod = G.product(names)
+        coeff = coefficient_value(Fraction(lc) / prod.leading_term()[1])
+        steps.append(SubductionStep(coeff, names, prefix))
+        cur = cur.sub_scaled(coeff, prod, shift)
+    return SubductionCertificate(f, steps, cur, complete=True)
 
 
 def all_weight_invariants(rep: RepSum, D: Derivation, degree_bound: int):
